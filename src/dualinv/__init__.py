@@ -77,7 +77,6 @@ from .block_decomposition import (
     is_dual_nilpotent,
     sharp_of_weak_group,
     wddi_from_given_decomposition,
-    wdgi_via_decomposition,
 )
 from .equation_solvers import (
     solve_general,
@@ -150,7 +149,6 @@ __all__ = [
     "is_dual_nilpotent",
     "sharp_of_weak_group",
     "wddi_from_given_decomposition",
-    "wdgi_via_decomposition",
     "solve_general",
     "solve_ind1_corollaries",
     "solve_restricted",

@@ -33,7 +33,15 @@ def _parse_rational(value, location: str) -> Fraction:
         raise ParseError("rational entries must be strings", location)
     if not RATIONAL_PATTERN.fullmatch(value):
         raise ParseError(f"not a rational literal: {value!r}", location)
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ValueError as exc:
+        # the literal is well formed, so only Python's limit on the digits of
+        # an int parsed from a string can refuse it
+        raise ParseError(
+            f"rational literal of {len(value)} characters exceeds the digit limit",
+            location,
+        ) from exc
 
 
 def _parse_grid(value, rows: int, cols: int, name: str) -> RealMatrix:

@@ -16,8 +16,8 @@ inverse (WDDI) always exists:
 
 with t = dind(A^).  When the DDI exists the same S with t replaced by
 k = aind gives it, and the two agree because terms with i >= k die against
-the projector.  The group flavour (DGI / WDGI) is the index-1 case, with the
-WDGI using the group inverse in place of M^D and single first terms.
+the projector.  The group flavour (DGI / WDGI) is the index-1 case; the
+WDGI is read off the index-1 block diagonalization of A^.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from dataclasses import dataclass
 from .exceptions import DoesNotExist, IndexTooLarge
 from .exceptions import DimensionError, InternalInvariantViolation
 from .matrices import DualMatrix, RealMatrix, dual_power
-from .indices import index_profile, rank_profile
-from .real_inverses import drazin, group_inverse, index, moore_penrose
+from .indices import _dual_index, rank_profile
+from .real_inverses import core_nilpotent, index, moore_penrose
+from .block_decomposition import _decompose
 
 
 @dataclass(frozen=True)
@@ -61,32 +62,39 @@ def _square(a: DualMatrix) -> None:
         raise DimensionError("operation needs a square dual matrix")
 
 
+def _obstruction(m: RealMatrix, md: RealMatrix, kd: RealMatrix) -> RealMatrix:
+    proj = RealMatrix.identity(m.rows) - m @ md
+    return proj @ kd @ proj
+
+
 def ddi_obstruction(a: DualMatrix) -> RealMatrix:
     """(I - M M^D) K (I - M M^D) with K the dual part of A^^aind."""
     _square(a)
-    k = index(a.std)
-    _, kd = dual_power(a, k)
-    proj = RealMatrix.identity(a.rows) - a.std @ drazin(a.std)
-    return proj @ kd @ proj
+    cn = core_nilpotent(a.std)
+    _, kd = dual_power(a, cn.k)
+    return _obstruction(a.std, cn.drazin(), kd)
 
 
 def existence_profile(a: DualMatrix) -> ExistenceProfile:
     _square(a)
-    obstruction = ddi_obstruction(a)
-    profile = index_profile(a)
-    power_k, _ = dual_power(a, profile.aind)
+    cn = core_nilpotent(a.std)
+    power_k, kd = dual_power(a, cn.k)
+    obstruction = _obstruction(a.std, cn.drazin(), kd)
     ar, dr = rank_profile(power_k)
     return ExistenceProfile(
         ddi_exists=obstruction.is_zero,
-        index_equality=profile.dind == profile.aind,
+        # dind is the first t >= aind at which the two ranks of A^^t agree
+        index_equality=ar == dr,
         rank_equality=ar == dr,
         obstruction=obstruction,
     )
 
 
-def _weak_drazin_dual_part(m: RealMatrix, m0: RealMatrix, terms: int) -> RealMatrix:
-    """Dual part of the WDDI with the sums truncated after ``terms`` terms."""
-    md = drazin(m)
+def _weak_drazin_dual_part(
+    m: RealMatrix, m0: RealMatrix, md: RealMatrix, terms: int
+) -> RealMatrix:
+    """Dual part of the WDDI with the sums truncated after ``terms`` terms;
+    md is the Drazin inverse of m."""
     eye = RealMatrix.identity(m.rows)
     proj = eye - m @ md
     md2 = md @ md
@@ -105,32 +113,35 @@ def _weak_drazin_dual_part(m: RealMatrix, m0: RealMatrix, terms: int) -> RealMat
 def wddi(a: DualMatrix) -> DualMatrix:
     """Weak dual Drazin inverse; always exists for square input."""
     _square(a)
-    t = index_profile(a).dind
-    return DualMatrix(drazin(a.std), _weak_drazin_dual_part(a.std, a.dual, t))
+    cn = core_nilpotent(a.std)
+    md = cn.drazin()
+    t, _ = _dual_index(a, cn.k)
+    return DualMatrix(md, _weak_drazin_dual_part(a.std, a.dual, md, t))
 
 
 def ddi(a: DualMatrix) -> DualMatrix:
     """Dual Drazin inverse; DoesNotExist carries the obstruction witness."""
     _square(a)
-    obstruction = ddi_obstruction(a)
+    cn = core_nilpotent(a.std)
+    md = cn.drazin()
+    _, kd = dual_power(a, cn.k)
+    obstruction = _obstruction(a.std, md, kd)
     if not obstruction.is_zero:
         raise DoesNotExist("dual Drazin inverse does not exist", obstruction)
-    k = index(a.std)
-    return DualMatrix(drazin(a.std), _weak_drazin_dual_part(a.std, a.dual, k))
+    return DualMatrix(md, _weak_drazin_dual_part(a.std, a.dual, md, cn.k))
 
 
 def wdgi(a: DualMatrix) -> DualMatrix:
     """Weak dual group inverse; needs aind = 1 but always exists then.
 
-    Dual part: (M#)^2 M0 (I - M M#) + (I - M M#) M0 (M#)^2 - M# M0 M#.
+    Dual part: (M#)^2 M0 (I - M M#) + (I - M M#) M0 (M#)^2 - M# M0 M#; it is
+    computed as P^ diag(C^^(-1), 0) P^^(-1) from the block diagonalization.
     """
     _square(a)
-    g = group_inverse(a.std)
-    eye = RealMatrix.identity(a.rows)
-    proj = eye - a.std @ g
-    g2 = g @ g
-    dual = g2 @ a.dual @ proj + proj @ a.dual @ g2 - g @ a.dual @ g
-    return DualMatrix(g, dual)
+    cn = core_nilpotent(a.std)
+    if cn.k != 1:
+        raise IndexTooLarge(f"group inverse needs index 1, matrix has index {cn.k}")
+    return _decompose(a, cn).weak_group_inverse()
 
 
 def dgi(a: DualMatrix) -> DualMatrix:
@@ -141,15 +152,15 @@ def dgi(a: DualMatrix) -> DualMatrix:
     it exists it coincides with the WDGI.
     """
     _square(a)
-    k = index(a.std)
-    if k != 1:
-        raise IndexTooLarge(f"dual group inverse needs aind 1, got {k}")
+    cn = core_nilpotent(a.std)
+    if cn.k != 1:
+        raise IndexTooLarge(f"dual group inverse needs aind 1, got {cn.k}")
     mp = moore_penrose(a.std)
     eye = RealMatrix.identity(a.rows)
     witness = (eye - a.std @ mp) @ a.dual @ (eye - mp @ a.std)
     if not witness.is_zero:
         raise DoesNotExist("dual group inverse does not exist", witness)
-    return wdgi(a)
+    return _decompose(a, cn).weak_group_inverse()
 
 
 @dataclass(frozen=True)
@@ -181,15 +192,11 @@ def verify(a: DualMatrix, x: DualMatrix, kind: str) -> VerificationReport:
         raise DimensionError("candidate inverse has the wrong shape")
     if kind not in VERIFY_KINDS:
         raise ValueError(f"unknown verification kind {kind!r}")
-    if kind == "group":
-        e = 1
-    elif kind == "drazin-k":
-        e = index(a.std)
-    elif kind == "wddi-t":
-        e = index_profile(a).dind
+    if kind == "wddi-t":
+        e, a_e = _dual_index(a, index(a.std))
     else:
-        e = 2
-    a_e, _ = dual_power(a, e)
+        e = index(a.std) if kind == "drazin-k" else 1 if kind == "group" else 2
+        a_e, _ = dual_power(a, e)
     checks = (
         (f"A X A^{e} = A^{e}", a @ x @ a_e == a_e),
         ("X A X = X", x @ a @ x == x),

@@ -52,17 +52,26 @@ def nullspace(m: RealMatrix) -> RealMatrix:
     matrix; nullity 0 gives a cols x 0 matrix.
     """
     reduced, pivots = rref(m)
+    return _null_basis(reduced, pivots, m.cols)
+
+
+def _null_basis(
+    reduced: RealMatrix, pivots: tuple[int, ...], cols: int
+) -> RealMatrix:
+    """Null space basis of a matrix with ``cols`` columns, read off its
+    reduced echelon form (the first ``cols`` columns of ``reduced``) and its
+    pivot columns."""
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
+    free = [j for j in range(cols) if j not in pivot_set]
     columns = []
     for f in free:
-        v = [ZERO] * m.cols
+        v = [ZERO] * cols
         v[f] = ONE
         for i, pc in enumerate(pivots):
             v[pc] = -reduced.entries[i][f]
         columns.append(v)
-    entries = tuple(tuple(col[i] for col in columns) for i in range(m.cols))
-    return RealMatrix(m.cols, len(free), entries)
+    entries = tuple(tuple(col[i] for col in columns) for i in range(cols))
+    return RealMatrix(cols, len(free), entries)
 
 
 def solve(a: RealMatrix, b: RealMatrix) -> tuple[RealMatrix, RealMatrix] | None:
@@ -80,7 +89,8 @@ def solve(a: RealMatrix, b: RealMatrix) -> tuple[RealMatrix, RealMatrix] | None:
     for i, pc in enumerate(pivots):
         particular_rows[pc] = list(reduced.entries[i][a.cols:])
     particular = RealMatrix(a.cols, b.cols, tuple(tuple(r) for r in particular_rows))
-    return particular, nullspace(a)
+    # every pivot lies left of b, so the left block is the reduced form of a
+    return particular, _null_basis(reduced, pivots, a.cols)
 
 
 def inverse(m: RealMatrix) -> RealMatrix:

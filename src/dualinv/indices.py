@@ -47,15 +47,23 @@ class DualIndexProfile:
             raise InternalInvariantViolation("dual index outside [aind, 2*aind]")
 
 
+def _dual_index(a: DualMatrix, aind: int) -> tuple[int, DualMatrix]:
+    """(dind, A^^dind): the first t in [aind, 2*aind] at which the two ranks
+    of A^^t agree, with the powers built one product at a time."""
+    power, _ = dual_power(a, aind)
+    for t in range(aind, 2 * aind + 1):
+        ar_t, dr_t = rank_profile(power)
+        if ar_t == dr_t:
+            return t, power
+        power = power @ a
+    raise InternalInvariantViolation("no dual index found in [aind, 2*aind]")
+
+
 def index_profile(a: DualMatrix) -> DualIndexProfile:
     """All four invariants of a square dual matrix."""
     if not a.std.is_square:
         raise DimensionError("index of a non-square dual matrix")
     arank, drank = rank_profile(a)
     aind = index(a.std)
-    for t in range(aind, 2 * aind + 1):
-        power, _ = dual_power(a, t)
-        ar_t, dr_t = rank_profile(power)
-        if ar_t == dr_t:
-            return DualIndexProfile(arank, drank, aind, t)
-    raise InternalInvariantViolation("no dual index found in [aind, 2*aind]")
+    dind, _ = _dual_index(a, aind)
+    return DualIndexProfile(arank, drank, aind, dind)

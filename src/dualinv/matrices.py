@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exceptions import DimensionError, InternalInvariantViolation
+from .exceptions import DimensionError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -336,15 +336,12 @@ def dual_block_diag(a: DualMatrix, b: DualMatrix) -> DualMatrix:
 
 
 def dual_power(a: DualMatrix, t: int) -> tuple[DualMatrix, RealMatrix]:
-    """t-th power of a square dual matrix, plus its dual part K.
+    """t-th power of a square dual matrix by repeated product, plus its dual
+    part K.
 
-    The power is computed by repeated multiplication and re-derived from the
-    closed form
-
-        (M + eps*M0)^t = M^t + eps * sum_{i=1..t} M^(t-i) M0 M^(i-1);
-
-    the two results are compared entry for entry before returning.  K is the
-    dual part.  t must be at least 1.
+    K equals the closed form sum_{i=1..t} M^(t-i) M0 M^(i-1) of
+    (M + eps*M0)^t; the test suite holds that form as the reference.  t must
+    be at least 1.
     """
     if not a.std.is_square:
         raise DimensionError("power of a non-square dual matrix")
@@ -353,15 +350,4 @@ def dual_power(a: DualMatrix, t: int) -> tuple[DualMatrix, RealMatrix]:
     product = a
     for _ in range(t - 1):
         product = product @ a
-    m, m0 = a.std, a.dual
-    powers = [RealMatrix.identity(m.rows)]
-    for _ in range(t):
-        powers.append(powers[-1] @ m)
-    k = RealMatrix.zeros(m.rows, m.cols)
-    for i in range(1, t + 1):
-        k = k + powers[t - i] @ m0 @ powers[i - 1]
-    if product.std != powers[t] or product.dual != k:
-        raise InternalInvariantViolation(
-            "repeated product and closed-form power disagree"
-        )
-    return product, k
+    return product, product.dual

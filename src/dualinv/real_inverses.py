@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .exceptions import DimensionError, IndexTooLarge, InternalInvariantViolation
 from .matrices import RealMatrix, block_diag, hstack
-from .elimination import inverse, nullspace, rank, rref
+from .elimination import _null_basis, inverse, rank, rref
 
 
 def index(m: RealMatrix) -> int:
@@ -36,21 +36,27 @@ def index(m: RealMatrix) -> int:
 
 @dataclass(frozen=True)
 class CoreNilpotentDecomposition:
-    """M = p @ block_diag(c, n) @ p^(-1).
+    """M = p @ block_diag(c, n) @ p_inv.
 
     c is r x r invertible with r = rank(M^k); n is nilpotent (n^k = 0);
     k is the index of M.  p's first r columns span the column space of M^k,
-    the rest its null space.
+    the rest its null space; p_inv is its inverse.
     """
 
     p: RealMatrix
+    p_inv: RealMatrix
     c: RealMatrix
     n: RealMatrix
     r: int
     k: int
 
     def assemble(self) -> RealMatrix:
-        return self.p @ block_diag(self.c, self.n) @ inverse(self.p)
+        return self.p @ block_diag(self.c, self.n) @ self.p_inv
+
+    def drazin(self) -> RealMatrix:
+        """M^D = p @ block_diag(c^(-1), 0) @ p_inv."""
+        zero = RealMatrix.zeros(self.n.rows, self.n.cols)
+        return self.p @ block_diag(inverse(self.c), zero) @ self.p_inv
 
 
 def core_nilpotent(m: RealMatrix) -> CoreNilpotentDecomposition:
@@ -59,9 +65,9 @@ def core_nilpotent(m: RealMatrix) -> CoreNilpotentDecomposition:
     size = m.rows
     k = index(m)
     mk = m**k
-    _, pivots = rref(mk)
+    reduced, pivots = rref(mk)
     r = len(pivots)
-    p = hstack(mk.columns_at(pivots), nullspace(mk))
+    p = hstack(mk.columns_at(pivots), _null_basis(reduced, pivots, size))
     p_inv = inverse(p)
     similar = p_inv @ m @ p
     c = similar.submatrix(0, r, 0, r)
@@ -74,22 +80,20 @@ def core_nilpotent(m: RealMatrix) -> CoreNilpotentDecomposition:
         raise InternalInvariantViolation("core block is singular")
     if not (n**k).is_zero:
         raise InternalInvariantViolation("nilpotent block survives power k")
-    return CoreNilpotentDecomposition(p, c, n, r, k)
+    return CoreNilpotentDecomposition(p, p_inv, c, n, r, k)
 
 
 def drazin(m: RealMatrix) -> RealMatrix:
     """Drazin inverse via the core-nilpotent decomposition."""
-    d = core_nilpotent(m)
-    zero = RealMatrix.zeros(m.rows - d.r, m.rows - d.r)
-    return d.p @ block_diag(inverse(d.c), zero) @ inverse(d.p)
+    return core_nilpotent(m).drazin()
 
 
 def group_inverse(m: RealMatrix) -> RealMatrix:
     """Drazin inverse restricted to index-1 matrices."""
-    k = index(m)
-    if k != 1:
-        raise IndexTooLarge(f"group inverse needs index 1, matrix has index {k}")
-    return drazin(m)
+    d = core_nilpotent(m)
+    if d.k != 1:
+        raise IndexTooLarge(f"group inverse needs index 1, matrix has index {d.k}")
+    return d.drazin()
 
 
 def moore_penrose(m: RealMatrix) -> RealMatrix:

@@ -4,6 +4,10 @@ Everything takes an explicit random.Random so each test controls its seed.
 The oracle here rebuilds the weak-inverse dual part from scratch by solving
 the defining equations as one big real linear system; it shares only the
 elimination primitives with the code under test, not the closed form.
+
+The library keeps one route to each object.  The second routes live here as
+references: the closed-form dual power and the closed-form weak dual group
+inverse built from the real group inverse.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dualinv import (
     dual_block_diag,
     dual_inverse,
     dual_power,
+    group_inverse,
     hstack,
     inverse,
     rank,
@@ -175,6 +180,29 @@ def weak_dual_part_oracle(a: DualMatrix, t: int) -> RealMatrix:
     particular, homogeneous = outcome
     assert homogeneous.cols == 0, "defining equations do not pin S uniquely"
     return unvec(particular, n, n)
+
+
+def dual_power_closed_form(a: DualMatrix, t: int) -> DualMatrix:
+    """(M + eps*M0)^t = M^t + eps * sum_{i=1..t} M^(t-i) M0 M^(i-1)."""
+    m, m0 = a.std, a.dual
+    powers = [RealMatrix.identity(m.rows)]
+    for _ in range(t):
+        powers.append(powers[-1] @ m)
+    k = RealMatrix.zeros(m.rows, m.cols)
+    for i in range(1, t + 1):
+        k = k + powers[t - i] @ m0 @ powers[i - 1]
+    return DualMatrix(powers[t], k)
+
+
+def wdgi_closed_form(a: DualMatrix) -> DualMatrix:
+    """Weak dual group inverse from the group inverse M# of the standard part:
+
+        M# + eps * ((M#)^2 M0 (I - M M#) + (I - M M#) M0 (M#)^2 - M# M0 M#)
+    """
+    g = group_inverse(a.std)
+    proj = RealMatrix.identity(a.rows) - a.std @ g
+    g2 = g @ g
+    return DualMatrix(g, g2 @ a.dual @ proj + proj @ a.dual @ g2 - g @ a.dual @ g)
 
 
 def assemble_decomposition(

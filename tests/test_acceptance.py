@@ -32,7 +32,6 @@ from dualinv import (
     wddi,
     wddi_from_given_decomposition,
     wdgi,
-    wdgi_via_decomposition,
 )
 from dualinv.dual_inverses import _weak_drazin_dual_part
 
@@ -148,7 +147,7 @@ def test_criterion_08_decomposition_cross_checks():
             a = support.rand_aind1(rng, rng.randint(1, 4))
             d = block_diagonalize_ind1(a)
             assert d.assemble() == a
-            assert wdgi_via_decomposition(a) == wdgi(a)
+            assert wdgi(a) == support.wdgi_closed_form(a)
         for _ in range(100):
             r = rng.randint(0, 3)
             m = rng.randint(max(0, 1 - r), 3)
@@ -195,6 +194,7 @@ def test_criterion_09_solver_completeness():
                 assert DualAffineSet.from_solutions(short).same_set(general)
                 short2 = solve_ind1_corollaries(a, b2, restricted=True)
                 assert short2.generators == ()
+                assert short2.particular == solve_restricted(a, b2).particular
                 assert DualAffineSet.from_solutions(short2).same_set(window2)
         assert corollary_hits > 0
 
@@ -206,8 +206,9 @@ def test_criterion_10_truncation_identity():
         for n in support.size_mix(rng, 200):
             a = support.rand_dual(rng, n)
             profile = index_profile(a)
-            long_form = _weak_drazin_dual_part(a.std, a.dual, profile.dind)
-            short_form = _weak_drazin_dual_part(a.std, a.dual, profile.aind)
+            md = drazin(a.std)
+            long_form = _weak_drazin_dual_part(a.std, a.dual, md, profile.dind)
+            short_form = _weak_drazin_dual_part(a.std, a.dual, md, profile.aind)
             assert long_form == short_form
             checked += 1
         assert checked == 200

@@ -19,7 +19,6 @@ from dualinv import (
     wddi,
     wddi_from_given_decomposition,
     wdgi,
-    wdgi_via_decomposition,
 )
 
 import cases
@@ -61,23 +60,29 @@ class TestBlockDiagonalize:
             a = support.rand_aind1(rng, n)
             d = block_diagonalize_ind1(a)
             assert d.assemble() == a
+            assert d.phat_inv == dual_inverse(d.phat)
+            assert d.chat_inv == dual_inverse(d.chat)
             # bottom block of the transformed matrix is purely eps
             assert d.chat.rows == d.r
 
 
 class TestWdgiViaDecomposition:
+    # wdgi reads the inverse off the block decomposition; the closed form
+    # built from the real group inverse is the reference route
     def test_fixture(self):
-        assert wdgi_via_decomposition(cases.DGI_ABSENT) == cases.DGI_ABSENT_WEAK
+        assert wdgi(cases.DGI_ABSENT) == cases.DGI_ABSENT_WEAK
+        assert support.wdgi_closed_form(cases.DGI_ABSENT) == cases.DGI_ABSENT_WEAK
 
     def test_routes_agree(self):
         rng = random.Random(113)
         for _ in range(25):
             n = rng.randint(1, 4)
             a = support.rand_aind1(rng, n)
-            assert wdgi_via_decomposition(a) == wdgi(a)
+            assert wdgi(a) == support.wdgi_closed_form(a)
 
     def test_identity(self):
-        assert wdgi_via_decomposition(DualMatrix.identity(2)) == DualMatrix.identity(2)
+        assert wdgi(DualMatrix.identity(2)) == DualMatrix.identity(2)
+        assert support.wdgi_closed_form(DualMatrix.identity(2)) == DualMatrix.identity(2)
 
 
 class TestSharpOfWeakGroup:
@@ -101,10 +106,16 @@ class TestSharpOfWeakGroup:
             n = rng.randint(1, 4)
             a = support.rand_aind1(rng, n)
             w = wdgi(a)
-            sharp = sharp_of_weak_group(a)
+            sharp, generator = sharp_of_weak_group(a, with_generator=True)
             assert w @ sharp @ w == w
             assert sharp @ w @ sharp == sharp
             assert w @ sharp == sharp @ w
+            # the generator A^ - sharp is P^ diag(0, eps*N) P^^(-1)
+            d = block_diagonalize_ind1(a)
+            expected = support.assemble_decomposition(
+                d.phat, DualMatrix.zeros(d.r, d.r), DualMatrix.eps(d.nblock)
+            )
+            assert generator == expected
 
 
 class TestDualNilpotency:

@@ -198,6 +198,17 @@ def test_malformed_file(tmp_path):
     assert "std[0][0]" in doc.payload["message"]
 
 
+def test_overlong_entry_is_a_parse_error(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text(
+        json.dumps({"rows": 1, "cols": 1, "std": [["1" * 5000]], "dual": [["0"]]})
+    )
+    assert main(["info", str(big)]) == 4
+    body = json.loads(capsys.readouterr().out)
+    assert body["status"] == "error"
+    assert body["payload"]["message"].startswith("std[0][0]")
+
+
 def test_usage_errors(tmp_path):
     code, doc = run(["compute", "--kind", "nonsense", GROUP_ABSENT])
     assert code == 4

@@ -90,6 +90,13 @@ def test_malformed_documents_rejected(text, fragment):
     assert fragment in str(info.value)
 
 
+def test_literal_past_the_int_digit_limit_rejected():
+    # Python refuses to parse an int of more than 4300 digits from a string
+    with pytest.raises(ParseError) as info:
+        parse_matrix(_doc(dual=[["1" * 5000]]))
+    assert info.value.location == "dual[0][0]"
+
+
 def test_rejects_plus_signs_and_spaces():
     for bad in ("+3", " 1", "1 ", "2/-3", "1/+2"):
         with pytest.raises(ParseError):

@@ -207,6 +207,12 @@ class TestCorollaries:
                 for _ in range(5):
                     x = _random_member(rng, sols)
                     assert a @ x == b
+                general = solve_restricted(a, b) if restricted else solve_general(a, b)
+                if restricted:
+                    assert sols.particular == general.particular
+                assert DualAffineSet.from_solutions(sols).same_set(
+                    DualAffineSet.from_solutions(general)
+                )
 
 
 class TestSquareOfMatrixReachesRestrictedRhs:

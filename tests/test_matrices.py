@@ -178,14 +178,14 @@ class TestDualPower:
         assert k_present == cases.DDI_PRESENT_POWER2_DUAL
 
     def test_both_paths_agree_on_random_input(self):
-        # dual_power compares repeated products against the closed form
-        # internally and raises on disagreement; run it across sizes/powers
+        # repeated products against the closed form, across sizes and powers
         rng = random.Random(11)
         for n in support.size_mix(rng, 40):
             a = support.rand_dual(rng, n, bound=4)
             for t in range(1, 7):
                 power, k = dual_power(a, t)
                 assert power.dual == k
+                assert power == support.dual_power_closed_form(a, t)
 
     def test_rejects_bad_arguments(self):
         a = DualMatrix.zeros(2, 3)

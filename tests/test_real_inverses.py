@@ -121,6 +121,7 @@ class TestCoreNilpotent:
             m = support.rand_square(rng, n, bound=3)
             d = core_nilpotent(m)
             assert d.assemble() == m
+            assert d.p_inv == inverse(d.p)
             assert d.r == rank(m**d.k)
             assert rank(d.c) == d.r
             assert (d.n**d.k).is_zero
