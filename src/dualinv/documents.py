@@ -71,6 +71,10 @@ def parse_matrix(text: bytes | str) -> DualMatrix:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", "document") from exc
+    except ValueError as exc:
+        # well-formed JSON whose integer exceeds Python's limit on the digits
+        # of an int parsed from a string
+        raise ParseError(f"number past the digit limit: {exc}", "document") from exc
     if not isinstance(data, dict):
         raise ParseError("top level must be an object", "document")
     missing = [k for k in DOCUMENT_KEYS if k not in data]
@@ -91,8 +95,33 @@ def parse_matrix(text: bytes | str) -> DualMatrix:
     )
 
 
+# str() refuses ints of more than 4300 digits by default; an int is printed
+# as decimal chunks of _CHUNK_DIGITS digits instead, without touching the
+# process-wide limit
+_CHUNK_DIGITS = 1000
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """Exact decimal text of an int of any size, as str(n) would print it."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(low)
+    return str(n) + "".join(f"{c:0{_CHUNK_DIGITS}d}" for c in reversed(chunks))
+
+
+def _rational_text(x: Fraction) -> str:
+    """str(x) for a Fraction of any size: p, or p/q in lowest terms."""
+    if x.denominator == 1:
+        return _decimal(x.numerator)
+    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+
+
 def _grid(m: RealMatrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.entries]
+    return [[_rational_text(x) for x in row] for row in m.entries]
 
 
 def matrix_to_document(m: DualMatrix) -> dict:

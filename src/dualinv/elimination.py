@@ -1,16 +1,25 @@
-"""Gauss-Jordan elimination over the rationals.
+"""Gauss-Jordan elimination over the rationals, run on integers.
 
 Pivots are chosen as the first nonzero entry in column order.  Magnitude
 pivoting buys nothing in exact arithmetic and would cost determinism, which
 the byte-stable command line output relies on.
+
+``rref`` is integer-preserving: each row is scaled to integers by the lcm of
+its denominators, a row is eliminated as p*row - f*pivot_row and divided by
+the gcd of its entries, and each pivot row is divided by its pivot only at
+the end.  Every integer row stays a nonzero multiple of the row that
+elimination over Fraction would hold, so the zero pattern, the pivots and
+the row swaps are the same, and since the reduced form is unique the result
+is the same matrix, entry for entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .exceptions import DimensionError, NotInvertible
-from .matrices import RealMatrix, hstack
+from .matrices import RealMatrix, _scaled, hstack
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -18,26 +27,31 @@ ONE = Fraction(1)
 
 def rref(m: RealMatrix) -> tuple[RealMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the tuple of pivot columns."""
-    work = [list(row) for row in m.entries]
+    work = [_scaled(row)[1] for row in m.entries]
     pivots: list[int] = []
     pr = 0
     for pc in range(m.cols):
         if pr == m.rows:
             break
-        hit = next((i for i in range(pr, m.rows) if work[i][pc] != 0), None)
+        hit = next((i for i in range(pr, m.rows) if work[i][pc]), None)
         if hit is None:
             continue
         work[pr], work[hit] = work[hit], work[pr]
-        inv = ONE / work[pr][pc]
-        work[pr] = [x * inv for x in work[pr]]
+        row_pr = work[pr]
+        p = row_pr[pc]
         for i in range(m.rows):
-            if i != pr and work[i][pc] != 0:
-                f = work[i][pc]
-                row_pr = work[pr]
-                work[i] = [a - f * b for a, b in zip(work[i], row_pr)]
+            f = work[i][pc]
+            if i != pr and f:
+                row = [p * a - f * b for a, b in zip(work[i], row_pr)]
+                g = gcd(*row)
+                work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(pc)
         pr += 1
-    return RealMatrix(m.rows, m.cols, tuple(tuple(r) for r in work)), tuple(pivots)
+    zero_row = (ZERO,) * m.cols
+    out = tuple(
+        tuple(Fraction(x, row[pc]) for x in row) for row, pc in zip(work, pivots)
+    ) + (zero_row,) * (m.rows - pr)
+    return RealMatrix(m.rows, m.cols, out), tuple(pivots)
 
 
 def rank(m: RealMatrix) -> int:
@@ -101,8 +115,10 @@ def inverse(m: RealMatrix) -> RealMatrix:
     if n == 0:
         return m
     reduced, pivots = rref(hstack(m, RealMatrix.identity(n)))
-    if len([pc for pc in pivots if pc < n]) < n:
-        raise NotInvertible(f"matrix of rank {rank(m)} is singular")
+    # the left block of the reduced form is the reduced form of m
+    m_rank = sum(1 for pc in pivots if pc < n)
+    if m_rank < n:
+        raise NotInvertible(f"matrix of rank {m_rank} is singular")
     return reduced.submatrix(0, n, n, 2 * n)
 
 
@@ -110,4 +126,7 @@ def column_space_contains(span: RealMatrix, vectors: RealMatrix) -> bool:
     """True when every column of ``vectors`` lies in the column space of ``span``."""
     if span.rows != vectors.rows:
         raise DimensionError("column space test needs equal row counts")
-    return rank(hstack(span, vectors)) == rank(span)
+    # the pivots left of the vectors are those of span's own reduced form, so
+    # the ranks agree exactly when no pivot falls among the vectors
+    pivots = rref(hstack(span, vectors))[1]
+    return all(pc < span.cols for pc in pivots)

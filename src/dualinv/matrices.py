@@ -6,12 +6,18 @@ rational matrices (standard part, dual part) multiplied with the same rule:
     (A + eps*A0)(B + eps*B0) = AB + eps*(A*B0 + A0*B)
 
 Everything here is immutable and exact; no floating point anywhere.
+Entries are stored as Fraction, the type every caller sees.  The matrix
+product runs its inner loop on Python ints: each row of the left factor and
+each column of the right factor is scaled by the lcm of its denominators,
+and one Fraction is built per output entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .exceptions import DimensionError
 
@@ -124,10 +130,15 @@ class RealMatrix:
         # inner dimension 0 would leave ordinary ints from sum(); special-case it
         if self.cols == 0:
             return RealMatrix.zeros(self.rows, other.cols)
-        bt = tuple(zip(*other.entries))
+        # rows of self and columns of other as (d, ints) with entry = int / d
+        left = [_scaled(row) for row in self.entries]
+        right = [_scaled(col) for col in zip(*other.entries)]
         out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-            for row in self.entries
+            tuple(
+                Fraction(sum(map(mul, row, col)), d_row * d_col)
+                for d_col, col in right
+            )
+            for d_row, row in left
         )
         return RealMatrix(self.rows, other.cols, out)
 
@@ -136,8 +147,10 @@ class RealMatrix:
             raise DimensionError("power of a non-square matrix")
         if k < 0:
             raise ValueError("negative matrix power is not defined here")
-        result = RealMatrix.identity(self.rows)
-        for _ in range(k):
+        if k == 0:
+            return RealMatrix.identity(self.rows)
+        result = self
+        for _ in range(k - 1):
             result = result @ self
         return result
 
@@ -163,6 +176,13 @@ class RealMatrix:
     def __repr__(self) -> str:
         body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.entries)
         return f"RealMatrix([{body}])"
+
+
+def _scaled(vector) -> tuple[int, list[int]]:
+    """(d, ints) with ints[i] / d == vector[i], d the lcm of the denominators."""
+    ratios = [x.as_integer_ratio() for x in vector]
+    d = lcm(*[q for _, q in ratios])
+    return d, [p * (d // q) for p, q in ratios]
 
 
 def hstack(*mats: RealMatrix) -> RealMatrix:

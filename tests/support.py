@@ -7,7 +7,9 @@ elimination primitives with the code under test, not the closed form.
 
 The library keeps one route to each object.  The second routes live here as
 references: the closed-form dual power and the closed-form weak dual group
-inverse built from the real group inverse.
+inverse built from the real group inverse.  The Fraction loops that the
+integer kernels of ``RealMatrix.__matmul__`` and ``rref`` replaced are kept
+here as the references for those kernels.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import random
 from fractions import Fraction
 
 from dualinv import (
+    DimensionError,
     DualMatrix,
     RealMatrix,
     drazin,
@@ -29,6 +32,46 @@ from dualinv import (
     solve,
     vstack,
 )
+
+
+def matmul_reference(a: RealMatrix, b: RealMatrix) -> RealMatrix:
+    """Matrix product with a Fraction dot product per entry."""
+    if a.cols != b.rows:
+        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
+    # inner dimension 0 would leave ordinary ints from sum(); special-case it
+    if a.cols == 0:
+        return RealMatrix.zeros(a.rows, b.cols)
+    bt = tuple(zip(*b.entries))
+    out = tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
+        for row in a.entries
+    )
+    return RealMatrix(a.rows, b.cols, out)
+
+
+def rref_reference(m: RealMatrix) -> tuple[RealMatrix, tuple[int, ...]]:
+    """Gauss-Jordan over Fraction with the library's pivot rule: the first
+    nonzero entry in column order, each pivot row scaled to 1 at once."""
+    work = [list(row) for row in m.entries]
+    pivots: list[int] = []
+    pr = 0
+    for pc in range(m.cols):
+        if pr == m.rows:
+            break
+        hit = next((i for i in range(pr, m.rows) if work[i][pc] != 0), None)
+        if hit is None:
+            continue
+        work[pr], work[hit] = work[hit], work[pr]
+        inv = Fraction(1) / work[pr][pc]
+        work[pr] = [x * inv for x in work[pr]]
+        for i in range(m.rows):
+            if i != pr and work[i][pc] != 0:
+                f = work[i][pc]
+                row_pr = work[pr]
+                work[i] = [a - f * b for a, b in zip(work[i], row_pr)]
+        pivots.append(pc)
+        pr += 1
+    return RealMatrix(m.rows, m.cols, tuple(tuple(r) for r in work)), tuple(pivots)
 
 
 def rand_fraction(rng: random.Random, bound: int = 9) -> Fraction:

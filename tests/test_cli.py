@@ -209,6 +209,26 @@ def test_overlong_entry_is_a_parse_error(tmp_path, capsys):
     assert body["payload"]["message"].startswith("std[0][0]")
 
 
+def test_result_entry_past_the_int_digit_limit_is_printed(tmp_path, capsys):
+    # the WDDI of a + eps*1 is 1/a - eps/a^2, and a^2 has about 8000 digits,
+    # past the 4300 that str() prints by default
+    a = int("1" * 4000)
+    big = tmp_path / "big.json"
+    big.write_text(
+        json.dumps({"rows": 1, "cols": 1, "std": [[str(a)]], "dual": [["1"]]})
+    )
+    assert main(["compute", "--kind", "wddi", str(big)]) == 0
+    result = json.loads(capsys.readouterr().out)["payload"]["result"]
+    assert result["std"] == [["1/" + str(a)]]
+    numerator, denominator = result["dual"][0][0].split("/")
+    assert numerator == "-1"
+    digits = [denominator[i : i + 1000] for i in range(0, len(denominator), 1000)]
+    value = 0
+    for chunk in digits:
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == a * a
+
+
 def test_usage_errors(tmp_path):
     code, doc = run(["compute", "--kind", "nonsense", GROUP_ABSENT])
     assert code == 4

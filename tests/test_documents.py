@@ -97,6 +97,14 @@ def test_literal_past_the_int_digit_limit_rejected():
     assert info.value.location == "dual[0][0]"
 
 
+def test_json_integer_past_the_int_digit_limit_rejected():
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for it
+    text = '{"rows": ' + "1" * 5000 + ', "cols": 1, "std": [["1"]], "dual": [["0"]]}'
+    with pytest.raises(ParseError) as info:
+        parse_matrix(text)
+    assert info.value.location == "document"
+
+
 def test_rejects_plus_signs_and_spaces():
     for bad in ("+3", " 1", "1 ", "2/-3", "1/+2"):
         with pytest.raises(ParseError):
