@@ -127,7 +127,7 @@ class RealMatrix:
     def __matmul__(self, other: "RealMatrix") -> "RealMatrix":
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
-        # inner dimension 0 would leave ordinary ints from sum(); special-case it
+        # inner dimension 0 leaves other without rows to take columns from
         if self.cols == 0:
             return RealMatrix.zeros(self.rows, other.cols)
         # rows of self and columns of other as (d, ints) with entry = int / d

@@ -222,9 +222,9 @@ def test_result_entry_past_the_int_digit_limit_is_printed(tmp_path, capsys):
     assert result["std"] == [["1/" + str(a)]]
     numerator, denominator = result["dual"][0][0].split("/")
     assert numerator == "-1"
-    digits = [denominator[i : i + 1000] for i in range(0, len(denominator), 1000)]
     value = 0
-    for chunk in digits:
+    for i in range(0, len(denominator), 1000):
+        chunk = denominator[i : i + 1000]
         value = value * 10 ** len(chunk) + int(chunk)
     assert value == a * a
 
