@@ -190,9 +190,7 @@ def run(argv) -> tuple[int, ResultDocument]:
     operation = args.command
     try:
         return _DISPATCH[args.command](args)
-    except ParseError as exc:
-        return 4, ResultDocument("error", operation, (), {"message": str(exc)})
-    except DimensionError as exc:
+    except (ParseError, DimensionError) as exc:
         return 4, ResultDocument("error", operation, (), {"message": str(exc)})
 
 

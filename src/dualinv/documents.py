@@ -75,6 +75,8 @@ def parse_matrix(text: bytes | str) -> DualMatrix:
         # well-formed JSON whose integer exceeds Python's limit on the digits
         # of an int parsed from a string
         raise ParseError(f"number past the digit limit: {exc}", "document") from exc
+    except RecursionError as exc:
+        raise ParseError(f"nesting too deep: {exc}", "document") from exc
     if not isinstance(data, dict):
         raise ParseError("top level must be an object", "document")
     missing = [k for k in DOCUMENT_KEYS if k not in data]

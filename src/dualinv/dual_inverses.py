@@ -14,10 +14,13 @@ inverse (WDDI) always exists:
         + (I - M M^D) (sum_{i<t} M^i M0 (M^D)^i) (M^D)^2
         - M^D M0 M^D,
 
-with t = dind(A^).  When the DDI exists the same S with t replaced by
-k = aind gives it, and the two agree because terms with i >= k die against
-the projector.  The group flavour (DGI / WDGI) is the index-1 case; the
-WDGI is read off the index-1 block diagonalization of A^.
+with t = dind(A^) in the definition.  The sums here stop at t = k instead,
+so no dual index is computed: since M^i (I - M M^D) = 0 = (I - M M^D) M^i
+for i >= k (Campbell & Meyer, ch. 7), every term with i >= k dies against
+the projector beside its sum, and t = k gives the same S for any t >= k.
+When the DDI exists it is this same matrix.  The group flavour (DGI / WDGI)
+is the index-1 case; the WDGI is read off the index-1 block
+diagonalization of A^.
 """
 
 from __future__ import annotations
@@ -62,24 +65,27 @@ def _square(a: DualMatrix) -> None:
         raise DimensionError("operation needs a square dual matrix")
 
 
-def _obstruction(m: RealMatrix, md: RealMatrix, kd: RealMatrix) -> RealMatrix:
-    proj = RealMatrix.identity(m.rows) - m @ md
-    return proj @ kd @ proj
+def _obstruction(
+    a: DualMatrix, k: int, md: RealMatrix
+) -> tuple[RealMatrix, DualMatrix]:
+    """((I - M M^D) K (I - M M^D), A^^k) with k = aind, md = M^D and K the
+    dual part of A^^k."""
+    power_k, kd = dual_power(a, k)
+    proj = RealMatrix.identity(a.rows) - a.std @ md
+    return proj @ kd @ proj, power_k
 
 
 def ddi_obstruction(a: DualMatrix) -> RealMatrix:
     """(I - M M^D) K (I - M M^D) with K the dual part of A^^aind."""
     _square(a)
     cn = core_nilpotent(a.std)
-    _, kd = dual_power(a, cn.k)
-    return _obstruction(a.std, cn.drazin(), kd)
+    return _obstruction(a, cn.k, cn.drazin())[0]
 
 
 def existence_profile(a: DualMatrix) -> ExistenceProfile:
     _square(a)
     cn = core_nilpotent(a.std)
-    power_k, kd = dual_power(a, cn.k)
-    obstruction = _obstruction(a.std, cn.drazin(), kd)
+    obstruction, power_k = _obstruction(a, cn.k, cn.drazin())
     ar, dr = rank_profile(power_k)
     return ExistenceProfile(
         ddi_exists=obstruction.is_zero,
@@ -93,20 +99,15 @@ def existence_profile(a: DualMatrix) -> ExistenceProfile:
 def _weak_drazin_dual_part(
     m: RealMatrix, m0: RealMatrix, md: RealMatrix, terms: int
 ) -> RealMatrix:
-    """Dual part of the WDDI with the sums truncated after ``terms`` terms;
-    md is the Drazin inverse of m."""
-    eye = RealMatrix.identity(m.rows)
-    proj = eye - m @ md
+    """Dual part of the WDDI with the sums truncated after ``terms`` >= 1
+    terms; md is the Drazin inverse of m.  Both sums run by Horner's rule:
+    sum_{i<t} md^i m0 m^i = m0 + md (sum_{i<t-1} md^i m0 m^i) m."""
+    left = right = m0
+    for _ in range(terms - 1):
+        left = m0 + md @ left @ m
+        right = m0 + m @ right @ md
+    proj = RealMatrix.identity(m.rows) - m @ md
     md2 = md @ md
-    left = RealMatrix.zeros(m.rows, m.cols)
-    right = RealMatrix.zeros(m.rows, m.cols)
-    md_i = eye
-    m_i = eye
-    for _ in range(terms):
-        left = left + md_i @ m0 @ m_i
-        right = right + m_i @ m0 @ md_i
-        md_i = md_i @ md
-        m_i = m_i @ m
     return md2 @ left @ proj + proj @ right @ md2 - md @ m0 @ md
 
 
@@ -115,8 +116,7 @@ def wddi(a: DualMatrix) -> DualMatrix:
     _square(a)
     cn = core_nilpotent(a.std)
     md = cn.drazin()
-    t, _ = _dual_index(a, cn.k)
-    return DualMatrix(md, _weak_drazin_dual_part(a.std, a.dual, md, t))
+    return DualMatrix(md, _weak_drazin_dual_part(a.std, a.dual, md, cn.k))
 
 
 def ddi(a: DualMatrix) -> DualMatrix:
@@ -124,8 +124,7 @@ def ddi(a: DualMatrix) -> DualMatrix:
     _square(a)
     cn = core_nilpotent(a.std)
     md = cn.drazin()
-    _, kd = dual_power(a, cn.k)
-    obstruction = _obstruction(a.std, md, kd)
+    obstruction, _ = _obstruction(a, cn.k, md)
     if not obstruction.is_zero:
         raise DoesNotExist("dual Drazin inverse does not exist", obstruction)
     return DualMatrix(md, _weak_drazin_dual_part(a.std, a.dual, md, cn.k))

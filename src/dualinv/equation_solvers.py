@@ -11,12 +11,14 @@ The restricted equation (solutions constrained to the range of A^) needs the
 stronger condition (I - W A^) b^ = 0.  Conditions are tested in that order
 and reported through distinct errors.
 
-One reading note for the particular solution: with P^^(-1) b^ split into
-(b1; b2), the bottom block of the particular solution is N+ applied to the
-dual-part coefficient of b2 (condition (a) forces b2's standard part to
-zero).  Applying N+ to b2 as a dual vector would not solve the bottom
-equations: eps*N times an eps-multiple dies, so the bottom unknown must be
-appreciable.
+None of W, the residual or that range is formed.  With P^^(-1) b^ split
+into (b1; b2) after the first r rows, I - W A^ = P^ diag(0, I) P^^(-1) and
+A^ - A_sharp = P^ diag(0, eps*N) P^^(-1) (block_decomposition), so the
+residual is P^ (0; b2): (a) reads b2.std = 0, (b) then reads "b2.dual lies
+in the range of N", the restricted condition reads b2 = 0, and W b^ =
+P^ (C^^(-1) b1; 0).  The bottom block of the unrestricted particular
+solution is the appreciable N+ b2.dual: N+ b2 itself would be an
+eps-multiple, and eps*N kills those.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from .exceptions import (
     InconsistentDualPart,
     InconsistentStandardPart,
     IndexTooLarge,
-    InternalInvariantViolation,
 )
 from .matrices import DualMatrix, RealMatrix, dual_vstack
 from .real_inverses import core_nilpotent, moore_penrose
-from .dual_linear import ParametricDualSolutions, in_range
+from .elimination import column_space_contains
+from .dual_linear import ParametricDualSolutions
 from .indices import _dual_index
 from .block_decomposition import _decompose, block_diagonalize_ind1
 
@@ -43,6 +45,15 @@ def _check_column(a: DualMatrix, b: DualMatrix) -> None:
         raise DimensionError(f"rhs {b.shape} does not fit system {a.shape}")
 
 
+def _split(a: DualMatrix, b: DualMatrix):
+    """The block diagonalization d of A^ and (b1; b2) = P^^(-1) b^, split
+    after the first d.r rows."""
+    _check_column(a, b)
+    d = block_diagonalize_ind1(a)
+    pb = d.phat_inv @ b
+    return d, pb.submatrix(0, d.r, 0, 1), pb.submatrix(d.r, a.rows, 0, 1)
+
+
 def solve_general(a: DualMatrix, b: DualMatrix) -> ParametricDualSolutions:
     """All solutions of A^ x^ = b^ for aind(A^) = 1.
 
@@ -52,20 +63,12 @@ def solve_general(a: DualMatrix, b: DualMatrix) -> ParametricDualSolutions:
     Raises InconsistentStandardPart when (a) fails, InconsistentDualPart
     when (b) fails, IndexTooLarge when aind > 1.
     """
-    _check_column(a, b)
-    d = block_diagonalize_ind1(a)
+    d, b1, b2 = _split(a, b)
     n, r = a.rows, d.r
-    w = d.weak_group_inverse()
-    residual = (DualMatrix.identity(n) - w @ a) @ b
-    if not residual.std.is_zero:
-        raise InconsistentStandardPart("standard part of the residual is nonzero")
-    if not in_range(a - d.sharp(), residual):
-        raise InconsistentDualPart("residual lies outside the reachable dual range")
-    pb = d.phat_inv @ b
-    b1 = pb.submatrix(0, r, 0, 1)
-    b2 = pb.submatrix(r, n, 0, 1)
     if not b2.std.is_zero:
-        raise InternalInvariantViolation("bottom rhs kept a standard part")
+        raise InconsistentStandardPart("standard part of the residual is nonzero")
+    if not column_space_contains(d.nblock, b2.dual):
+        raise InconsistentDualPart("residual lies outside the reachable dual range")
     n_pinv = moore_penrose(d.nblock)
     top = d.chat_inv @ b1
     bottom = DualMatrix.from_real(n_pinv @ b2.dual)
@@ -90,13 +93,12 @@ def solve_restricted(a: DualMatrix, b: DualMatrix) -> ParametricDualSolutions:
     W b^ + (A^ - A_sharp) y^ over dual columns y^.  Raises Inconsistent or
     IndexTooLarge.
     """
-    _check_column(a, b)
-    d = block_diagonalize_ind1(a)
-    w = d.weak_group_inverse()
-    residual = (DualMatrix.identity(a.rows) - w @ a) @ b
-    if not residual.is_zero:
+    d, b1, b2 = _split(a, b)
+    if not b2.is_zero:
         raise Inconsistent("restricted system rejects this right-hand side")
-    return ParametricDualSolutions(w @ b, (a - d.sharp(),))
+    # W b^ = P^ (C^^(-1) b1; 0), and b2 is that zero block
+    particular = d.phat @ dual_vstack(d.chat_inv @ b1, b2)
+    return ParametricDualSolutions(particular, (a - d.sharp(),))
 
 
 def solve_ind1_corollaries(

@@ -5,10 +5,10 @@ defect carried by the dual part:
 
     drank = rank([[M0, M], [M, 0]]) - rank(M)
 
-which is also rank of the doubled form minus rank(M), since swapping block
-rows turns one bordered matrix into the other.  The appreciable index is the
-index of M; the dual index is the smallest power t at which the two ranks of
-A^t agree.  That t always lands in [aind, 2*aind].
+which is computed as the rank of the doubled form [[M, 0], [M0, M]] minus
+rank(M), since swapping block rows turns one matrix into the other.  The
+appreciable index is the index of M; the dual index is the smallest power t
+at which the two ranks of A^t agree.  That t always lands in [aind, 2*aind].
 """
 
 from __future__ import annotations
@@ -16,18 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exceptions import DimensionError, InternalInvariantViolation
-from .matrices import DualMatrix, RealMatrix, block2x2, dual_power
+from .matrices import DualMatrix, dual_power
 from .elimination import rank
 from .real_inverses import index
+from .dual_linear import doubled
 
 
 def rank_profile(a: DualMatrix) -> tuple[int, int]:
     """(appreciable rank, dual rank) of a dual matrix of any shape."""
     arank = rank(a.std)
-    bordered = block2x2(
-        a.dual, a.std, a.std, RealMatrix.zeros(a.rows, a.cols)
-    )
-    drank = rank(bordered) - arank
+    drank = rank(doubled(a)) - arank
     if drank < arank:
         raise InternalInvariantViolation("dual rank fell below appreciable rank")
     return arank, drank

@@ -6,10 +6,11 @@ the defining equations as one big real linear system; it shares only the
 elimination primitives with the code under test, not the closed form.
 
 The library keeps one route to each object.  The second routes live here as
-references: the closed-form dual power and the closed-form weak dual group
-inverse built from the real group inverse.  The Fraction loops that the
-integer kernels of ``RealMatrix.__matmul__`` and ``rref`` replaced are kept
-here as the references for those kernels.
+references: the closed-form dual power, the closed-form weak dual group
+inverse built from the real group inverse, the explicit power sums of the
+weak dual Drazin inverse and the residual form of the solver conditions.
+The Fraction loops that the integer kernels of ``RealMatrix.__matmul__`` and
+``rref`` replaced are kept here as the references for those kernels.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ from dualinv import (
     DimensionError,
     DualMatrix,
     RealMatrix,
+    dgi,
     drazin,
     dual_block_diag,
     dual_inverse,
     dual_power,
     group_inverse,
     hstack,
+    in_range,
     inverse,
     rank,
     solve,
@@ -138,6 +141,57 @@ def rand_aind1(rng, n: int) -> DualMatrix:
     return DualMatrix(std, rand_int_matrix(rng, n, n))
 
 
+def rand_unimodular(rng, n: int, ops: int) -> tuple[RealMatrix, RealMatrix]:
+    """Integer P with integer inverse from ``ops`` elementary row additions;
+    each adds c times row j to row i of P and subtracts c times column i
+    from column j of P^(-1)."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    p_inv = [row[:] for row in p]
+    for _ in range(ops if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+        for row in p_inv:
+            row[j] -= c * row[i]
+    return RealMatrix.from_rows(p, cols=n), RealMatrix.from_rows(p_inv, cols=n)
+
+
+def rand_high_index(rng, n: int, aind: int, ddi_present: bool) -> DualMatrix:
+    """P (diag(C, N) + eps*E) P^(-1) with aind(M) = ``aind`` and a chosen E22.
+
+    C is invertible of size r in [0, n - aind]; N is nilpotent with Jordan
+    blocks (ones on the superdiagonal): one of size ``aind``, then blocks of
+    at most that size.  In this basis the dual part of A^^t has the bottom
+    block K22(t) = sum_{i=1..t} N^(t-i) E22 N^(i-1), drank - arank of A^^t is
+    its rank, and K22(t+1) = K22(t) N for t >= aind.  With ``ddi_present``
+    E22 = 0, so dind = aind.  Otherwise E22's entry (aind-1, 0) is nonzero,
+    K22(2 aind - 1) = N^(aind-1) E22 N^(aind-1) keeps it, and dind = 2 aind.
+    """
+    r = rng.randint(0, n - aind)
+    sizes = [aind]
+    while sum(sizes) < n - r:
+        sizes.append(rng.randint(1, min(aind, n - r - sum(sizes))))
+    core = [[0] * n for _ in range(n)]
+    c = rand_invertible(rng, r)
+    for i in range(r):
+        core[i][:r] = c.entries[i]
+    start = r
+    for size in sizes:
+        for i in range(start, start + size - 1):
+            core[i][i + 1] = 1
+        start += size
+    e = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    for row in e[r:]:
+        row[r:] = [0] * (n - r)
+    if not ddi_present:
+        e[r + aind - 1][r] = rng.choice((-2, -1, 1, 2))
+    p, p_inv = rand_unimodular(rng, n, 2 * n)
+    return DualMatrix(
+        p @ RealMatrix.from_rows(core, cols=n) @ p_inv,
+        p @ RealMatrix.from_rows(e, cols=n) @ p_inv,
+    )
+
+
 def rand_nilpotent(rng, n: int) -> RealMatrix:
     """Strictly upper triangular after a random change of basis."""
     upper = RealMatrix.from_rows(
@@ -223,6 +277,51 @@ def weak_dual_part_oracle(a: DualMatrix, t: int) -> RealMatrix:
     particular, homogeneous = outcome
     assert homogeneous.cols == 0, "defining equations do not pin S uniquely"
     return unvec(particular, n, n)
+
+
+def weak_drazin_dual_part_sum(
+    m: RealMatrix, m0: RealMatrix, md: RealMatrix, terms: int
+) -> RealMatrix:
+    """Dual part of the WDDI with both power sums written out term by term:
+
+        (M^D)^2 (sum_{i<terms} (M^D)^i M0 M^i) (I - M M^D)
+        + (I - M M^D) (sum_{i<terms} M^i M0 (M^D)^i) (M^D)^2 - M^D M0 M^D
+    """
+    eye = RealMatrix.identity(m.rows)
+    proj = eye - m @ md
+    md2 = md @ md
+    left = RealMatrix.zeros(m.rows, m.cols)
+    right = RealMatrix.zeros(m.rows, m.cols)
+    md_i = eye
+    m_i = eye
+    for _ in range(terms):
+        left = left + md_i @ m0 @ m_i
+        right = right + m_i @ m0 @ md_i
+        md_i = md_i @ md
+        m_i = m_i @ m
+    return md2 @ left @ proj + proj @ right @ md2 - md @ m0 @ md
+
+
+def solver_outcome_residual(a: DualMatrix, b: DualMatrix, restricted: bool) -> str:
+    """Outcome class of A^ x^ = b^ (aind 1) from the residual form of the
+    conditions, with W the closed-form WDGI and A_sharp its dual group
+    inverse:
+
+        residual = (I - W A^) b^
+        unrestricted: "standard-part" unless residual.std = 0, then
+                      "dual-range" unless residual lies in the range of
+                      A^ - A_sharp, else "ok";
+        restricted:   "residual" unless residual = 0, else "ok".
+    """
+    w = wdgi_closed_form(a)
+    residual = (DualMatrix.identity(a.rows) - w @ a) @ b
+    if restricted:
+        return "ok" if residual.is_zero else "residual"
+    if not residual.std.is_zero:
+        return "standard-part"
+    if not in_range(a - dgi(w), residual):
+        return "dual-range"
+    return "ok"
 
 
 def dual_power_closed_form(a: DualMatrix, t: int) -> DualMatrix:

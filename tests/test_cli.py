@@ -209,6 +209,15 @@ def test_overlong_entry_is_a_parse_error(tmp_path, capsys):
     assert body["payload"]["message"].startswith("std[0][0]")
 
 
+def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert main(["info", str(deep)]) == 4
+    body = json.loads(capsys.readouterr().out)
+    assert body["status"] == "error"
+    assert body["payload"]["message"].startswith("document")
+
+
 def test_result_entry_past_the_int_digit_limit_is_printed(tmp_path, capsys):
     # the WDDI of a + eps*1 is 1/a - eps/a^2, and a^2 has about 8000 digits,
     # past the 4300 that str() prints by default

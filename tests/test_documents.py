@@ -105,6 +105,13 @@ def test_json_integer_past_the_int_digit_limit_rejected():
     assert info.value.location == "document"
 
 
+def test_deeply_nested_json_rejected():
+    # json.loads raises RecursionError, not a JSONDecodeError, for it
+    with pytest.raises(ParseError) as info:
+        parse_matrix("[" * 100000 + "]" * 100000)
+    assert info.value.location == "document"
+
+
 def test_rejects_plus_signs_and_spaces():
     for bad in ("+3", " 1", "1 ", "2/-3", "1/+2"):
         with pytest.raises(ParseError):

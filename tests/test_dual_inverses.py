@@ -13,12 +13,16 @@ from dualinv import (
     ddi,
     ddi_obstruction,
     dgi,
+    drazin,
     dual_inverse,
     existence_profile,
+    index,
+    index_profile,
     verify,
     wddi,
     wdgi,
 )
+from dualinv.dual_inverses import _weak_drazin_dual_part
 
 import cases
 import support
@@ -110,6 +114,53 @@ class TestWddi:
         for n in support.size_mix(rng, 30, small=(1, 2, 3), large=(4,)):
             a = support.rand_dual(rng, n, bound=4)
             assert verify(a, wddi(a), "wddi-t").all_hold
+
+
+    def test_horner_sums_match_explicit_sums(self):
+        # every truncation from one term to past the dual index, on random
+        # and high-index inputs
+        rng = random.Random(211)
+        inputs = [support.rand_dual(rng, n, bound=4) for n in range(1, 6)] * 3
+        inputs += [
+            support.rand_high_index(rng, n, aind, present)
+            for n, aind, present in ((5, 3, True), (6, 3, False), (6, 4, False))
+        ]
+        for a in inputs:
+            md = drazin(a.std)
+            for terms in range(1, 2 * index(a.std) + 2):
+                assert _weak_drazin_dual_part(
+                    a.std, a.dual, md, terms
+                ) == support.weak_drazin_dual_part_sum(a.std, a.dual, md, terms)
+
+
+class TestHighIndex:
+    def test_generator_reaches_both_dual_index_classes(self):
+        rng = random.Random(223)
+        classes = set()
+        for n, aind, present in (
+            (6, 3, True),
+            (6, 3, False),
+            (7, 3, True),
+            (7, 4, True),
+            (7, 4, False),
+            (6, 4, False),
+        ):
+            a = support.rand_high_index(rng, n, aind, present)
+            profile = index_profile(a)
+            assert profile.aind == aind
+            assert profile.dind == (aind if present else 2 * aind)
+            classes.add(profile.dind // profile.aind)
+            x = wddi(a)
+            assert x.dual == support.weak_dual_part_oracle(a, profile.dind)
+            assert verify(a, x, "wddi-t").all_hold
+            if present:
+                assert ddi(a) == x
+            else:
+                with pytest.raises(DoesNotExist) as info:
+                    ddi(a)
+                assert info.value.witness == ddi_obstruction(a)
+                assert not info.value.witness.is_zero
+        assert classes == {1, 2}
 
 
 class TestDgiWdgi:

@@ -13,10 +13,16 @@ from dualinv import (
     InconsistentStandardPart,
     IndexTooLarge,
     RealMatrix,
+    block2x2,
+    block_diag,
+    block_diagonalize_ind1,
+    column_space_contains,
     dual_power,
+    dual_vstack,
     dual_solve,
     in_range,
     index_profile,
+    inverse,
     solve_general,
     solve_ind1_corollaries,
     solve_restricted,
@@ -43,6 +49,79 @@ def _consistent_instance(rng, n, force_restricted):
     if force_restricted:
         return a, a @ (a @ y)
     return a, a @ y
+
+
+def _block_rhs(rng, d, kind):
+    """b^ = P^ (c1; c2) with c2 picked by kind: "zero", "in-range" (eps N y),
+    "dual-range" (eps v, v outside the range of N), "standard-part" or
+    "random"; None when N leaves no such c2."""
+    r, m = d.r, d.nblock.rows
+    c1 = support.rand_dual_parameter(rng, r)
+    v = support.rand_dual_parameter(rng, m)
+    if kind == "zero":
+        c2 = DualMatrix.zeros(m, 1)
+    elif kind == "in-range":
+        c2 = DualMatrix.eps(d.nblock @ v.std)
+    elif kind == "dual-range":
+        if column_space_contains(d.nblock, v.dual):
+            return None
+        c2 = DualMatrix.eps(v.dual)
+    elif kind == "standard-part":
+        if v.std.is_zero:
+            return None
+        c2 = v
+    else:
+        return support.rand_dual_parameter(rng, d.phat.rows)
+    return d.phat @ dual_vstack(c1, c2)
+
+
+class TestResidualFormOracle:
+    def test_outcomes_match_residual_form_conditions(self):
+        # aind-1 systems P (diag(C, 0) + eps*E) P^(-1) whose E22 (the block N)
+        # is often singular, so that every outcome class is reachable
+        rng = random.Random(229)
+        errors = {
+            InconsistentStandardPart: "standard-part",
+            InconsistentDualPart: "dual-range",
+            Inconsistent: "residual",
+        }
+        reached = set()
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            r = rng.randint(0, n - 1)
+            p = support.rand_invertible(rng, n)
+            core = block_diag(
+                support.rand_invertible(rng, r), RealMatrix.zeros(n - r, n - r)
+            )
+            e = block2x2(
+                support.rand_int_matrix(rng, r, r),
+                support.rand_int_matrix(rng, r, n - r),
+                support.rand_int_matrix(rng, n - r, r),
+                support.rand_low_rank(rng, n - r, rng.randint(0, n - r)),
+            )
+            p_inv = inverse(p)
+            a = DualMatrix(p @ core @ p_inv, p @ e @ p_inv)
+            d = block_diagonalize_ind1(a)
+            for kind in ("zero", "in-range", "dual-range", "standard-part", "random"):
+                b = _block_rhs(rng, d, kind)
+                if b is None:
+                    continue
+                for restricted in (False, True):
+                    solver = solve_restricted if restricted else solve_general
+                    expected = support.solver_outcome_residual(a, b, restricted)
+                    try:
+                        sols = solver(a, b)
+                    except tuple(errors) as exc:
+                        outcome = errors[type(exc)]
+                    else:
+                        outcome = "ok"
+                        assert a @ sols.particular == b
+                        if restricted:
+                            w = support.wdgi_closed_form(a)
+                            assert sols.particular == w @ b
+                    assert outcome == expected, (kind, restricted)
+                    reached.add(outcome)
+        assert reached == {"ok", "standard-part", "dual-range", "residual"}
 
 
 class TestSolveGeneral:
