@@ -27,7 +27,6 @@ from .matrices import (
     block2x2,
     block_diag,
     dual_block_diag,
-    dual_hstack,
     dual_power,
     dual_vstack,
     hstack,
@@ -107,7 +106,6 @@ __all__ = [
     "block2x2",
     "block_diag",
     "dual_block_diag",
-    "dual_hstack",
     "dual_power",
     "dual_vstack",
     "hstack",

@@ -1,17 +1,19 @@
-"""Block diagonalization of dual matrices with appreciable index 1.
+"""The dual core-nilpotent form of a square dual matrix, for any index.
 
-Starting from the real core-nilpotent form M = P diag(C, 0) P^(-1) (index 1
-makes the nilpotent block vanish), write P^(-1) M0 P = [[M1, M2], [M3, M4]].
-The dual similarity P^ = P (I + eps*T) with
+From the real form M = P diag(C, N) P^(-1) (C invertible r x r, N^k = 0 with
+k = aind) and E = P^(-1) M0 P = [[E11, E12], [E21, E22]], the similarity
+P^ = P (I + eps*T), T = [[0, T12], [T21, 0]] with
 
-    T = [[0, -C^(-1) M2], [M3 C^(-1), 0]]
+    T12 = -C^(-1) sum_{j<k} C^(-j) E12 N^j,  T21 = sum_{j<k} N^j E21 C^(-j) C^(-1)
 
-absorbs the off-diagonal blocks, leaving
-
-    A^ = P^ diag(C + eps*M1, eps*M4) P^(-1)
-
-with C + eps*M1 dual-invertible and eps*M4 nilpotent.  The weak dual group
-inverse then reads off as P^ diag((C + eps*M1)^(-1), 0) P^(-1).
+(so C T12 - T12 N = -E12 and N T21 - T21 C = -E21; the sums end as N^k = 0)
+gives A^ = P^ diag(C^, N^) P^^(-1), C^ = C + eps*E11 dual-invertible and
+N^ = N + eps*E22 dual-nilpotent.  Then WDDI(A^) = P^ diag(C^^(-1), 0) P^^(-1),
+the WDGI at index 1 (where N^ = eps*E22); the DDI obstruction
+(I - M M^D) K (I - M M^D), K the dual part of A^^k, is P diag(0, K22) P^(-1)
+with K22 that of N^^k; and dind(A^) is the first t >= k with N^^t = 0, since
+P^ keeps both ranks of A^^t, C^^t is invertible and N^^t = eps*K22(t) for
+t >= k.  The dual index needs only N and E22.
 """
 
 from __future__ import annotations
@@ -24,71 +26,107 @@ from .exceptions import (
     NotInvertible,
     PreconditionViolated,
 )
-from .matrices import DualMatrix, RealMatrix, block2x2, dual_block_diag
+from .matrices import DualMatrix, RealMatrix, block2x2, block_diag, dual_block_diag
+from .matrices import hstack, vstack
 from .real_inverses import CoreNilpotentDecomposition, core_nilpotent
 from .dual_linear import dual_inverse
 
 
 @dataclass(frozen=True)
 class DualBlockDecompositionInd1:
-    """A^ = phat @ dual_block_diag(chat, eps*nblock) @ phat_inv.
+    """A^ = phat @ dual_block_diag(chat, nhat) @ phat_inv, phat = P (I + eps*T).
 
-    chat is r x r with invertible standard part; nblock is the real
-    coefficient of the eps-only bottom block.  phat_inv and chat_inv are the
-    dual inverses of phat and chat.
+    chat is r x r with invertible standard part; nhat = N + eps*nblock is
+    dual-nilpotent, and eps*nblock at aind 1.  phat_inv and chat_inv are the
+    dual inverses of phat and chat; t12 and t21 are the blocks of T.
     """
 
     phat: DualMatrix
     chat: DualMatrix
-    nblock: RealMatrix
+    nhat: DualMatrix
     r: int
     phat_inv: DualMatrix
     chat_inv: DualMatrix
+    t12: RealMatrix
+    t21: RealMatrix
+
+    @property
+    def nblock(self) -> RealMatrix:
+        return self.nhat.dual
 
     def _conjugate(self, top: DualMatrix, bottom: DualMatrix) -> DualMatrix:
-        return self.phat @ dual_block_diag(top, bottom) @ self.phat_inv
+        """P^ diag(U, V) P^^(-1) = P (diag(U, V) + eps*(T D - D T)) P^(-1)
+        with D = diag(U.std, V.std); T D - D T is taken block by block."""
+        u, v, t12, t21 = top.std, bottom.std, self.t12, self.t21
+        twist = block2x2(top.dual, t12 @ v - u @ t12, t21 @ u - v @ t21, bottom.dual)
+        p, p_inv = self.phat.std, self.phat_inv.std
+        return DualMatrix(p @ block_diag(u, v) @ p_inv, p @ twist @ p_inv)
 
     def assemble(self) -> DualMatrix:
-        return self._conjugate(self.chat, DualMatrix.eps(self.nblock))
+        return self._conjugate(self.chat, self.nhat)
 
-    def weak_group_inverse(self) -> DualMatrix:
-        """The weak dual group inverse P^ diag(C^^(-1), 0) P^^(-1) of A^."""
-        return self._conjugate(self.chat_inv, DualMatrix.zeros(*self.nblock.shape))
+    def weak_drazin_inverse(self) -> DualMatrix:
+        """P^ diag(C^^(-1), 0) P^^(-1), the WDDI of A^ (the WDGI at aind 1)."""
+        return self._conjugate(self.chat_inv, DualMatrix.zeros(*self.nhat.shape))
 
     def sharp(self) -> DualMatrix:
         """P^ diag(C^, 0) P^^(-1), the group inverse of the WDGI."""
-        return self._conjugate(self.chat, DualMatrix.zeros(*self.nblock.shape))
+        return self._conjugate(self.chat, DualMatrix.zeros(*self.nhat.shape))
 
 
 def _decompose(
     a: DualMatrix, cn: CoreNilpotentDecomposition
 ) -> DualBlockDecompositionInd1:
-    """Block form of A^ from the core-nilpotent form of its standard part,
-    which must have index 1."""
+    """Block form of A^ from the core-nilpotent form of its standard part."""
     n, r = a.rows, cn.r
     e = cn.p_inv @ a.dual @ cn.p
-    m1 = e.submatrix(0, r, 0, r)
-    m2 = e.submatrix(0, r, r, n)
-    m3 = e.submatrix(r, n, 0, r)
-    m4 = e.submatrix(r, n, r, n)
-    chat = DualMatrix(cn.c, m1)
+    e12, e21 = e.submatrix(0, r, r, n), e.submatrix(r, n, 0, r)
+    chat = DualMatrix(cn.c, e.submatrix(0, r, 0, r))
     chat_inv = dual_inverse(chat)
     c_inv = chat_inv.std
-    t = block2x2(
-        RealMatrix.zeros(r, r),
-        -(c_inv @ m2),
-        m3 @ c_inv,
-        RealMatrix.zeros(n - r, n - r),
-    )
+    # both sums by Horner's rule: x = sum_{j<k} C^(-j) E12 N^j, y likewise
+    x, y = e12, e21
+    for _ in range(cn.k - 1):
+        x = e12 + c_inv @ x @ cn.n
+        y = e21 + cn.n @ y @ c_inv
+    t12, t21 = -(c_inv @ x), y @ c_inv
+    # P T and T P^(-1) block by block, with T = [[0, t12], [t21, 0]]
+    p_left, p_right = cn.p.submatrix(0, n, 0, r), cn.p.submatrix(0, n, r, n)
+    q_top, q_bottom = cn.p_inv.submatrix(0, r, 0, n), cn.p_inv.submatrix(r, n, 0, n)
     return DualBlockDecompositionInd1(
-        phat=DualMatrix(cn.p, cn.p @ t),
+        phat=DualMatrix(cn.p, hstack(p_right @ t21, p_left @ t12)),
         chat=chat,
-        nblock=m4,
+        nhat=DualMatrix(cn.n, e.submatrix(r, n, r, n)),
         r=r,
         # (P (I + eps*T))^(-1) = (I - eps*T) P^(-1)
-        phat_inv=DualMatrix(cn.p_inv, -(t @ cn.p_inv)),
+        phat_inv=DualMatrix(cn.p_inv, -vstack(t12 @ q_bottom, t21 @ q_top)),
         chat_inv=chat_inv,
+        t12=t12,
+        t21=t21,
     )
+
+
+def _bottom_block_powers(
+    a: DualMatrix, cn: CoreNilpotentDecomposition
+) -> tuple[RealMatrix, int]:
+    """(K22, dind) from N^ = N + eps*E22 alone, with E22 from the last n - r
+    rows of P^(-1) and the last n - r columns of P: K22 is the dual part of
+    N^^k and dind the first t >= k with N^^t = 0, at most 2k as N^k = 0."""
+    n, r = a.rows, cn.r
+    e22 = cn.p_inv.submatrix(r, n, 0, n) @ a.dual @ cn.p.submatrix(0, n, r, n)
+    nhat = power = DualMatrix(cn.n, e22)
+    for _ in range(cn.k - 1):
+        power = power @ nhat
+    k22, t = power.dual, cn.k
+    while not power.is_zero:
+        power, t = power @ nhat, t + 1
+    return k22, t
+
+
+def _block_obstruction(cn: CoreNilpotentDecomposition, k22: RealMatrix) -> RealMatrix:
+    """The DDI obstruction P diag(0, K22) P^(-1)."""
+    n, r = cn.p.rows, cn.r
+    return cn.p.submatrix(0, n, r, n) @ k22 @ cn.p_inv.submatrix(r, n, 0, n)
 
 
 def block_diagonalize_ind1(a: DualMatrix) -> DualBlockDecompositionInd1:

@@ -9,7 +9,8 @@ Commands:
     solve [--restricted] A B       solution family of A x = b
 
 Exit codes: 0 ok, 2 requested object does not exist, 3 inconsistent system,
-4 parse or usage error.  Exactly one JSON result document goes to stdout.
+4 parse or usage error, 5 internal error (any other exception, a bug).
+Exactly one JSON result document goes to stdout.
 """
 
 from __future__ import annotations
@@ -192,6 +193,9 @@ def run(argv) -> tuple[int, ResultDocument]:
         return _DISPATCH[args.command](args)
     except (ParseError, DimensionError) as exc:
         return 4, ResultDocument("error", operation, (), {"message": str(exc)})
+    except Exception as exc:
+        payload = {"message": str(exc), "type": type(exc).__name__}
+        return 5, ResultDocument("internal-error", operation, (), payload)
 
 
 def main(argv=None) -> int:

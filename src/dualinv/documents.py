@@ -144,9 +144,10 @@ def print_matrix(m: DualMatrix) -> str:
 class ResultDocument:
     """What one command invocation reports.
 
-    status is one of ok / does-not-exist / inconsistent / error; inputs
-    records each input file with its content digest; payload carries the
-    matrices and diagnostics, rationals always as strings.
+    status is one of ok / does-not-exist / inconsistent / error /
+    internal-error; inputs records each input file with its content digest;
+    payload carries the matrices and diagnostics, rationals always as
+    strings, and for internal-error the message and the exception type.
     """
 
     status: str

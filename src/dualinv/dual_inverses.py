@@ -7,20 +7,16 @@ exactly when the obstruction
 
 vanishes, which is also equivalent to dind(A^) = aind(A^) and to the two
 ranks of A^^k agreeing.  Whether or not that happens, the weak dual Drazin
-inverse (WDDI) always exists:
+inverse (WDDI) always exists.  Everything is read off the dual
+core-nilpotent form A^ = P^ diag(C^, N^) P^^(-1) of block_decomposition:
 
-    WDDI(A^) = M^D + eps*S,
-    S = (M^D)^2 (sum_{i<t} (M^D)^i M0 M^i) (I - M M^D)
-        + (I - M M^D) (sum_{i<t} M^i M0 (M^D)^i) (M^D)^2
-        - M^D M0 M^D,
+    WDDI(A^) = P^ diag(C^^(-1), 0) P^^(-1),
+    (I - M M^D) K (I - M M^D) = P diag(0, K22) P^(-1),  K22 = dual part of N^^k,
 
-with t = dind(A^) in the definition.  The sums here stop at t = k instead,
-so no dual index is computed: since M^i (I - M M^D) = 0 = (I - M M^D) M^i
-for i >= k (Campbell & Meyer, ch. 7), every term with i >= k dies against
-the projector beside its sum, and t = k gives the same S for any t >= k.
-When the DDI exists it is this same matrix.  The group flavour (DGI / WDGI)
-is the index-1 case; the WDGI is read off the index-1 block
-diagonalization of A^.
+so no projector, Drazin inverse or power of A^ is formed.  When the DDI
+exists it is the WDDI.  The group flavour (DGI / WDGI) is the index-1 case
+of the same form.  existence_profile alone still takes the two ranks of
+A^^k, as a route independent of the block form.
 """
 
 from __future__ import annotations
@@ -30,9 +26,9 @@ from dataclasses import dataclass
 from .exceptions import DoesNotExist, IndexTooLarge
 from .exceptions import DimensionError, InternalInvariantViolation
 from .matrices import DualMatrix, RealMatrix, dual_power
-from .indices import _dual_index, rank_profile
+from .indices import rank_profile
 from .real_inverses import core_nilpotent, index, moore_penrose
-from .block_decomposition import _decompose
+from .block_decomposition import _block_obstruction, _bottom_block_powers, _decompose
 
 
 @dataclass(frozen=True)
@@ -65,69 +61,41 @@ def _square(a: DualMatrix) -> None:
         raise DimensionError("operation needs a square dual matrix")
 
 
-def _obstruction(
-    a: DualMatrix, k: int, md: RealMatrix
-) -> tuple[RealMatrix, DualMatrix]:
-    """((I - M M^D) K (I - M M^D), A^^k) with k = aind, md = M^D and K the
-    dual part of A^^k."""
-    power_k, kd = dual_power(a, k)
-    proj = RealMatrix.identity(a.rows) - a.std @ md
-    return proj @ kd @ proj, power_k
-
-
 def ddi_obstruction(a: DualMatrix) -> RealMatrix:
     """(I - M M^D) K (I - M M^D) with K the dual part of A^^aind."""
     _square(a)
     cn = core_nilpotent(a.std)
-    return _obstruction(a, cn.k, cn.drazin())[0]
+    return _block_obstruction(cn, _bottom_block_powers(a, cn)[0])
 
 
 def existence_profile(a: DualMatrix) -> ExistenceProfile:
     _square(a)
     cn = core_nilpotent(a.std)
-    obstruction, power_k = _obstruction(a, cn.k, cn.drazin())
-    ar, dr = rank_profile(power_k)
+    k22, dind = _bottom_block_powers(a, cn)
+    obstruction = _block_obstruction(cn, k22)
+    ar, dr = rank_profile(dual_power(a, cn.k)[0])
     return ExistenceProfile(
         ddi_exists=obstruction.is_zero,
-        # dind is the first t >= aind at which the two ranks of A^^t agree
-        index_equality=ar == dr,
+        index_equality=dind == cn.k,
         rank_equality=ar == dr,
         obstruction=obstruction,
     )
 
 
-def _weak_drazin_dual_part(
-    m: RealMatrix, m0: RealMatrix, md: RealMatrix, terms: int
-) -> RealMatrix:
-    """Dual part of the WDDI with the sums truncated after ``terms`` >= 1
-    terms; md is the Drazin inverse of m.  Both sums run by Horner's rule:
-    sum_{i<t} md^i m0 m^i = m0 + md (sum_{i<t-1} md^i m0 m^i) m."""
-    left = right = m0
-    for _ in range(terms - 1):
-        left = m0 + md @ left @ m
-        right = m0 + m @ right @ md
-    proj = RealMatrix.identity(m.rows) - m @ md
-    md2 = md @ md
-    return md2 @ left @ proj + proj @ right @ md2 - md @ m0 @ md
-
-
 def wddi(a: DualMatrix) -> DualMatrix:
     """Weak dual Drazin inverse; always exists for square input."""
     _square(a)
-    cn = core_nilpotent(a.std)
-    md = cn.drazin()
-    return DualMatrix(md, _weak_drazin_dual_part(a.std, a.dual, md, cn.k))
+    return _decompose(a, core_nilpotent(a.std)).weak_drazin_inverse()
 
 
 def ddi(a: DualMatrix) -> DualMatrix:
     """Dual Drazin inverse; DoesNotExist carries the obstruction witness."""
     _square(a)
     cn = core_nilpotent(a.std)
-    md = cn.drazin()
-    obstruction, _ = _obstruction(a, cn.k, md)
+    obstruction = _block_obstruction(cn, _bottom_block_powers(a, cn)[0])
     if not obstruction.is_zero:
         raise DoesNotExist("dual Drazin inverse does not exist", obstruction)
-    return DualMatrix(md, _weak_drazin_dual_part(a.std, a.dual, md, cn.k))
+    return _decompose(a, cn).weak_drazin_inverse()
 
 
 def wdgi(a: DualMatrix) -> DualMatrix:
@@ -140,7 +108,7 @@ def wdgi(a: DualMatrix) -> DualMatrix:
     cn = core_nilpotent(a.std)
     if cn.k != 1:
         raise IndexTooLarge(f"group inverse needs index 1, matrix has index {cn.k}")
-    return _decompose(a, cn).weak_group_inverse()
+    return _decompose(a, cn).weak_drazin_inverse()
 
 
 def dgi(a: DualMatrix) -> DualMatrix:
@@ -159,7 +127,7 @@ def dgi(a: DualMatrix) -> DualMatrix:
     witness = (eye - a.std @ mp) @ a.dual @ (eye - mp @ a.std)
     if not witness.is_zero:
         raise DoesNotExist("dual group inverse does not exist", witness)
-    return _decompose(a, cn).weak_group_inverse()
+    return _decompose(a, cn).weak_drazin_inverse()
 
 
 @dataclass(frozen=True)
@@ -192,10 +160,11 @@ def verify(a: DualMatrix, x: DualMatrix, kind: str) -> VerificationReport:
     if kind not in VERIFY_KINDS:
         raise ValueError(f"unknown verification kind {kind!r}")
     if kind == "wddi-t":
-        e, a_e = _dual_index(a, index(a.std))
+        cn = core_nilpotent(a.std)
+        e = _bottom_block_powers(a, cn)[1]
     else:
         e = index(a.std) if kind == "drazin-k" else 1 if kind == "group" else 2
-        a_e, _ = dual_power(a, e)
+    a_e, _ = dual_power(a, e)
     checks = (
         (f"A X A^{e} = A^{e}", a @ x @ a_e == a_e),
         ("X A X = X", x @ a @ x == x),

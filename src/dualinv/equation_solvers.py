@@ -34,8 +34,7 @@ from .matrices import DualMatrix, RealMatrix, dual_vstack
 from .real_inverses import core_nilpotent, moore_penrose
 from .elimination import column_space_contains
 from .dual_linear import ParametricDualSolutions
-from .indices import _dual_index
-from .block_decomposition import _decompose, block_diagonalize_ind1
+from .block_decomposition import _bottom_block_powers, _decompose, block_diagonalize_ind1
 
 
 def _check_column(a: DualMatrix, b: DualMatrix) -> None:
@@ -114,10 +113,10 @@ def solve_ind1_corollaries(
     """
     _check_column(a, b)
     cn = core_nilpotent(a.std)
-    dind, _ = _dual_index(a, cn.k)
+    _, dind = _bottom_block_powers(a, cn)
     if dind != 1:
         raise IndexTooLarge(f"corollary solver needs dind 1, got {dind}")
-    g = _decompose(a, cn).weak_group_inverse()
+    g = _decompose(a, cn).weak_drazin_inverse()
     projector = DualMatrix.identity(a.rows) - g @ a
     if not (projector @ b).is_zero:
         raise Inconsistent("system rejects this right-hand side")

@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exceptions import DimensionError, InternalInvariantViolation
-from .matrices import DualMatrix, dual_power
+from .matrices import DualMatrix
 from .elimination import rank
-from .real_inverses import index
+from .real_inverses import core_nilpotent
 from .dual_linear import doubled
+from .block_decomposition import _bottom_block_powers
 
 
 def rank_profile(a: DualMatrix) -> tuple[int, int]:
@@ -45,23 +46,11 @@ class DualIndexProfile:
             raise InternalInvariantViolation("dual index outside [aind, 2*aind]")
 
 
-def _dual_index(a: DualMatrix, aind: int) -> tuple[int, DualMatrix]:
-    """(dind, A^^dind): the first t in [aind, 2*aind] at which the two ranks
-    of A^^t agree, with the powers built one product at a time."""
-    power, _ = dual_power(a, aind)
-    for t in range(aind, 2 * aind + 1):
-        ar_t, dr_t = rank_profile(power)
-        if ar_t == dr_t:
-            return t, power
-        power = power @ a
-    raise InternalInvariantViolation("no dual index found in [aind, 2*aind]")
-
-
 def index_profile(a: DualMatrix) -> DualIndexProfile:
     """All four invariants of a square dual matrix."""
     if not a.std.is_square:
         raise DimensionError("index of a non-square dual matrix")
     arank, drank = rank_profile(a)
-    aind = index(a.std)
-    dind, _ = _dual_index(a, aind)
-    return DualIndexProfile(arank, drank, aind, dind)
+    cn = core_nilpotent(a.std)
+    _, dind = _bottom_block_powers(a, cn)
+    return DualIndexProfile(arank, drank, cn.k, dind)

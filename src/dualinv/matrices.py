@@ -343,10 +343,6 @@ class DualMatrix:
         return f"DualMatrix(std={self.std!r}, dual={self.dual!r})"
 
 
-def dual_hstack(*mats: DualMatrix) -> DualMatrix:
-    return DualMatrix(hstack(*(m.std for m in mats)), hstack(*(m.dual for m in mats)))
-
-
 def dual_vstack(*mats: DualMatrix) -> DualMatrix:
     return DualMatrix(vstack(*(m.std for m in mats)), vstack(*(m.dual for m in mats)))
 

@@ -5,10 +5,12 @@ The oracle here rebuilds the weak-inverse dual part from scratch by solving
 the defining equations as one big real linear system; it shares only the
 elimination primitives with the code under test, not the closed form.
 
-The library keeps one route to each object.  The second routes live here as
-references: the closed-form dual power, the closed-form weak dual group
-inverse built from the real group inverse, the explicit power sums of the
-weak dual Drazin inverse and the residual form of the solver conditions.
+The library keeps one route to each object, the dual core-nilpotent block
+form.  The second routes live here as references: the closed-form dual
+power, the closed-form weak dual group inverse built from the real group
+inverse, the explicit and the Horner power sums of the weak dual Drazin
+inverse, the projector form of the DDI obstruction, the dual index from the
+bordered ranks of A^^t and the residual form of the solver conditions.
 The Fraction loops that the integer kernels of ``RealMatrix.__matmul__`` and
 ``rref`` replaced are kept here as the references for those kernels.
 """
@@ -30,8 +32,10 @@ from dualinv import (
     group_inverse,
     hstack,
     in_range,
+    index,
     inverse,
     rank,
+    rank_profile,
     solve,
     vstack,
 )
@@ -300,6 +304,41 @@ def weak_drazin_dual_part_sum(
         md_i = md_i @ md
         m_i = m_i @ m
     return md2 @ left @ proj + proj @ right @ md2 - md @ m0 @ md
+
+
+def weak_drazin_dual_part_horner(
+    m: RealMatrix, m0: RealMatrix, md: RealMatrix, terms: int
+) -> RealMatrix:
+    """The same dual part with both sums run by Horner's rule:
+    sum_{i<t} md^i m0 m^i = m0 + md (sum_{i<t-1} md^i m0 m^i) m."""
+    left = right = m0
+    for _ in range(terms - 1):
+        left = m0 + md @ left @ m
+        right = m0 + m @ right @ md
+    proj = RealMatrix.identity(m.rows) - m @ md
+    md2 = md @ md
+    return md2 @ left @ proj + proj @ right @ md2 - md @ m0 @ md
+
+
+def obstruction_projector(a: DualMatrix) -> RealMatrix:
+    """DDI obstruction in projector form, (I - M M^D) K (I - M M^D) with K
+    the dual part of A^^aind."""
+    kd = dual_power(a, index(a.std))[1]
+    proj = RealMatrix.identity(a.rows) - a.std @ drazin(a.std)
+    return proj @ kd @ proj
+
+
+def dual_index_bordered(a: DualMatrix) -> int:
+    """The first t in [aind, 2*aind] at which the two ranks of A^^t agree,
+    each rank pair from the bordered 2n x 2n form of A^^t."""
+    aind = index(a.std)
+    power, _ = dual_power(a, aind)
+    for t in range(aind, 2 * aind + 1):
+        arank, drank = rank_profile(power)
+        if arank == drank:
+            return t
+        power = power @ a
+    raise AssertionError("no dual index in [aind, 2*aind]")
 
 
 def solver_outcome_residual(a: DualMatrix, b: DualMatrix, restricted: bool) -> str:

@@ -33,7 +33,7 @@ from dualinv import (
     wddi_from_given_decomposition,
     wdgi,
 )
-from dualinv.dual_inverses import _weak_drazin_dual_part
+from support import weak_drazin_dual_part_horner as _weak_drazin_dual_part
 
 import cases
 import support

@@ -11,7 +11,9 @@ from dualinv import (
     NotInvertible,
     PreconditionViolated,
     RealMatrix,
+    block2x2,
     block_diagonalize_ind1,
+    core_nilpotent,
     dual_block_diag,
     dual_inverse,
     is_dual_nilpotent,
@@ -20,6 +22,7 @@ from dualinv import (
     wddi_from_given_decomposition,
     wdgi,
 )
+from dualinv.block_decomposition import _decompose
 
 import cases
 import support
@@ -64,6 +67,55 @@ class TestBlockDiagonalize:
             assert d.chat_inv == dual_inverse(d.chat)
             # bottom block of the transformed matrix is purely eps
             assert d.chat.rows == d.r
+
+
+class TestAnyIndex:
+    """The block form of A^ at appreciable index 2 to 4."""
+
+    @staticmethod
+    def inputs():
+        rng = random.Random(251)
+        for aind, n in ((2, 3), (2, 5), (3, 4), (3, 6), (4, 5), (4, 7)):
+            for present in (True, False):
+                yield support.rand_high_index(rng, n, aind, present)
+
+    def test_round_trip(self):
+        for a in self.inputs():
+            cn = core_nilpotent(a.std)
+            assert cn.k >= 2
+            d = _decompose(a, cn)
+            assert d.assemble() == a
+            assert d.phat_inv == dual_inverse(d.phat)
+            assert d.chat_inv == dual_inverse(d.chat)
+            assert is_dual_nilpotent(d.nhat)
+            assert d.nhat.std == cn.n
+
+    def test_off_diagonal_blocks_solve_their_sylvester_equations(self):
+        for a in self.inputs():
+            cn = core_nilpotent(a.std)
+            d = _decompose(a, cn)
+            n, r = a.rows, cn.r
+            e = cn.p_inv @ a.dual @ cn.p
+            assert cn.c @ d.t12 - d.t12 @ cn.n == -e.submatrix(0, r, r, n)
+            assert cn.n @ d.t21 - d.t21 @ cn.c == -e.submatrix(r, n, 0, r)
+            assert d.phat.dual == cn.p @ block2x2(
+                RealMatrix.zeros(r, r), d.t12, d.t21, RealMatrix.zeros(n - r, n - r)
+            )
+
+    def test_weak_drazin_inverse_matches_the_consumed_decomposition(self):
+        for a in self.inputs():
+            d = _decompose(a, core_nilpotent(a.std))
+            x = d.weak_drazin_inverse()
+            assert x == wddi(a)
+            assert x == wddi_from_given_decomposition(d.phat, d.chat, d.nhat)
+
+    def test_index1_entry_point_still_rejects_them(self):
+        for a in self.inputs():
+            k = core_nilpotent(a.std).k
+            with pytest.raises(
+                IndexTooLarge, match=f"^block diagonalization needs aind 1, got {k}$"
+            ):
+                block_diagonalize_ind1(a)
 
 
 class TestWdgiViaDecomposition:

@@ -9,6 +9,7 @@ import pytest
 
 from dualinv import (
     DualMatrix,
+    InternalInvariantViolation,
     drazin,
     moore_penrose,
     parse_matrix,
@@ -283,3 +284,27 @@ def test_main_returns_exit_code(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert json.loads(out)["status"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        InternalInvariantViolation("existence characterizations disagree"),
+        ZeroDivisionError("division by zero"),
+        KeyError("missing"),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_unexpected_exception_is_an_internal_error_document(error, monkeypatch, capsys):
+    def broken(a):
+        raise error
+
+    monkeypatch.setattr("dualinv.cli.index_profile", broken)
+    code, doc = run(["info", ABSENT])
+    assert code == 5
+    assert doc.status == "internal-error"
+    assert doc.operation == "info"
+    assert doc.payload == {"message": str(error), "type": type(error).__name__}
+    # main prints the same document, not a traceback
+    assert main(["info", ABSENT]) == 5
+    assert json.loads(capsys.readouterr().out) == json.loads(doc.to_json())

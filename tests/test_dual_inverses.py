@@ -22,7 +22,7 @@ from dualinv import (
     wddi,
     wdgi,
 )
-from dualinv.dual_inverses import _weak_drazin_dual_part
+from support import weak_drazin_dual_part_horner as _weak_drazin_dual_part
 
 import cases
 import support
@@ -161,6 +161,53 @@ class TestHighIndex:
                 assert info.value.witness == ddi_obstruction(a)
                 assert not info.value.witness.is_zero
         assert classes == {1, 2}
+
+
+class TestBlockRouteAgainstOracles:
+    """The block form against the formulas it replaced: the explicit and the
+    Horner power sums of the WDDI, the projector form of the obstruction and
+    the dual index from the bordered ranks of A^^t."""
+
+    @staticmethod
+    def inputs():
+        rng = random.Random(241)
+        mats = [support.rand_dual(rng, n, bound=4) for n in (1, 2, 3, 4, 5) * 4]
+        for aind, n in ((2, 4), (2, 5), (3, 5), (3, 6), (4, 6), (4, 7)):
+            for present in (True, False):
+                mats.append(support.rand_high_index(rng, n, aind, present))
+        return mats
+
+    def test_every_object_matches_its_oracle(self):
+        reached = set()
+        for a in self.inputs():
+            profile = index_profile(a)
+            dind = support.dual_index_bordered(a)
+            assert profile.dind == dind
+            reached.add((profile.aind, dind // profile.aind))
+            md = drazin(a.std)
+            x = wddi(a)
+            assert x.std == md
+            for terms in (profile.aind, dind):
+                assert x.dual == support.weak_drazin_dual_part_sum(
+                    a.std, a.dual, md, terms
+                )
+                assert x.dual == support.weak_drazin_dual_part_horner(
+                    a.std, a.dual, md, terms
+                )
+            obstruction = support.obstruction_projector(a)
+            assert ddi_obstruction(a) == obstruction
+            profile_e = existence_profile(a)
+            assert profile_e.obstruction == obstruction
+            assert profile_e.ddi_exists == (dind == profile.aind)
+            assert verify(a, x, "wddi-t").exponent == dind
+            if obstruction.is_zero:
+                assert ddi(a) == x
+            else:
+                with pytest.raises(DoesNotExist) as info:
+                    ddi(a)
+                assert info.value.witness == obstruction
+        # both dual index classes at every high index
+        assert {(k, c) for k in (2, 3, 4) for c in (1, 2)} <= reached
 
 
 class TestDgiWdgi:
