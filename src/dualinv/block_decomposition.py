@@ -14,22 +14,34 @@ the WDGI at index 1 (where N^ = eps*E22); the DDI obstruction
 with K22 that of N^^k; and dind(A^) is the first t >= k with N^^t = 0, since
 P^ keeps both ranks of A^^t, C^^t is invertible and N^^t = eps*K22(t) for
 t >= k.  The dual index needs only N and E22.
+
+Each public function reads these objects off one _Analysis of its input,
+whose parts (rref and index of M, the core-nilpotent form, (K22, dind), the
+obstruction, the dual block form, the WDDI, the rank profile) are built on
+first use and then kept.  The module holds the analysis of the last dual
+matrix asked about and hands it out again only for that very object, never
+for an equal copy; analysing another object drops it, so at most one input
+is kept alive.  When M is invertible the analysis skips the index and takes
+P = I, C = M, aind = 1, so the WDDI is the dual inverse of A^.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exceptions import (
     DimensionError,
     IndexTooLarge,
+    InternalInvariantViolation,
     NotInvertible,
     PreconditionViolated,
 )
 from .matrices import DualMatrix, RealMatrix, block2x2, block_diag, dual_block_diag
 from .matrices import hstack, vstack
-from .real_inverses import CoreNilpotentDecomposition, core_nilpotent
-from .dual_linear import dual_inverse
+from .elimination import rank, rref
+from .real_inverses import CoreNilpotentDecomposition, _core_nilpotent_at, _index_power
+from .dual_linear import doubled, dual_inverse
 
 
 @dataclass(frozen=True)
@@ -123,20 +135,96 @@ def _bottom_block_powers(
     return k22, t
 
 
-def _block_obstruction(cn: CoreNilpotentDecomposition, k22: RealMatrix) -> RealMatrix:
-    """The DDI obstruction P diag(0, K22) P^(-1)."""
-    n, r = cn.p.rows, cn.r
-    return cn.p.submatrix(0, n, r, n) @ k22 @ cn.p_inv.submatrix(r, n, 0, n)
+def _rank_profile(a: DualMatrix, arank: int) -> tuple[int, int]:
+    """(arank, drank) given arank = rank(M), for a dual matrix of any shape."""
+    drank = rank(doubled(a)) - arank
+    if drank < arank:
+        raise InternalInvariantViolation("dual rank fell below appreciable rank")
+    return arank, drank
+
+
+class _Analysis:
+    """The analysis of one square dual matrix; each part is computed on
+    first use and kept, and a part whose construction raises is not kept."""
+
+    def __init__(self, a: DualMatrix):
+        self.a = a
+
+    @cached_property
+    def echelon(self) -> tuple[RealMatrix, tuple[int, ...]]:
+        return rref(self.a.std)
+
+    @property
+    def invertible(self) -> bool:
+        return len(self.echelon[1]) == self.a.rows
+
+    @cached_property
+    def index_power(self) -> tuple[int, RealMatrix, tuple]:
+        """(aind, M^aind, rref(M^aind)); not formed when M is invertible."""
+        return _index_power(self.a.std, self.echelon)
+
+    @property
+    def aind(self) -> int:
+        return 1 if self.invertible else self.index_power[0]
+
+    @cached_property
+    def cn(self) -> CoreNilpotentDecomposition:
+        m, n = self.a.std, self.a.rows
+        if self.invertible:
+            eye = RealMatrix.identity(n)
+            return CoreNilpotentDecomposition(eye, eye, m, RealMatrix.zeros(0, 0), n, 1)
+        return _core_nilpotent_at(m, *self.index_power)
+
+    @cached_property
+    def bottom(self) -> tuple[RealMatrix, int]:
+        """(K22, dind)."""
+        return _bottom_block_powers(self.a, self.cn)
+
+    @cached_property
+    def obstruction(self) -> RealMatrix:
+        """The DDI obstruction P diag(0, K22) P^(-1)."""
+        cn, n = self.cn, self.a.rows
+        k22 = self.bottom[0]
+        return cn.p.submatrix(0, n, cn.r, n) @ k22 @ cn.p_inv.submatrix(cn.r, n, 0, n)
+
+    @cached_property
+    def form(self) -> DualBlockDecompositionInd1:
+        return _decompose(self.a, self.cn)
+
+    @cached_property
+    def wddi(self) -> DualMatrix:
+        """P^ diag(C^^(-1), 0) P^^(-1); with P = I, C^ = A^ when M is invertible."""
+        if self.invertible:
+            return dual_inverse(self.a)
+        return self.form.weak_drazin_inverse()
+
+    @cached_property
+    def rank_profile(self) -> tuple[int, int]:
+        return _rank_profile(self.a, len(self.echelon[1]))
+
+
+_last: _Analysis | None = None
+
+
+def _analysis(a: DualMatrix) -> _Analysis:
+    """The analysis of square a: the kept one when a is the very object
+    analysed last, else a fresh one that replaces it."""
+    global _last
+    last = _last
+    if last is not None and last.a is a:
+        return last
+    _last = last = _Analysis(a)
+    return last
 
 
 def block_diagonalize_ind1(a: DualMatrix) -> DualBlockDecompositionInd1:
     """Decompose a square dual matrix with aind = 1; IndexTooLarge otherwise."""
     if not a.std.is_square:
         raise DimensionError("decomposition of a non-square dual matrix")
-    cn = core_nilpotent(a.std)
-    if cn.k != 1:
-        raise IndexTooLarge(f"block diagonalization needs aind 1, got {cn.k}")
-    return _decompose(a, cn)
+    analysis = _analysis(a)
+    if analysis.aind != 1:
+        raise IndexTooLarge(f"block diagonalization needs aind 1, got {analysis.aind}")
+    return analysis.form
 
 
 def sharp_of_weak_group(

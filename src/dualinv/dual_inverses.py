@@ -15,8 +15,11 @@ core-nilpotent form A^ = P^ diag(C^, N^) P^^(-1) of block_decomposition:
 
 so no projector, Drazin inverse or power of A^ is formed.  When the DDI
 exists it is the WDDI.  The group flavour (DGI / WDGI) is the index-1 case
-of the same form.  existence_profile alone still takes the two ranks of
-A^^k, as a route independent of the block form.
+of the same form, and the DGI exists exactly when dind = 1 (E22 = 0).  The
+form, K22 and dind come from the analysis block_decomposition keeps of the
+last dual matrix asked about, so several calls on the same object build
+them once.  existence_profile alone still takes the two ranks of A^^k, as a
+route independent of the block form.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from .exceptions import DoesNotExist, IndexTooLarge
 from .exceptions import DimensionError, InternalInvariantViolation
 from .matrices import DualMatrix, RealMatrix, dual_power
 from .indices import rank_profile
-from .real_inverses import core_nilpotent, index, moore_penrose
-from .block_decomposition import _block_obstruction, _bottom_block_powers, _decompose
+from .real_inverses import moore_penrose
+from .block_decomposition import _analysis
 
 
 @dataclass(frozen=True)
@@ -64,19 +67,17 @@ def _square(a: DualMatrix) -> None:
 def ddi_obstruction(a: DualMatrix) -> RealMatrix:
     """(I - M M^D) K (I - M M^D) with K the dual part of A^^aind."""
     _square(a)
-    cn = core_nilpotent(a.std)
-    return _block_obstruction(cn, _bottom_block_powers(a, cn)[0])
+    return _analysis(a).obstruction
 
 
 def existence_profile(a: DualMatrix) -> ExistenceProfile:
     _square(a)
-    cn = core_nilpotent(a.std)
-    k22, dind = _bottom_block_powers(a, cn)
-    obstruction = _block_obstruction(cn, k22)
-    ar, dr = rank_profile(dual_power(a, cn.k)[0])
+    analysis = _analysis(a)
+    obstruction = analysis.obstruction
+    ar, dr = rank_profile(dual_power(a, analysis.aind)[0])
     return ExistenceProfile(
         ddi_exists=obstruction.is_zero,
-        index_equality=dind == cn.k,
+        index_equality=analysis.bottom[1] == analysis.aind,
         rank_equality=ar == dr,
         obstruction=obstruction,
     )
@@ -85,17 +86,16 @@ def existence_profile(a: DualMatrix) -> ExistenceProfile:
 def wddi(a: DualMatrix) -> DualMatrix:
     """Weak dual Drazin inverse; always exists for square input."""
     _square(a)
-    return _decompose(a, core_nilpotent(a.std)).weak_drazin_inverse()
+    return _analysis(a).wddi
 
 
 def ddi(a: DualMatrix) -> DualMatrix:
     """Dual Drazin inverse; DoesNotExist carries the obstruction witness."""
     _square(a)
-    cn = core_nilpotent(a.std)
-    obstruction = _block_obstruction(cn, _bottom_block_powers(a, cn)[0])
-    if not obstruction.is_zero:
-        raise DoesNotExist("dual Drazin inverse does not exist", obstruction)
-    return _decompose(a, cn).weak_drazin_inverse()
+    analysis = _analysis(a)
+    if not analysis.obstruction.is_zero:
+        raise DoesNotExist("dual Drazin inverse does not exist", analysis.obstruction)
+    return analysis.wddi
 
 
 def wdgi(a: DualMatrix) -> DualMatrix:
@@ -105,29 +105,34 @@ def wdgi(a: DualMatrix) -> DualMatrix:
     computed as P^ diag(C^^(-1), 0) P^^(-1) from the block diagonalization.
     """
     _square(a)
-    cn = core_nilpotent(a.std)
-    if cn.k != 1:
-        raise IndexTooLarge(f"group inverse needs index 1, matrix has index {cn.k}")
-    return _decompose(a, cn).weak_drazin_inverse()
+    analysis = _analysis(a)
+    if analysis.aind != 1:
+        raise IndexTooLarge(
+            f"group inverse needs index 1, matrix has index {analysis.aind}"
+        )
+    return analysis.wddi
 
 
 def dgi(a: DualMatrix) -> DualMatrix:
     """Dual group inverse.
 
     Raises IndexTooLarge when aind > 1 and DoesNotExist (with the witness
-    (I - M M+) M0 (I - M+ M)) when the index-1 existence test fails.  When
-    it exists it coincides with the WDGI.
+    (I - M M+) M0 (I - M+ M)) when dind > 1, i.e. E22 != 0 in the block
+    form; the witness is formed only then.  When it exists it coincides
+    with the WDGI.
     """
     _square(a)
-    cn = core_nilpotent(a.std)
-    if cn.k != 1:
-        raise IndexTooLarge(f"dual group inverse needs aind 1, got {cn.k}")
-    mp = moore_penrose(a.std)
-    eye = RealMatrix.identity(a.rows)
-    witness = (eye - a.std @ mp) @ a.dual @ (eye - mp @ a.std)
-    if not witness.is_zero:
+    analysis = _analysis(a)
+    if analysis.aind != 1:
+        raise IndexTooLarge(f"dual group inverse needs aind 1, got {analysis.aind}")
+    if analysis.bottom[1] != 1:
+        mp = moore_penrose(a.std)
+        eye = RealMatrix.identity(a.rows)
+        witness = (eye - a.std @ mp) @ a.dual @ (eye - mp @ a.std)
+        if witness.is_zero:
+            raise InternalInvariantViolation("dind > 1 but the DGI witness vanishes")
         raise DoesNotExist("dual group inverse does not exist", witness)
-    return _decompose(a, cn).weak_drazin_inverse()
+    return analysis.wddi
 
 
 @dataclass(frozen=True)
@@ -160,10 +165,11 @@ def verify(a: DualMatrix, x: DualMatrix, kind: str) -> VerificationReport:
     if kind not in VERIFY_KINDS:
         raise ValueError(f"unknown verification kind {kind!r}")
     if kind == "wddi-t":
-        cn = core_nilpotent(a.std)
-        e = _bottom_block_powers(a, cn)[1]
+        e = _analysis(a).bottom[1]
+    elif kind == "drazin-k":
+        e = _analysis(a).aind
     else:
-        e = index(a.std) if kind == "drazin-k" else 1 if kind == "group" else 2
+        e = 1 if kind == "group" else 2
     a_e, _ = dual_power(a, e)
     checks = (
         (f"A X A^{e} = A^{e}", a @ x @ a_e == a_e),

@@ -31,10 +31,10 @@ from .exceptions import (
     IndexTooLarge,
 )
 from .matrices import DualMatrix, RealMatrix, dual_vstack
-from .real_inverses import core_nilpotent, moore_penrose
+from .real_inverses import moore_penrose
 from .elimination import column_space_contains
 from .dual_linear import ParametricDualSolutions
-from .block_decomposition import _bottom_block_powers, _decompose, block_diagonalize_ind1
+from .block_decomposition import _analysis, block_diagonalize_ind1
 
 
 def _check_column(a: DualMatrix, b: DualMatrix) -> None:
@@ -112,11 +112,11 @@ def solve_ind1_corollaries(
     when dind > 1 and Inconsistent when (I - G A^) b^ != 0.
     """
     _check_column(a, b)
-    cn = core_nilpotent(a.std)
-    _, dind = _bottom_block_powers(a, cn)
+    analysis = _analysis(a)
+    dind = analysis.bottom[1]
     if dind != 1:
         raise IndexTooLarge(f"corollary solver needs dind 1, got {dind}")
-    g = _decompose(a, cn).weak_drazin_inverse()
+    g = analysis.wddi
     projector = DualMatrix.identity(a.rows) - g @ a
     if not (projector @ b).is_zero:
         raise Inconsistent("system rejects this right-hand side")

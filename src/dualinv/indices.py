@@ -9,6 +9,11 @@ which is computed as the rank of the doubled form [[M, 0], [M0, M]] minus
 rank(M), since swapping block rows turns one matrix into the other.  The
 appreciable index is the index of M; the dual index is the smallest power t
 at which the two ranks of A^t agree.  That t always lands in [aind, 2*aind].
+
+index_profile reads all four off the shared analysis of block_decomposition:
+rank(M) is taken once for arank and the index, the index and the
+core-nilpotent form of M come from one rank sequence, and dind is the first
+t >= aind with N^^t = 0 in the dual core-nilpotent form.
 """
 
 from __future__ import annotations
@@ -18,18 +23,12 @@ from dataclasses import dataclass
 from .exceptions import DimensionError, InternalInvariantViolation
 from .matrices import DualMatrix
 from .elimination import rank
-from .real_inverses import core_nilpotent
-from .dual_linear import doubled
-from .block_decomposition import _bottom_block_powers
+from .block_decomposition import _analysis, _rank_profile
 
 
 def rank_profile(a: DualMatrix) -> tuple[int, int]:
     """(appreciable rank, dual rank) of a dual matrix of any shape."""
-    arank = rank(a.std)
-    drank = rank(doubled(a)) - arank
-    if drank < arank:
-        raise InternalInvariantViolation("dual rank fell below appreciable rank")
-    return arank, drank
+    return _rank_profile(a, rank(a.std))
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,5 @@ def index_profile(a: DualMatrix) -> DualIndexProfile:
     """All four invariants of a square dual matrix."""
     if not a.std.is_square:
         raise DimensionError("index of a non-square dual matrix")
-    arank, drank = rank_profile(a)
-    cn = core_nilpotent(a.std)
-    _, dind = _bottom_block_powers(a, cn)
-    return DualIndexProfile(arank, drank, cn.k, dind)
+    analysis = _analysis(a)
+    return DualIndexProfile(*analysis.rank_profile, analysis.aind, analysis.bottom[1])

@@ -22,15 +22,22 @@ def index(m: RealMatrix) -> int:
     """
     if not m.is_square:
         raise DimensionError("index of a non-square matrix")
-    n = m.rows
-    power = m
-    r_prev = rank(power)
-    for k in range(1, max(n, 1) + 1):
-        power = power @ m
-        r_next = rank(power)
-        if r_next == r_prev:
-            return k
-        r_prev = r_next
+    return _index_power(m, rref(m))[0]
+
+
+def _index_power(m: RealMatrix, echelon) -> tuple[int, RealMatrix, tuple]:
+    """(k, M^k, rref(M^k)) for the index k of square M, given rref(M).
+
+    The power and its reduced form are those the rank sequence stopped at,
+    so the core-nilpotent form needs neither product nor elimination again.
+    """
+    power, reduced = m, echelon
+    for k in range(1, max(m.rows, 1) + 1):
+        power_next = power @ m
+        reduced_next = rref(power_next)
+        if len(reduced_next[1]) == len(reduced[1]):
+            return k, power, reduced
+        power, reduced = power_next, reduced_next
     raise InternalInvariantViolation("rank sequence failed to stabilize by n")
 
 
@@ -62,10 +69,15 @@ class CoreNilpotentDecomposition:
 def core_nilpotent(m: RealMatrix) -> CoreNilpotentDecomposition:
     if not m.is_square:
         raise DimensionError("core-nilpotent form of a non-square matrix")
+    return _core_nilpotent_at(m, *_index_power(m, rref(m)))
+
+
+def _core_nilpotent_at(
+    m: RealMatrix, k: int, mk: RealMatrix, echelon
+) -> CoreNilpotentDecomposition:
+    """The core-nilpotent form of M from its index k, M^k and rref(M^k)."""
     size = m.rows
-    k = index(m)
-    mk = m**k
-    reduced, pivots = rref(mk)
+    reduced, pivots = echelon
     r = len(pivots)
     p = hstack(mk.columns_at(pivots), _null_basis(reduced, pivots, size))
     p_inv = inverse(p)

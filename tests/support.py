@@ -10,7 +10,8 @@ form.  The second routes live here as references: the closed-form dual
 power, the closed-form weak dual group inverse built from the real group
 inverse, the explicit and the Horner power sums of the weak dual Drazin
 inverse, the projector form of the DDI obstruction, the dual index from the
-bordered ranks of A^^t and the residual form of the solver conditions.
+bordered ranks of A^^t, the residual form of the solver conditions and the
+witness-first existence test of the dual group inverse.
 The Fraction loops that the integer kernels of ``RealMatrix.__matmul__`` and
 ``rref`` replaced are kept here as the references for those kernels.
 """
@@ -22,7 +23,9 @@ from fractions import Fraction
 
 from dualinv import (
     DimensionError,
+    DoesNotExist,
     DualMatrix,
+    IndexTooLarge,
     RealMatrix,
     dgi,
     drazin,
@@ -34,6 +37,7 @@ from dualinv import (
     in_range,
     index,
     inverse,
+    moore_penrose,
     rank,
     rank_profile,
     solve,
@@ -384,6 +388,37 @@ def wdgi_closed_form(a: DualMatrix) -> DualMatrix:
     proj = RealMatrix.identity(a.rows) - a.std @ g
     g2 = g @ g
     return DualMatrix(g, g2 @ a.dual @ proj + proj @ a.dual @ g2 - g @ a.dual @ g)
+
+
+def dgi_witness_first(a: DualMatrix) -> DualMatrix:
+    """Dual group inverse with existence read off the witness
+    (I - M M+) M0 (I - M+ M): IndexTooLarge when aind > 1, DoesNotExist
+    carrying the witness when it is nonzero, else the closed-form WDGI."""
+    k = index(a.std)
+    if k != 1:
+        raise IndexTooLarge(f"dual group inverse needs aind 1, got {k}")
+    mp = moore_penrose(a.std)
+    eye = RealMatrix.identity(a.rows)
+    witness = (eye - a.std @ mp) @ a.dual @ (eye - mp @ a.std)
+    if not witness.is_zero:
+        raise DoesNotExist("dual group inverse does not exist", witness)
+    return wdgi_closed_form(a)
+
+
+def rand_aind1_with_dgi(rng, n: int) -> DualMatrix:
+    """Random aind-1 dual matrix P (diag(C, 0) + eps*E) P^(-1) with E22 = 0,
+    so that its dual group inverse exists."""
+    r = rng.randint(0, n)
+    p = rand_invertible(rng, n)
+    e = rand_int_matrix(rng, n, n)
+    e22_zeroed = hstack(e.submatrix(r, n, 0, r), RealMatrix.zeros(n - r, n - r))
+    e = vstack(e.submatrix(0, r, 0, n), e22_zeroed)
+    core = vstack(
+        hstack(rand_invertible(rng, r), RealMatrix.zeros(r, n - r)),
+        RealMatrix.zeros(n - r, n),
+    )
+    p_inv = inverse(p)
+    return DualMatrix(p @ core @ p_inv, p @ e @ p_inv)
 
 
 def assemble_decomposition(

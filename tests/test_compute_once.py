@@ -1,13 +1,26 @@
-"""Each public entry point computes the index and the core-nilpotent form
-once, and skips the work its formulas make unnecessary: the WDDI and DDI
-compute no dual index (no rank profile), and the solvers read their
-conditions off P^^(-1) b^ with no range test.  Every call reads the dual
-index and the obstruction off the block form, so only index_profile (for
-A^ itself) and existence_profile (for A^^aind, its second route) take the
-two ranks of a dual matrix, once each, and the inverses and solvers form no
-dual power."""
+"""Each dual matrix is analysed once: the index, the core-nilpotent form,
+(K22, dind), the dual block form and the rank profile are built on first use
+and kept in an analysis that later calls on the very same object share.
 
+A single call computes only what its formulas need: the WDDI and DDI
+compute no rank profile, and the solvers read their conditions off
+P^^(-1) b^ with no range test.  Only index_profile (for A^ itself) and
+existence_profile (for A^^aind, its second route) take the two ranks of a
+dual matrix, once each, and the inverses and solvers form no dual power.
+
+A sequence of calls on one object builds each part once.  A value-equal but
+distinct object gets an analysis of its own (nothing is keyed on value),
+analysing another object releases the first (memory stays bounded), and a
+part whose construction raised is built again on the next call.
+
+The counted index and core-nilpotent functions are the private workers that
+the public index, core_nilpotent and the analysis all run through.
+"""
+
+import gc
+import random
 import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -16,16 +29,19 @@ import dualinv
 from dualinv import DualMatrix, ddi, solve_general, solve_restricted, wddi
 from dualinv import ddi_obstruction, dgi, existence_profile, index_profile
 from dualinv import solve_ind1_corollaries, verify, wdgi
-from dualinv import dual_linear, indices, matrices, real_inverses
+from dualinv import block_decomposition, dual_linear, matrices, real_inverses
 
 import cases
+import support
 
 COUNTED = {
-    "index": real_inverses,
-    "core_nilpotent": real_inverses,
-    "rank_profile": indices,
-    "in_range": dual_linear,
-    "dual_power": matrices,
+    "index": (real_inverses, "_index_power"),
+    "core_nilpotent": (real_inverses, "_core_nilpotent_at"),
+    "bottom_block_powers": (block_decomposition, "_bottom_block_powers"),
+    "decompose": (block_decomposition, "_decompose"),
+    "rank_profile": (block_decomposition, "_rank_profile"),
+    "in_range": (dual_linear, "in_range"),
+    "dual_power": (matrices, "dual_power"),
 }
 
 FIXTURES = {
@@ -56,16 +72,22 @@ MORE_CALLS = {
 # existence_profile; none elsewhere
 RANK_PROFILES = {"index_profile": 1, "existence_profile": 1}
 
+SEQUENCES = {
+    "square_task": ("index_profile", "wddi", "ddi"),
+    "index1_task": ("wdgi", "dgi", "solve_general", "solve_restricted"),
+    "every_call": tuple(sorted({**CALLS, **MORE_CALLS})),
+}
+
 
 @pytest.fixture
 def counts(monkeypatch):
     """Count calls to the counted functions under every name that binds them."""
     seen = Counter()
-    for name, home in COUNTED.items():
+    for label, (home, name) in COUNTED.items():
         original = getattr(home, name)
 
-        def counting(*args, _name=name, _original=original, **kwargs):
-            seen[_name] += 1
+        def counting(*args, _label=label, _original=original, **kwargs):
+            seen[_label] += 1
             return _original(*args, **kwargs)
 
         for module_name, module in list(sys.modules.items()):
@@ -77,8 +99,13 @@ def counts(monkeypatch):
     return seen
 
 
-def _call(name, fixture):
+def _fresh(fixture):
+    """The fixture's matrix as a new object, so no earlier analysis applies."""
     a, b = FIXTURES[fixture]
+    return DualMatrix(a.std, a.dual), b
+
+
+def _call(name, a, b):
     try:
         {**CALLS, **MORE_CALLS}[name](a, b)
     except (dualinv.DoesNotExist, dualinv.IndexTooLarge, dualinv.Inconsistent):
@@ -88,17 +115,18 @@ def _call(name, fixture):
 @pytest.mark.parametrize("fixture", sorted(FIXTURES))
 @pytest.mark.parametrize("call", sorted(CALLS))
 def test_index_and_core_nilpotent_run_at_most_once(counts, call, fixture):
-    _call(call, fixture)
+    _call(call, *_fresh(fixture))
     assert counts["index"] <= 1, dict(counts)
     assert counts["core_nilpotent"] <= 1, dict(counts)
-    # the patch reached the call: every call needs the index of M
+    # the patch reached the call: every call needs the index of the
+    # (singular) standard part
     assert counts["index"] == 1
 
 
 @pytest.mark.parametrize("fixture", sorted(FIXTURES))
 @pytest.mark.parametrize("call", sorted(CALLS))
 def test_no_dual_index_and_no_range_test(counts, call, fixture):
-    _call(call, fixture)
+    _call(call, *_fresh(fixture))
     assert counts["rank_profile"] == 0, dict(counts)
     assert counts["in_range"] == 0, dict(counts)
 
@@ -106,7 +134,7 @@ def test_no_dual_index_and_no_range_test(counts, call, fixture):
 @pytest.mark.parametrize("fixture", sorted(FIXTURES))
 @pytest.mark.parametrize("call", sorted(MORE_CALLS))
 def test_block_form_calls_run_core_nilpotent_at_most_once(counts, call, fixture):
-    _call(call, fixture)
+    _call(call, *_fresh(fixture))
     assert counts["core_nilpotent"] <= 1, dict(counts)
     assert counts["index"] <= 1, dict(counts)
 
@@ -114,7 +142,7 @@ def test_block_form_calls_run_core_nilpotent_at_most_once(counts, call, fixture)
 @pytest.mark.parametrize("fixture", sorted(FIXTURES))
 @pytest.mark.parametrize("call", sorted(MORE_CALLS))
 def test_rank_profile_only_where_the_ranks_are_asked_for(counts, call, fixture):
-    _call(call, fixture)
+    _call(call, *_fresh(fixture))
     assert counts["rank_profile"] == RANK_PROFILES.get(call, 0), dict(counts)
 
 
@@ -124,6 +152,108 @@ def test_rank_profile_only_where_the_ranks_are_asked_for(counts, call, fixture):
     sorted(set(CALLS) | {"ddi_obstruction", "dgi", "solve_ind1_corollaries", "wdgi"}),
 )
 def test_inverses_and_solvers_form_no_dual_power(counts, call, fixture):
-    _call(call, fixture)
+    _call(call, *_fresh(fixture))
     assert counts["dual_power"] == 0, dict(counts)
     assert counts["rank_profile"] == 0, dict(counts)
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES))
+@pytest.mark.parametrize("sequence", sorted(SEQUENCES))
+def test_a_sequence_on_one_object_analyses_it_once(counts, sequence, fixture):
+    a, b = _fresh(fixture)
+    for call in SEQUENCES[sequence]:
+        _call(call, a, b)
+    assert counts["index"] == 1, dict(counts)
+    aind1 = fixture.startswith("dgi")
+    # at aind > 1 the index-1 calls stop at the index, before the form
+    expected_forms = int(aind1 or sequence != "index1_task")
+    assert counts["core_nilpotent"] == expected_forms, dict(counts)
+    assert counts["decompose"] <= 1, dict(counts)
+    assert counts["bottom_block_powers"] <= 1, dict(counts)
+    wanted = {"every_call": 2, "square_task": 1}.get(sequence, 0)
+    assert counts["rank_profile"] == wanted, dict(counts)
+
+
+def test_the_square_task_builds_each_part_once(counts):
+    a, _ = _fresh("ddi_present_4x4")
+    index_profile(a)
+    wddi(a)
+    ddi(a)
+    assert counts == Counter(
+        index=1, core_nilpotent=1, bottom_block_powers=1, decompose=1, rank_profile=1
+    )
+
+
+def test_an_equal_copy_gets_its_own_analysis(counts):
+    a, _ = _fresh("ddi_absent_4x4")
+    copy = DualMatrix.of(a.std.entries, a.dual.entries)
+    assert copy == a and copy is not a
+    assert wddi(a) == wddi(copy)
+    assert counts["index"] == 2 and counts["core_nilpotent"] == 2, dict(counts)
+    # and going back to the first object analyses it again: only one is kept
+    wddi(a)
+    assert counts["index"] == 3, dict(counts)
+
+
+def test_analysing_another_object_releases_the_first():
+    a, _ = _fresh("ddi_present_4x4")
+    wddi(a)
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is not None  # still held as the last object analysed
+    wddi(_fresh("dgi_present_2x2")[0])
+    gc.collect()
+    assert ref() is None
+
+
+def test_index_too_large_does_not_spoil_a_later_wddi(counts):
+    a, _ = _fresh("ddi_absent_4x4")
+    with pytest.raises(dualinv.IndexTooLarge):
+        wdgi(a)
+    with pytest.raises(dualinv.IndexTooLarge):
+        dgi(a)
+    x = wddi(a)
+    assert verify(a, x, "wddi-t").all_hold
+    assert x == wddi(_fresh("ddi_absent_4x4")[0])
+    assert counts["index"] == 2 and counts["core_nilpotent"] == 2, dict(counts)
+
+
+def test_a_part_that_raised_is_built_again(monkeypatch):
+    original = block_decomposition._decompose
+    calls = Counter()
+
+    def fails_once(*args):
+        calls["decompose"] += 1
+        if calls["decompose"] == 1:
+            raise dualinv.InternalInvariantViolation("injected")
+        return original(*args)
+
+    monkeypatch.setattr(block_decomposition, "_decompose", fails_once)
+    a, _ = _fresh("ddi_present_4x4")
+    with pytest.raises(dualinv.InternalInvariantViolation):
+        wddi(a)
+    x = wddi(a)
+    assert ddi(a) == x
+    assert calls["decompose"] == 2
+    assert verify(a, x, "drazin-k").all_hold
+
+
+def test_invertible_standard_part_skips_the_index(counts):
+    rng = random.Random(131)
+    seen = []
+    for n in (1, 3, 5):
+        a = support.rand_dual_invertible_std(rng, n)
+        profile = index_profile(a)
+        assert (profile.arank, profile.aind, profile.dind) == (n, 1, 1)
+        x = wddi(a)
+        assert ddi(a) == wdgi(a) == dgi(a) == x
+        assert ddi_obstruction(a).is_zero
+        seen.append((a, x))
+    assert counts["index"] == 0 and counts["core_nilpotent"] == 0, dict(counts)
+    assert counts["decompose"] == 0, dict(counts)
+    assert counts["rank_profile"] == 3, dict(counts)
+    # the inverse is unique, so the general form with P from M^k agrees
+    for a, x in seen:
+        cn = real_inverses.core_nilpotent(a.std)
+        assert block_decomposition._decompose(a, cn).weak_drazin_inverse() == x

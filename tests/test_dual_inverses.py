@@ -1,6 +1,7 @@
 """Existence tests, the four dual inverses, and equation verification."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -254,6 +255,35 @@ class TestDgiWdgi:
             hits += 1
             assert exact == wdgi(a)
         assert hits >= 5
+
+    def test_block_form_existence_matches_witness_route(self):
+        # dgi decides existence by dind = 1 (E22 = 0) and forms the witness
+        # only on failure; the witness-first route must agree on the
+        # outcome, the witness bytes and the inverse
+        def outcome(route, a):
+            try:
+                return "ok", route(a)
+            except IndexTooLarge:
+                return ("index",)
+            except DoesNotExist as exc:
+                return "absent", exc.witness
+
+        rng = random.Random(113)
+        inputs = [
+            cases.DDI_ABSENT, cases.DDI_PRESENT, cases.DGI_ABSENT, cases.DGI_PRESENT
+        ]
+        for n in support.size_mix(rng, 160):
+            if rng.random() < 0.5:
+                inputs.append(support.rand_aind1_with_dgi(rng, n))
+            else:
+                inputs.append(support.rand_aind1(rng, n))
+        seen = Counter()
+        for a in inputs:
+            got = outcome(dgi, a)
+            assert got == outcome(support.dgi_witness_first, a)
+            seen[got[0]] += 1
+        assert seen["index"] == 2
+        assert seen["ok"] >= 60 and seen["absent"] >= 40, seen
 
     def test_weak_forms_coincide_at_index_one(self):
         # at aind 1 the Drazin flavour's extra sum terms die against the
