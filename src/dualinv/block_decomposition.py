@@ -21,8 +21,8 @@ obstruction, the dual block form, the WDDI, the rank profile) are built on
 first use and then kept.  The module holds the analysis of the last dual
 matrix asked about and hands it out again only for that very object, never
 for an equal copy; analysing another object drops it, so at most one input
-is kept alive.  When M is invertible the analysis skips the index and takes
-P = I, C = M, aind = 1, so the WDDI is the dual inverse of A^.
+is kept alive.  When M is invertible the rank of M gives aind = 1 with no
+power of M, and the form takes P = I and C^ = A^ (N^ is 0 x 0).
 """
 
 from __future__ import annotations
@@ -154,26 +154,18 @@ class _Analysis:
     def echelon(self) -> tuple[RealMatrix, tuple[int, ...]]:
         return rref(self.a.std)
 
-    @property
-    def invertible(self) -> bool:
-        return len(self.echelon[1]) == self.a.rows
-
     @cached_property
     def index_power(self) -> tuple[int, RealMatrix, tuple]:
-        """(aind, M^aind, rref(M^aind)); not formed when M is invertible."""
+        """(aind, M^aind, rref(M^aind))."""
         return _index_power(self.a.std, self.echelon)
 
     @property
     def aind(self) -> int:
-        return 1 if self.invertible else self.index_power[0]
+        return self.index_power[0]
 
     @cached_property
     def cn(self) -> CoreNilpotentDecomposition:
-        m, n = self.a.std, self.a.rows
-        if self.invertible:
-            eye = RealMatrix.identity(n)
-            return CoreNilpotentDecomposition(eye, eye, m, RealMatrix.zeros(0, 0), n, 1)
-        return _core_nilpotent_at(m, *self.index_power)
+        return _core_nilpotent_at(self.a.std, *self.index_power)
 
     @cached_property
     def bottom(self) -> tuple[RealMatrix, int]:
@@ -193,9 +185,6 @@ class _Analysis:
 
     @cached_property
     def wddi(self) -> DualMatrix:
-        """P^ diag(C^^(-1), 0) P^^(-1); with P = I, C^ = A^ when M is invertible."""
-        if self.invertible:
-            return dual_inverse(self.a)
         return self.form.weak_drazin_inverse()
 
     @cached_property

@@ -30,7 +30,10 @@ def _index_power(m: RealMatrix, echelon) -> tuple[int, RealMatrix, tuple]:
 
     The power and its reduced form are those the rank sequence stopped at,
     so the core-nilpotent form needs neither product nor elimination again.
+    An invertible M stops at k = 1 without forming M^2.
     """
+    if len(echelon[1]) == m.rows:
+        return 1, m, echelon
     power, reduced = m, echelon
     for k in range(1, max(m.rows, 1) + 1):
         power_next = power @ m
@@ -47,7 +50,8 @@ class CoreNilpotentDecomposition:
 
     c is r x r invertible with r = rank(M^k); n is nilpotent (n^k = 0);
     k is the index of M.  p's first r columns span the column space of M^k,
-    the rest its null space; p_inv is its inverse.
+    the rest its null space; p_inv is its inverse.  An invertible M takes
+    p = p_inv = I and c = M, as a nilpotent one takes p = I and n = M.
     """
 
     p: RealMatrix
@@ -79,6 +83,9 @@ def _core_nilpotent_at(
     size = m.rows
     reduced, pivots = echelon
     r = len(pivots)
+    if r == size:
+        eye = RealMatrix.identity(size)
+        return CoreNilpotentDecomposition(eye, eye, m, RealMatrix.zeros(0, 0), r, k)
     p = hstack(mk.columns_at(pivots), _null_basis(reduced, pivots, size))
     p_inv = inverse(p)
     similar = p_inv @ m @ p

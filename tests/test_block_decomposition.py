@@ -44,6 +44,20 @@ class TestBlockDiagonalize:
         assert d.chat == DualMatrix.identity(3)
         assert d.nblock.shape == (0, 0)
 
+    def test_invertible_standard_part_takes_the_identity_basis(self):
+        # the range of an invertible M is everything, so P^ = I and C^ = A^
+        for a in (
+            DualMatrix.of([[2]], [[1]]),
+            DualMatrix.of([[1, 2], [3, 4]], [[0, 1], [5, -2]]),
+        ):
+            d = block_diagonalize_ind1(a)
+            n = a.rows
+            assert d.r == n
+            assert d.phat == d.phat_inv == DualMatrix.identity(n)
+            assert d.chat == a and d.chat_inv == dual_inverse(a)
+            assert d.nhat.shape == (0, 0)
+            assert d == _decompose(a, core_nilpotent(a.std))
+
     def test_pure_eps_matrix(self):
         m0 = RealMatrix.from_rows([[1, 2], [3, 4]])
         d = block_diagonalize_ind1(DualMatrix.eps(m0))

@@ -11,7 +11,8 @@ dual matrix, once each, and the inverses and solvers form no dual power.
 A sequence of calls on one object builds each part once.  A value-equal but
 distinct object gets an analysis of its own (nothing is keyed on value),
 analysing another object releases the first (memory stays bounded), and a
-part whose construction raised is built again on the next call.
+part whose construction raised is built again on the next call.  An
+invertible standard part forms no power of M and no inverse of P.
 
 The counted index and core-nilpotent functions are the private workers that
 the public index, core_nilpotent and the analysis all run through.
@@ -239,21 +240,28 @@ def test_a_part_that_raised_is_built_again(monkeypatch):
     assert verify(a, x, "drazin-k").all_hold
 
 
-def test_invertible_standard_part_skips_the_index(counts):
+def test_invertible_standard_part_skips_the_index(counts, monkeypatch):
+    # inside real_inverses, rref runs only on the powers M^2, M^3, ... and
+    # inverse only on P, so neither may run when M is invertible
+    later = Counter()
+    for name in ("rref", "inverse"):
+        original = getattr(real_inverses, name)
+
+        def counting(*args, _name=name, _original=original):
+            later[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(real_inverses, name, counting)
     rng = random.Random(131)
-    seen = []
     for n in (1, 3, 5):
         a = support.rand_dual_invertible_std(rng, n)
         profile = index_profile(a)
         assert (profile.arank, profile.aind, profile.dind) == (n, 1, 1)
         x = wddi(a)
-        assert ddi(a) == wdgi(a) == dgi(a) == x
+        assert ddi(a) == wdgi(a) == dgi(a) == x == dual_linear.dual_inverse(a)
         assert ddi_obstruction(a).is_zero
-        seen.append((a, x))
-    assert counts["index"] == 0 and counts["core_nilpotent"] == 0, dict(counts)
-    assert counts["decompose"] == 0, dict(counts)
+        form = block_decomposition.block_diagonalize_ind1(a)
+        assert form.phat == DualMatrix.identity(n) and form.chat == a
+    assert later == Counter(), dict(later)
+    assert counts["index"] == counts["core_nilpotent"] == 3, dict(counts)
     assert counts["rank_profile"] == 3, dict(counts)
-    # the inverse is unique, so the general form with P from M^k agrees
-    for a, x in seen:
-        cn = real_inverses.core_nilpotent(a.std)
-        assert block_decomposition._decompose(a, cn).weak_drazin_inverse() == x

@@ -112,6 +112,7 @@ class TestCoreNilpotent:
         m = support.rand_invertible(rng, 3)
         d = core_nilpotent(m)
         assert d.r == 3 and d.n.shape == (0, 0)
+        assert d.p == d.p_inv == RealMatrix.identity(3) and d.c == m
         assert d.assemble() == m
 
     def test_reconstruction_and_block_properties(self):
