@@ -22,7 +22,6 @@ from .exceptions import (
 )
 from .matrices import (
     DualMatrix,
-    DualScalar,
     RealMatrix,
     block2x2,
     block_diag,
@@ -101,7 +100,6 @@ __all__ = [
     "ParseError",
     "PreconditionViolated",
     "DualMatrix",
-    "DualScalar",
     "RealMatrix",
     "block2x2",
     "block_diag",

@@ -216,19 +216,13 @@ def block_diagonalize_ind1(a: DualMatrix) -> DualBlockDecompositionInd1:
     return analysis.form
 
 
-def sharp_of_weak_group(
-    a: DualMatrix, with_generator: bool = False
-) -> DualMatrix | tuple[DualMatrix, DualMatrix]:
+def sharp_of_weak_group(a: DualMatrix) -> DualMatrix:
     """Group inverse of the WDGI of A^, i.e. P^ diag(C^, 0) P^^(-1).
 
-    With ``with_generator`` also returns A^ minus that matrix, which equals
-    P^ diag(0, eps*nblock) P^^(-1) and generates the homogeneous solutions of
-    the restricted equation.
+    A^ minus this matrix is P^ diag(0, eps*nblock) P^^(-1), which generates
+    the homogeneous solutions of the restricted equation.
     """
-    sharp = block_diagonalize_ind1(a).sharp()
-    if not with_generator:
-        return sharp
-    return sharp, a - sharp
+    return block_diagonalize_ind1(a).sharp()
 
 
 def is_dual_nilpotent(a: DualMatrix) -> bool:

@@ -13,13 +13,15 @@ core-nilpotent form A^ = P^ diag(C^, N^) P^^(-1) of block_decomposition:
     WDDI(A^) = P^ diag(C^^(-1), 0) P^^(-1),
     (I - M M^D) K (I - M M^D) = P diag(0, K22) P^(-1),  K22 = dual part of N^^k,
 
-so no projector, Drazin inverse or power of A^ is formed.  When the DDI
-exists it is the WDDI.  The group flavour (DGI / WDGI) is the index-1 case
-of the same form, and the DGI exists exactly when dind = 1 (E22 = 0).  The
-form, K22 and dind come from the analysis block_decomposition keeps of the
-last dual matrix asked about, so several calls on the same object build
-them once.  existence_profile alone still takes the two ranks of A^^k, as a
-route independent of the block form.
+so wddi, ddi, ddi_obstruction, wdgi and dgi form no projector, Drazin
+inverse or power of A^.  When the DDI exists it is the WDDI.  The group
+flavour (DGI / WDGI) is the index-1 case of the same form, and the DGI
+exists exactly when dind = 1 (E22 = 0).  The form, K22 and dind come from
+the analysis block_decomposition keeps of the last dual matrix asked about,
+so several calls on the same object build them once.  Two calls do form a
+power of A^: existence_profile takes the two ranks of A^^k, as a route
+independent of the block form, and verify forms the power A^^e that its
+first equation names.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def existence_profile(a: DualMatrix) -> ExistenceProfile:
     _square(a)
     analysis = _analysis(a)
     obstruction = analysis.obstruction
-    ar, dr = rank_profile(dual_power(a, analysis.aind)[0])
+    ar, dr = rank_profile(dual_power(a, analysis.aind))
     return ExistenceProfile(
         ddi_exists=obstruction.is_zero,
         index_equality=analysis.bottom[1] == analysis.aind,
@@ -170,7 +172,7 @@ def verify(a: DualMatrix, x: DualMatrix, kind: str) -> VerificationReport:
         e = _analysis(a).aind
     else:
         e = 1 if kind == "group" else 2
-    a_e, _ = dual_power(a, e)
+    a_e = dual_power(a, e)
     checks = (
         (f"A X A^{e} = A^{e}", a @ x @ a_e == a_e),
         ("X A X = X", x @ a @ x == x),

@@ -268,8 +268,8 @@ def weak_dual_part_oracle(a: DualMatrix, t: int) -> RealMatrix:
     m, m0 = a.std, a.dual
     n = m.rows
     md = drazin(m)
-    power_t, big_k = dual_power(a, t)
-    mt = power_t.std
+    power_t = dual_power(a, t)
+    mt, big_k = power_t.std, power_t.dual
     eye = RealMatrix.identity(n)
     eye2 = RealMatrix.identity(n * n)
     rows_a = kron(mt.T, m)
@@ -327,7 +327,7 @@ def weak_drazin_dual_part_horner(
 def obstruction_projector(a: DualMatrix) -> RealMatrix:
     """DDI obstruction in projector form, (I - M M^D) K (I - M M^D) with K
     the dual part of A^^aind."""
-    kd = dual_power(a, index(a.std))[1]
+    kd = dual_power(a, index(a.std)).dual
     proj = RealMatrix.identity(a.rows) - a.std @ drazin(a.std)
     return proj @ kd @ proj
 
@@ -336,7 +336,7 @@ def dual_index_bordered(a: DualMatrix) -> int:
     """The first t in [aind, 2*aind] at which the two ranks of A^^t agree,
     each rank pair from the bordered 2n x 2n form of A^^t."""
     aind = index(a.std)
-    power, _ = dual_power(a, aind)
+    power = dual_power(a, aind)
     for t in range(aind, 2 * aind + 1):
         arank, drank = rank_profile(power)
         if arank == drank:

@@ -143,7 +143,7 @@ class TestDualAffineSet:
         sols = dual_solve(cases.DGI_ABSENT, cases.RHS_MIXED)
         s1 = DualAffineSet.from_solutions(sols)
         assert s1.same_set(s1)
-        shifted = DualAffineSet(s1.point + s1.span.column(0), s1.span)
+        shifted = DualAffineSet(s1.point + s1.span.submatrix(0, s1.span.rows, 0, 1), s1.span)
         assert s1.same_set(shifted)
 
     def test_range_set(self):

@@ -74,11 +74,9 @@ class TestIndexProfile:
             assert p.aind <= p.dind <= 2 * p.aind
             # the dual index is the first t where the two ranks agree
             for t in range(p.aind, p.dind):
-                power, _ = dual_power(a, t)
-                ar, dr = rank_profile(power)
+                ar, dr = rank_profile(dual_power(a, t))
                 assert ar != dr
-            power, _ = dual_power(a, p.dind)
-            ar, dr = rank_profile(power)
+            ar, dr = rank_profile(dual_power(a, p.dind))
             assert ar == dr
 
     def test_profile_of_zero_matrix(self):
