@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from dualinv import (
     DimensionError,
     DualMatrix,
+    NotInvertible,
     RealMatrix,
     block2x2,
     block_diag,
+    dual_inverse,
     dual_power,
     hstack,
     vstack,
@@ -92,6 +94,52 @@ class TestRealMatrix:
         m = RealMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
         assert m.columns_at((2, 0)) == RealMatrix.from_rows([[3, 1], [6, 4]])
         assert m.submatrix(0, 1, 1, 3) == RealMatrix.from_rows([[2, 3]])
+
+
+def dual_number(std, dual) -> DualMatrix:
+    """The dual number std + eps*dual as a 1x1 dual matrix."""
+    return DualMatrix.of([[std]], [[dual]])
+
+
+class TestDualNumbers:
+    # dual-number arithmetic, carried by 1x1 dual matrices and by dual
+    # multiples of the identity
+    def test_product_rule(self):
+        a = dual_number(2, 3)
+        b = dual_number(5, -1)
+        assert a @ b == dual_number(10, 2 * -1 + 3 * 5)
+
+    def test_inverse_of_unit(self):
+        # (1 + 3eps)^(-1) = 1 - 3eps
+        x = dual_number(1, 3)
+        assert dual_inverse(x) == dual_number(1, -3)
+        assert x @ dual_inverse(x) == dual_number(1, 0)
+
+    def test_division_requires_appreciable_divisor(self):
+        with pytest.raises(NotInvertible):
+            dual_inverse(dual_number(0, 5))
+
+    def test_division_round_trip(self):
+        rng = random.Random(7)
+        for _ in range(50):
+            a = dual_number(support.rand_fraction(rng), support.rand_fraction(rng))
+            b = dual_number(support.rand_fraction(rng), support.rand_fraction(rng))
+            if b.std.is_zero:
+                continue
+            assert (a @ dual_inverse(b)) @ b == a
+
+    def test_entry_access(self):
+        assert cases.DDI_ABSENT.std[0, 2] == 0
+        assert cases.DDI_ABSENT.dual[0, 2] == 1
+
+    def test_scale_by_dual_scalar(self):
+        # (2 + eps) * A is the product with (2 + eps) * I
+        a = cases.DGI_ABSENT
+        two_eps = DualMatrix.of([[2, 0], [0, 2]], [[1, 0], [0, 1]])
+        scaled = two_eps @ a
+        assert scaled == a @ two_eps
+        assert scaled.std == a.std + a.std
+        assert scaled.dual == a.std + a.dual + a.dual
 
 
 class TestDualMatrix:
