@@ -1,13 +1,14 @@
 """The integer kernels of ``RealMatrix.__matmul__`` and ``rref`` against the
 Fraction loops they replaced (``support.matmul_reference`` and
-``support.rref_reference``) and against sympy's ``Matrix.rref``."""
+``support.rref_reference``), and ``rref``, ``rank``, ``nullspace``,
+``inverse`` and ``moore_penrose`` against sympy as an independent oracle."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from dualinv import RealMatrix, rref
+from dualinv import NotInvertible, RealMatrix, inverse, moore_penrose, nullspace, rank, rref
 
 import support
 
@@ -65,17 +66,74 @@ def test_matmul_matches_fraction_reference():
         assert _all_fractions(product)
 
 
+def _to_sympy(sympy, m: RealMatrix):
+    return sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.entries]
+    )
+
+
+def _from_sympy(s) -> RealMatrix:
+    return RealMatrix(
+        s.rows,
+        s.cols,
+        tuple(tuple(Fraction(int(x.p), int(x.q)) for x in s.row(i)) for i in range(s.rows)),
+    )
+
+
 def test_rref_matches_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(2026)
     for _ in range(300):
         m = _matrix(rng, rng.randint(1, 6), rng.randint(1, 7))
-        expected, expected_pivots = sympy.Matrix(
-            [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.entries]
-        ).rref()
+        expected, expected_pivots = _to_sympy(sympy, m).rref()
         reduced, pivots = rref(m)
         assert pivots == tuple(expected_pivots)
-        assert reduced.entries == tuple(
-            tuple(Fraction(int(x.p), int(x.q)) for x in expected.row(i))
-            for i in range(m.rows)
+        assert reduced == _from_sympy(expected)
+
+
+def test_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2027)
+    for _ in range(300):
+        m = _matrix(rng, rng.randint(1, 6), rng.randint(1, 7))
+        assert rank(m) == _to_sympy(sympy, m).rank(), m
+
+
+def test_nullspace_matches_sympy():
+    # sympy also sets one free variable to 1 at a time, in column order, so
+    # the bases agree column for column
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2028)
+    for _ in range(300):
+        m = _matrix(rng, rng.randint(1, 6), rng.randint(1, 7))
+        basis = _to_sympy(sympy, m).nullspace()
+        expected = (
+            _from_sympy(sympy.Matrix.hstack(*basis)) if basis else RealMatrix.zeros(m.cols, 0)
         )
+        assert nullspace(m) == expected, m
+
+
+def test_inverse_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2029)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        m = _matrix(rng, n, n)
+        s = _to_sympy(sympy, m)
+        if s.det() == 0:
+            singular += 1
+            with pytest.raises(NotInvertible):
+                inverse(m)
+        else:
+            assert inverse(m) == _from_sympy(s.inv()), m
+    # both outcomes are exercised
+    assert 0 < singular < 300
+
+
+def test_moore_penrose_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2030)
+    for _ in range(300):
+        m = _matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+        assert moore_penrose(m) == _from_sympy(_to_sympy(sympy, m).pinv()), m
