@@ -8,9 +8,10 @@ string, never as a number, so exactness survives any JSON parser:
      "dual": [["0", "0"],   ["2/7", "1"]]}
 
 Strings must match -?[0-9]+(/[1-9][0-9]*)?; a zero denominator therefore
-fails at the syntax level.  Output documents always print in lowest terms
-(the arithmetic keeps fractions reduced), row-major, with sorted keys, so
-identical inputs give byte-identical output.
+fails at the syntax level.  Output documents always print each entry in
+lowest terms (reduced from the matrix's ints over its one denominator at
+print time), row-major, with sorted keys, so identical inputs give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .exceptions import ParseError
 from .matrices import DualMatrix, RealMatrix
@@ -115,15 +117,21 @@ def _decimal(n: int) -> str:
     return str(n) + "".join(f"{c:0{_CHUNK_DIGITS}d}" for c in reversed(chunks))
 
 
-def _rational_text(x: Fraction) -> str:
-    """str(x) for a Fraction of any size: p, or p/q in lowest terms."""
-    if x.denominator == 1:
-        return _decimal(x.numerator)
-    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+def _rational_text(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for ints of any size with q > 0: the reduced
+    numerator, or numerator/denominator."""
+    g = gcd(p, q)
+    if g != 1:
+        p, q = p // g, q // g
+    if q == 1:
+        return _decimal(p)
+    return f"{_decimal(p)}/{_decimal(q)}"
 
 
 def _grid(m: RealMatrix) -> list[list[str]]:
-    return [[_rational_text(x) for x in row] for row in m.entries]
+    """Each entry nums[i][j] / den reduced on its own, as printed text."""
+    den = m.den
+    return [[_rational_text(x, den) for x in row] for row in m.nums]
 
 
 def matrix_to_document(m: DualMatrix) -> dict:

@@ -4,30 +4,31 @@ Pivots are chosen as the first nonzero entry in column order.  Magnitude
 pivoting buys nothing in exact arithmetic and would cost determinism, which
 the byte-stable command line output relies on.
 
-``rref`` is integer-preserving: each row is scaled to integers by the lcm of
-its denominators, a row is eliminated as p*row - f*pivot_row and divided by
-the gcd of its entries, and each pivot row is divided by its pivot only at
-the end.  Every integer row stays a nonzero multiple of the row that
-elimination over Fraction would hold, so the zero pattern, the pivots and
-the row swaps are the same, and since the reduced form is unique the result
-is the same matrix, entry for entry.
+Elimination runs on the int rows of a matrix (see ``matrices``); scaling a
+row changes neither its zero pattern nor the reduced form, so the common
+denominator plays no part.  A row is eliminated as p*row - f*pivot_row and
+divided by the gcd of its entries, and each pivot row is divided by its
+pivot only when the reduced form is built.  Every integer row stays a
+nonzero multiple of the row that elimination over Fraction would hold, so
+the zero pattern, the pivots and the row swaps are the same, and since the
+reduced form is unique the result is the same matrix, entry for entry.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .exceptions import DimensionError, NotInvertible
-from .matrices import RealMatrix, _scaled, hstack
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .matrices import RealMatrix, _reduced, hstack
 
 
-def rref(m: RealMatrix) -> tuple[RealMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the tuple of pivot columns."""
-    work = [_scaled(row)[1] for row in m.entries]
+def _eliminate(m: RealMatrix, above: bool = True) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan on the ints of m: rows whose first len(pivots) are
+    nonzero multiples of the reduced form's nonzero rows (the rest are
+    zero), and the pivot columns.  With ``above`` false only the rows below
+    each pivot are cleared, which leaves the pivot columns as they are and
+    is all a rank needs."""
+    work = [list(row) for row in m.nums]
     pivots: list[int] = []
     pr = 0
     for pc in range(m.cols):
@@ -39,7 +40,7 @@ def rref(m: RealMatrix) -> tuple[RealMatrix, tuple[int, ...]]:
         work[pr], work[hit] = work[hit], work[pr]
         row_pr = work[pr]
         p = row_pr[pc]
-        for i in range(m.rows):
+        for i in range(0 if above else pr + 1, m.rows):
             f = work[i][pc]
             if i != pr and f:
                 row = [p * a - f * b for a, b in zip(work[i], row_pr)]
@@ -47,15 +48,26 @@ def rref(m: RealMatrix) -> tuple[RealMatrix, tuple[int, ...]]:
                 work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(pc)
         pr += 1
-    zero_row = (ZERO,) * m.cols
-    out = tuple(
-        tuple(Fraction(x, row[pc]) for x in row) for row, pc in zip(work, pivots)
-    ) + (zero_row,) * (m.rows - pr)
-    return RealMatrix(m.rows, m.cols, out), tuple(pivots)
+    return work, pivots
+
+
+def rref(m: RealMatrix) -> tuple[RealMatrix, tuple[int, ...]]:
+    """Reduced row echelon form and the tuple of pivot columns."""
+    work, pivots = _eliminate(m)
+    r = len(pivots)
+    # each pivot row divided by its pivot, over the lcm of the pivots
+    den = lcm(*(row[pc] for row, pc in zip(work, pivots)))
+    nums = []
+    for row, pc in zip(work, pivots):
+        scale = den // row[pc]
+        nums.append(tuple(x * scale for x in row))
+    if m.rows > r:
+        nums += ((0,) * m.cols,) * (m.rows - r)
+    return _reduced(m.rows, m.cols, tuple(nums), den), tuple(pivots)
 
 
 def rank(m: RealMatrix) -> int:
-    return len(rref(m)[1])
+    return len(_eliminate(m, above=False)[1])
 
 
 def nullspace(m: RealMatrix) -> RealMatrix:
@@ -77,15 +89,15 @@ def _null_basis(
     pivot columns."""
     pivot_set = set(pivots)
     free = [j for j in range(cols) if j not in pivot_set]
-    columns = []
-    for f in free:
-        v = [ZERO] * cols
-        v[f] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -reduced.entries[i][f]
-        columns.append(v)
-    entries = tuple(tuple(col[i] for col in columns) for i in range(cols))
-    return RealMatrix(cols, len(free), entries)
+    den = reduced.den
+    # over reduced's denominator a free variable's 1 is den, and a bound
+    # variable is minus the int of the reduced form
+    rows: list = [None] * cols
+    for t, f in enumerate(free):
+        rows[f] = tuple(den if u == t else 0 for u in range(len(free)))
+    for row, pc in zip(reduced.nums, pivots):
+        rows[pc] = tuple(-row[f] for f in free)
+    return _reduced(cols, len(free), tuple(rows), den)
 
 
 def solve(a: RealMatrix, b: RealMatrix) -> tuple[RealMatrix, RealMatrix] | None:
@@ -99,10 +111,10 @@ def solve(a: RealMatrix, b: RealMatrix) -> tuple[RealMatrix, RealMatrix] | None:
     reduced, pivots = rref(hstack(a, b))
     if any(pc >= a.cols for pc in pivots):
         return None
-    particular_rows = [[ZERO] * b.cols for _ in range(a.cols)]
-    for i, pc in enumerate(pivots):
-        particular_rows[pc] = list(reduced.entries[i][a.cols:])
-    particular = RealMatrix(a.cols, b.cols, tuple(tuple(r) for r in particular_rows))
+    particular_rows = [(0,) * b.cols] * a.cols
+    for row, pc in zip(reduced.nums, pivots):
+        particular_rows[pc] = row[a.cols:]
+    particular = _reduced(a.cols, b.cols, tuple(particular_rows), reduced.den)
     # every pivot lies left of b, so the left block is the reduced form of a
     return particular, _null_basis(reduced, pivots, a.cols)
 
@@ -128,5 +140,5 @@ def column_space_contains(span: RealMatrix, vectors: RealMatrix) -> bool:
         raise DimensionError("column space test needs equal row counts")
     # the pivots left of the vectors are those of span's own reduced form, so
     # the ranks agree exactly when no pivot falls among the vectors
-    pivots = rref(hstack(span, vectors))[1]
+    pivots = _eliminate(hstack(span, vectors), above=False)[1]
     return all(pc < span.cols for pc in pivots)

@@ -6,53 +6,59 @@ A dual matrix A + eps*A0, with eps*eps = 0, is a pair of rational matrices
     (A + eps*A0)(B + eps*B0) = AB + eps*(A*B0 + A0*B)
 
 Everything here is immutable and exact; no floating point anywhere.
-Entries are stored as Fraction, the type every caller sees.  The matrix
-product runs its inner loop on Python ints: each row of the left factor and
-each column of the right factor is scaled by the lcm of its denominators,
-and one Fraction is built per output entry.
+A rational matrix is stored as rows of Python ints over one positive
+denominator, always in lowest terms: entry (i, j) is nums[i][j] / den and
+gcd(den, every num) == 1, so the zero matrix has den 1 and two matrices are
+equal exactly when their shapes, ints and denominators are.  Every kernel
+runs on the ints and reduces its result by one gcd pass over the whole
+matrix, not one per entry.  Fraction appears only at the edges: the
+constructors accept Fraction grids, and ``entries`` and ``m[i, j]`` give
+Fraction values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from itertools import chain
+from math import gcd, lcm
+from operator import add, mul, sub
 
 from .exceptions import DimensionError
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
-
-def _freeze(entries) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in entries)
-
-
-@dataclass(frozen=True)
 class RealMatrix:
-    """Immutable rational matrix.
+    """Immutable rational matrix whose entry (i, j) is ``nums[i][j] / den``.
 
-    ``entries`` is a tuple of row tuples of Fraction.  Use ``from_rows`` for
-    anything hand-written; the raw constructor trusts its input types and
-    only validates the shape.
+    ``nums`` is a tuple of row tuples of int and ``den`` a positive int, in
+    lowest terms together.  The raw constructor takes a grid of Fraction or
+    int rows and validates only the shape; ``from_rows`` takes anything
+    Fraction accepts.  ``entries`` is the same grid as Fraction rows, built
+    on first use and kept.  No attribute may be assigned after construction.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("rows", "cols", "nums", "den", "_entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries):
+        if rows < 0 or cols < 0:
             raise DimensionError("negative matrix dimension")
-        if len(self.entries) != self.rows:
+        if len(entries) != rows:
             raise DimensionError("row count does not match entry grid")
-        if any(len(row) != self.cols for row in self.entries):
+        if any(len(row) != cols for row in entries):
             raise DimensionError("ragged entry grid")
+        # each ratio is in lowest terms, so over the lcm of the denominators
+        # the whole grid is too
+        ratios = [[x.as_integer_ratio() for x in row] for row in entries]
+        den = lcm(*(q for row in ratios for _, q in row))
+        self.rows, self.cols, self.den = rows, cols, den
+        self.nums = tuple(tuple(p * (den // q) for p, q in row) for row in ratios)
 
     @classmethod
     def from_rows(cls, rows_data, cols: int | None = None) -> "RealMatrix":
-        entries = _freeze(rows_data)
+        entries = tuple(
+            tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row)
+            for row in rows_data
+        )
         r = len(entries)
         if r == 0:
             if cols is None:
@@ -65,11 +71,25 @@ class RealMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RealMatrix":
-        return cls(rows, cols, tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows)))
+        if rows < 0 or cols < 0:
+            raise DimensionError("negative matrix dimension")
+        return _make(rows, cols, ((0,) * cols,) * rows if rows else (), 1)
 
     @classmethod
     def identity(cls, n: int) -> "RealMatrix":
-        return cls(n, n, tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
+        return _make(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as rows of Fraction, built on first use and kept."""
+        try:
+            return self._entries
+        except AttributeError:
+            den = self.den
+            self._entries = grid = tuple(
+                tuple(Fraction(x, den) for x in row) for row in self.nums
+            )
+            return grid
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -81,39 +101,35 @@ class RealMatrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.nums))
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self.entries[i][j]
+        return Fraction(self.nums[i][j], self.den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RealMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.den, self.nums) == (
+            other.rows, other.cols, other.den, other.nums
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.den, self.nums))
 
     def __add__(self, other: "RealMatrix") -> "RealMatrix":
         if self.shape != other.shape:
             raise DimensionError(f"cannot add {self.shape} and {other.shape}")
-        return RealMatrix(
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
+        return _combine(self, other, add)
 
     def __sub__(self, other: "RealMatrix") -> "RealMatrix":
         if self.shape != other.shape:
             raise DimensionError(f"cannot subtract {other.shape} from {self.shape}")
-        return RealMatrix(
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
+        return _combine(self, other, sub)
 
     def __neg__(self) -> "RealMatrix":
-        return RealMatrix(
-            self.rows, self.cols, tuple(tuple(-a for a in row) for row in self.entries)
+        return _make(
+            self.rows, self.cols, tuple(tuple(-x for x in row) for row in self.nums), self.den
         )
 
     def __matmul__(self, other: "RealMatrix") -> "RealMatrix":
@@ -122,17 +138,11 @@ class RealMatrix:
         # inner dimension 0 leaves other without rows to take columns from
         if self.cols == 0:
             return RealMatrix.zeros(self.rows, other.cols)
-        # rows of self and columns of other as (d, ints) with entry = int / d
-        left = [_scaled(row) for row in self.entries]
-        right = [_scaled(col) for col in zip(*other.entries)]
-        out = tuple(
-            tuple(
-                Fraction(sum(map(mul, row, col)), d_row * d_col)
-                for d_col, col in right
-            )
-            for d_row, row in left
+        columns = tuple(zip(*other.nums))
+        nums = tuple(
+            tuple(sum(map(mul, row, col)) for col in columns) for row in self.nums
         )
-        return RealMatrix(self.rows, other.cols, out)
+        return _reduced(self.rows, other.cols, nums, self.den * other.den)
 
     def __pow__(self, k: int) -> "RealMatrix":
         if not self.is_square:
@@ -148,18 +158,19 @@ class RealMatrix:
 
     @property
     def T(self) -> "RealMatrix":
-        return RealMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else tuple(() for _ in range(self.cols)))
+        nums = tuple(zip(*self.nums)) if self.rows else ((),) * self.cols
+        return _make(self.cols, self.rows, nums, self.den)
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "RealMatrix":
         """Rows r0..r1-1 and columns c0..c1-1."""
-        return RealMatrix(
-            r1 - r0, c1 - c0, tuple(row[c0:c1] for row in self.entries[r0:r1])
+        return _reduced(
+            r1 - r0, c1 - c0, tuple(row[c0:c1] for row in self.nums[r0:r1]), self.den
         )
 
     def columns_at(self, indices) -> "RealMatrix":
         idx = tuple(indices)
-        return RealMatrix(
-            self.rows, len(idx), tuple(tuple(row[j] for j in idx) for row in self.entries)
+        return _reduced(
+            self.rows, len(idx), tuple(tuple(row[j] for j in idx) for row in self.nums), self.den
         )
 
     def __repr__(self) -> str:
@@ -167,11 +178,48 @@ class RealMatrix:
         return f"RealMatrix([{body}])"
 
 
-def _scaled(vector) -> tuple[int, list[int]]:
-    """(d, ints) with ints[i] / d == vector[i], d the lcm of the denominators."""
-    ratios = [x.as_integer_ratio() for x in vector]
-    d = lcm(*[q for _, q in ratios])
-    return d, [p * (d // q) for p, q in ratios]
+def _make(rows: int, cols: int, nums, den: int) -> RealMatrix:
+    """A matrix from int rows and a denominator already in lowest terms."""
+    m = object.__new__(RealMatrix)
+    m.rows, m.cols, m.nums, m.den = rows, cols, nums, den
+    return m
+
+
+def _reduced(rows: int, cols: int, nums, den: int) -> RealMatrix:
+    """The matrix nums / den (den > 0) brought to lowest terms by one gcd
+    over the whole grid; a zero grid ends with den 1."""
+    g = den
+    for row in nums:
+        if g == 1:
+            break
+        g = gcd(g, *row)
+    if g != 1:
+        nums = tuple(tuple(x // g for x in row) for row in nums)
+        den //= g
+    return _make(rows, cols, nums, den)
+
+
+def _combine(a: RealMatrix, b: RealMatrix, op) -> RealMatrix:
+    """Entry-wise a op b over the lcm of the two denominators."""
+    den = lcm(a.den, b.den)
+    sa, sb = den // a.den, den // b.den
+    nums = tuple(
+        tuple(op(x * sa, y * sb) for x, y in zip(ra, rb)) for ra, rb in zip(a.nums, b.nums)
+    )
+    return _reduced(a.rows, a.cols, nums, den)
+
+
+def _over(mats, den: int):
+    """The int rows of each matrix rescaled to the common denominator den."""
+    return [
+        m.nums if m.den == den else tuple(tuple(x * (den // m.den) for x in row) for row in m.nums)
+        for m in mats
+    ]
+
+
+# Stacking needs no gcd pass: over the lcm of lowest-terms denominators, a
+# prime power that divides it fully divides one of them, and that block has
+# an int the prime does not divide.
 
 
 def hstack(*mats: RealMatrix) -> RealMatrix:
@@ -180,10 +228,9 @@ def hstack(*mats: RealMatrix) -> RealMatrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise DimensionError("hstack row mismatch")
-    entries = tuple(
-        tuple(x for m in mats for x in m.entries[i]) for i in range(rows)
-    )
-    return RealMatrix(rows, sum(m.cols for m in mats), entries)
+    den = lcm(*(m.den for m in mats))
+    nums = tuple(tuple(chain.from_iterable(parts)) for parts in zip(*_over(mats, den)))
+    return _make(rows, sum(m.cols for m in mats), nums, den)
 
 
 def vstack(*mats: RealMatrix) -> RealMatrix:
@@ -192,8 +239,9 @@ def vstack(*mats: RealMatrix) -> RealMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise DimensionError("vstack column mismatch")
-    entries = tuple(row for m in mats for row in m.entries)
-    return RealMatrix(sum(m.rows for m in mats), cols, entries)
+    den = lcm(*(m.den for m in mats))
+    nums = tuple(chain.from_iterable(_over(mats, den)))
+    return _make(sum(m.rows for m in mats), cols, nums, den)
 
 
 def block2x2(a: RealMatrix, b: RealMatrix, c: RealMatrix, d: RealMatrix) -> RealMatrix:
@@ -265,9 +313,10 @@ class DualMatrix:
         return DualMatrix(-self.std, -self.dual)
 
     def __matmul__(self, other: "DualMatrix") -> "DualMatrix":
+        # std@dual + dual@std as one product of the stacked factors
         return DualMatrix(
             self.std @ other.std,
-            self.std @ other.dual + self.dual @ other.std,
+            hstack(self.std, self.dual) @ vstack(other.dual, other.std),
         )
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "DualMatrix":

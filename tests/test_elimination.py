@@ -1,6 +1,7 @@
 """Row reduction, rank, null spaces, linear solving, inversion."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,24 @@ def test_rank_basics():
     assert rank(RealMatrix.identity(4)) == 4
     assert rank(RealMatrix.zeros(3, 3)) == 0
     assert rank(RealMatrix.zeros(0, 5)) == 0
+
+
+def test_empty_matrix_with_a_huge_side_allocates_nothing_in_proportion():
+    cols = 10**6
+    tracemalloc.start()
+    try:
+        built = (
+            RealMatrix(0, cols, ()),
+            RealMatrix.from_rows([], cols=cols),
+            RealMatrix.zeros(0, cols),
+        )
+        results = [(rref(m), rank(m)) for m in built]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for (reduced, pivots), r in results:
+        assert reduced.shape == (0, cols) and pivots == () and r == 0
+    assert peak < 2**20
 
 
 def test_rank_of_fixture_standard_part():

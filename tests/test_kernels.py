@@ -1,14 +1,37 @@
 """The integer kernels of ``RealMatrix.__matmul__`` and ``rref`` against the
 Fraction loops they replaced (``support.matmul_reference`` and
 ``support.rref_reference``), and ``rref``, ``rank``, ``nullspace``,
-``inverse`` and ``moore_penrose`` against sympy as an independent oracle."""
+``inverse`` and ``moore_penrose`` against sympy as an independent oracle.
+
+Every kernel result must be in the canonical form that ``==`` and ``hash``
+rely on: ints over one positive denominator in lowest terms.  Dense p/q
+inputs at n = 24, where a shared denominator grows to hundreds of bits,
+check the kernels and the WDDI where bit size is large.
+"""
 
 import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
 
-from dualinv import NotInvertible, RealMatrix, inverse, moore_penrose, nullspace, rank, rref
+from dualinv import (
+    DualMatrix,
+    NotInvertible,
+    RealMatrix,
+    dual_power,
+    hstack,
+    index_profile,
+    inverse,
+    moore_penrose,
+    nullspace,
+    rank,
+    rref,
+    solve,
+    vstack,
+    wddi,
+)
 
 import support
 
@@ -137,3 +160,103 @@ def test_moore_penrose_matches_sympy():
     for _ in range(300):
         m = _matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         assert moore_penrose(m) == _from_sympy(_to_sympy(sympy, m).pinv()), m
+
+
+def _canonical(m: RealMatrix) -> bool:
+    """ints over a positive denominator with no common factor (so a zero
+    matrix has denominator 1)."""
+    return (
+        m.den > 0
+        and gcd(m.den, *chain.from_iterable(m.nums)) == 1
+        and all(type(x) is int for x in chain.from_iterable(m.nums))
+    )
+
+
+def test_every_kernel_result_is_in_lowest_terms():
+    rng = random.Random(2031)
+    for _ in range(400):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        a, b = _matrix(rng, rows, cols), _matrix(rng, rows, cols)
+        c = _matrix(rng, cols, rng.randint(0, 5))
+        results = [
+            a, a + b, a - b, a - a, -a, a @ c, a.T, rref(a)[0], nullspace(a), moore_penrose(a),
+            a.submatrix(0, rows // 2, cols // 2, cols), a.columns_at(range(0, cols, 2)),
+            hstack(a, b), vstack(a, b), RealMatrix.zeros(rows, cols), RealMatrix.identity(cols),
+        ]
+        if rows == cols and rank(a) == rows:
+            results.append(inverse(a))
+        outcome = solve(a, _matrix(rng, rows, 2))
+        if outcome is not None:
+            results.extend(outcome)
+        for m in results:
+            assert _canonical(m), m
+
+
+def test_equal_values_built_by_different_routes_are_equal_and_hash_equal():
+    rng = random.Random(2032)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        a, b = _matrix(rng, rows, cols), _matrix(rng, rows, cols)
+        half = RealMatrix.from_rows([[Fraction(1, 2)] * cols] * rows)
+        routes = [
+            RealMatrix(rows, cols, a.entries),
+            RealMatrix.from_rows([[str(x) for x in row] for row in a.entries]),
+            (a + b) - b,
+            -(-a),
+            a @ RealMatrix.identity(cols),
+            (a + half) - half,
+            a.T.T,
+            hstack(a, b).submatrix(0, rows, 0, cols),
+            vstack(b, a).submatrix(rows, 2 * rows, 0, cols),
+            hstack(b, a).columns_at(range(cols, 2 * cols)),
+        ]
+        for m in routes:
+            assert m == a and hash(m) == hash(a), (m, a)
+    zero = RealMatrix.zeros(2, 3)
+    half = RealMatrix.from_rows([[Fraction(1, 2), 0, 0], [0, 0, Fraction(-7, 9)]])
+    for m in (half - half, RealMatrix.from_rows([[0] * 3] * 2), half @ RealMatrix.zeros(3, 3)):
+        assert m == zero and hash(m) == hash(zero) and m.den == 1
+
+
+def _dense(rng, n: int, cols: int) -> RealMatrix:
+    return RealMatrix(
+        n, cols, tuple(tuple(support.rand_fraction(rng, 9) for _ in range(cols)) for _ in range(n))
+    )
+
+
+def test_dense_n24_kernels_match_fraction_references():
+    rng = random.Random(2033)
+    a, b = _dense(rng, 24, 24), _dense(rng, 24, 24)
+    product = a @ b
+    assert product == support.matmul_reference(a, b)
+    assert _canonical(product)
+    assert rref(product) == support.rref_reference(product)
+    # 12 dense columns and 12 combinations of them: rank 12
+    singular = hstack(a.submatrix(0, 24, 0, 12), a.submatrix(0, 24, 0, 12) @ _dense(rng, 12, 12))
+    reduced, pivots = rref(singular)
+    assert (reduced, pivots) == support.rref_reference(singular)
+    assert pivots == tuple(range(12))
+    inv = inverse(product)
+    assert _canonical(inv)
+    eye = RealMatrix.identity(24)
+    assert support.matmul_reference(product, inv) == eye
+    assert inv == support.rref_reference(hstack(product, eye))[0].submatrix(0, 24, 24, 48)
+    # the shared denominator of the inverse is far larger than any one entry's
+    assert inv.den.bit_length() > 500
+
+
+def test_wddi_n24_satisfies_its_defining_equations():
+    rng = random.Random(2034)
+    aind = 3
+    a = support.rand_high_index(rng, 24, aind, ddi_present=False)
+    # a dense p/q similarity keeps the index structure and fills every entry
+    s = _dense(rng, 24, 24)
+    s_inv = inverse(s)
+    a = DualMatrix(s @ a.std @ s_inv, s @ a.dual @ s_inv)
+    profile = index_profile(a)
+    assert (profile.aind, profile.dind) == (aind, 2 * aind)
+    x = wddi(a)
+    a_t = dual_power(a, profile.dind)
+    assert a @ x @ a_t == a_t
+    assert x @ a @ x == x
+    assert a @ x == x @ a
