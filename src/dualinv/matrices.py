@@ -210,16 +210,14 @@ def _combine(a: RealMatrix, b: RealMatrix, op) -> RealMatrix:
 
 
 def _over(mats, den: int):
-    """The int rows of each matrix rescaled to the common denominator den."""
+    """The int rows of each matrix rescaled to den, the lcm of their
+    denominators.  Stacked together they are in lowest terms with no gcd
+    pass: each prime power dividing den fully divides some matrix's
+    denominator, and that matrix has an int the prime does not divide."""
     return [
         m.nums if m.den == den else tuple(tuple(x * (den // m.den) for x in row) for row in m.nums)
         for m in mats
     ]
-
-
-# Stacking needs no gcd pass: over the lcm of lowest-terms denominators, a
-# prime power that divides it fully divides one of them, and that block has
-# an int the prime does not divide.
 
 
 def hstack(*mats: RealMatrix) -> RealMatrix:
