@@ -201,20 +201,19 @@ def _reduced(rows: int, cols: int, nums, den: int) -> RealMatrix:
 
 def _combine(a: RealMatrix, b: RealMatrix, op) -> RealMatrix:
     """Entry-wise a op b over the lcm of the two denominators."""
-    den = lcm(a.den, b.den)
-    sa, sb = den // a.den, den // b.den
-    nums = tuple(
-        tuple(op(x * sa, y * sb) for x, y in zip(ra, rb)) for ra, rb in zip(a.nums, b.nums)
-    )
+    den, (na, nb) = _over((a, b))
+    nums = tuple(tuple(map(op, ra, rb)) for ra, rb in zip(na, nb))
     return _reduced(a.rows, a.cols, nums, den)
 
 
-def _over(mats, den: int):
-    """The int rows of each matrix rescaled to den, the lcm of their
-    denominators.  Stacked together they are in lowest terms with no gcd
-    pass: each prime power dividing den fully divides some matrix's
-    denominator, and that matrix has an int the prime does not divide."""
-    return [
+def _over(mats) -> tuple[int, list]:
+    """(den, grids): den is the lcm of the matrices' denominators and each
+    grid a matrix's int rows rescaled to it.  Stacked together the grids
+    are in lowest terms with no gcd pass: each prime power dividing den
+    fully divides some matrix's denominator, and that matrix has an int the
+    prime does not divide."""
+    den = lcm(*(m.den for m in mats))
+    return den, [
         m.nums if m.den == den else tuple(tuple(x * (den // m.den) for x in row) for row in m.nums)
         for m in mats
     ]
@@ -226,8 +225,8 @@ def hstack(*mats: RealMatrix) -> RealMatrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise DimensionError("hstack row mismatch")
-    den = lcm(*(m.den for m in mats))
-    nums = tuple(tuple(chain.from_iterable(parts)) for parts in zip(*_over(mats, den)))
+    den, grids = _over(mats)
+    nums = tuple(tuple(chain.from_iterable(parts)) for parts in zip(*grids))
     return _make(rows, sum(m.cols for m in mats), nums, den)
 
 
@@ -237,8 +236,8 @@ def vstack(*mats: RealMatrix) -> RealMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise DimensionError("vstack column mismatch")
-    den = lcm(*(m.den for m in mats))
-    nums = tuple(chain.from_iterable(_over(mats, den)))
+    den, grids = _over(mats)
+    nums = tuple(chain.from_iterable(grids))
     return _make(sum(m.rows for m in mats), cols, nums, den)
 
 

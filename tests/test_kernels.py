@@ -241,7 +241,7 @@ def test_dense_n24_kernels_match_fraction_references():
     eye = RealMatrix.identity(24)
     assert support.matmul_reference(product, inv) == eye
     assert inv == support.rref_reference(hstack(product, eye))[0].submatrix(0, 24, 24, 48)
-    # the shared denominator of the inverse is far larger than any one entry's
+    # the inverse's denominator runs to hundreds of bits
     assert inv.den.bit_length() > 500
 
 
