@@ -82,3 +82,47 @@ class TestIndexProfile:
     def test_profile_of_zero_matrix(self):
         p = index_profile(DualMatrix.zeros(2, 2))
         assert (p.arank, p.drank, p.aind, p.dind) == (0, 0, 1, 1)
+
+
+def _special(rng):
+    yield DualMatrix.zeros(0, 0)
+    for n in (1, 2, 3, 5):
+        yield DualMatrix.zeros(n, n)
+        yield DualMatrix.eps(support.rand_matrix(rng, n, n))
+        yield DualMatrix.eps(support.rand_low_rank(rng, n, rng.randint(0, n - 1)))
+        yield support.rand_dual_invertible_std(rng, n)
+
+
+def _low_rank(rng):
+    for n in support.size_mix(rng, 60, small=(1, 2, 3, 4), large=(5, 6)):
+        yield DualMatrix(
+            support.rand_low_rank(rng, n, rng.randint(0, n)),
+            support.rand_low_rank(rng, n, rng.randint(0, n)),
+        )
+
+
+def _nilpotent(rng):
+    for n in support.size_mix(rng, 40, small=(1, 2, 3, 4), large=(5, 6)):
+        yield DualMatrix(support.rand_nilpotent(rng, n), support.rand_matrix(rng, n, n))
+
+
+def _high_index(rng):
+    for aind in (2, 3, 4):
+        for present in (True, False):
+            for n in range(aind, aind + 3):
+                yield support.rand_high_index(rng, n, aind, present)
+
+
+class TestIndexProfileRanksAgainstDoubled:
+    """index_profile's (arank, drank) against rank_profile, which takes the
+    ranks of M and of the whole 2n x 2n doubled matrix directly."""
+
+    @pytest.mark.parametrize(
+        "kind, seed",
+        [(_special, 401), (_low_rank, 402), (_nilpotent, 403), (_high_index, 404)],
+        ids=["special", "low_rank", "nilpotent", "high_index"],
+    )
+    def test_ranks_match_the_direct_route(self, kind, seed):
+        for a in kind(random.Random(seed)):
+            p = index_profile(a)
+            assert (p.arank, p.drank) == rank_profile(a), (a.std, a.dual)
