@@ -13,16 +13,19 @@ the WDGI at index 1 (where N^ = eps*E22); the DDI obstruction
 (I - M M^D) K (I - M M^D), K the dual part of A^^k, is P diag(0, K22) P^(-1)
 with K22 that of N^^k; and dind(A^) is the first t >= k with N^^t = 0, since
 P^ keeps both ranks of A^^t, C^^t is invertible and N^^t = eps*K22(t) for
-t >= k.  The dual index needs only N and E22.
+t >= k.  For the same reason both ranks of A^ exceed those of N^ by r:
+rank(M) = r + rank(N) and rank(doubled(A^)) = 2r + rank(doubled(N^)), as the
+doubling map is multiplicative.  K22, dind and the two ranks all come from
+the form's N^.
 
 Each public function reads these objects off one _Analysis of its input,
-whose parts (rref and index of M, the core-nilpotent form, (K22, dind), the
-obstruction, the dual block form, the WDDI, the rank profile) are built on
-first use and then kept.  The module holds the analysis of the last dual
-matrix asked about and hands it out again only for that very object, never
-for an equal copy; analysing another object drops it, so at most one input
-is kept alive.  When M is invertible the rank of M gives aind = 1 with no
-power of M, and the form takes P = I and C^ = A^ (N^ is 0 x 0).
+whose parts (the index of M, the core-nilpotent form, the dual block form,
+(K22, dind), the obstruction, the WDDI) are built on first use and then
+kept.  The module holds the analysis of the last dual matrix asked about and
+hands it out again only for that very object, never for an equal copy;
+analysing another object drops it, so at most one input is kept alive.  When
+M is invertible the rank of M gives aind = 1 with no power of M, and the form
+takes P = I and C^ = A^ (N^ is 0 x 0).
 """
 
 from __future__ import annotations
@@ -33,15 +36,13 @@ from functools import cached_property
 from .exceptions import (
     DimensionError,
     IndexTooLarge,
-    InternalInvariantViolation,
     NotInvertible,
     PreconditionViolated,
 )
 from .matrices import DualMatrix, RealMatrix, block2x2, block_diag, dual_block_diag
 from .matrices import hstack, vstack
-from .elimination import rank, rref
 from .real_inverses import CoreNilpotentDecomposition, _core_nilpotent_at, _index_power
-from .dual_linear import doubled, dual_inverse
+from .dual_linear import dual_inverse
 
 
 @dataclass(frozen=True)
@@ -118,29 +119,16 @@ def _decompose(
     )
 
 
-def _bottom_block_powers(
-    a: DualMatrix, cn: CoreNilpotentDecomposition
-) -> tuple[RealMatrix, int]:
-    """(K22, dind) from N^ = N + eps*E22 alone, with E22 from the last n - r
-    rows of P^(-1) and the last n - r columns of P: K22 is the dual part of
-    N^^k and dind the first t >= k with N^^t = 0, at most 2k as N^k = 0."""
-    n, r = a.rows, cn.r
-    e22 = cn.p_inv.submatrix(r, n, 0, n) @ a.dual @ cn.p.submatrix(0, n, r, n)
-    nhat = power = DualMatrix(cn.n, e22)
-    for _ in range(cn.k - 1):
+def _bottom_block_powers(nhat: DualMatrix, k: int) -> tuple[RealMatrix, int]:
+    """(K22, dind) from N^ alone: K22 is the dual part of N^^k and dind the
+    first t >= k with N^^t = 0, at most 2k as N^k = 0."""
+    power = nhat
+    for _ in range(k - 1):
         power = power @ nhat
-    k22, t = power.dual, cn.k
+    k22, t = power.dual, k
     while not power.is_zero:
         power, t = power @ nhat, t + 1
     return k22, t
-
-
-def _rank_profile(a: DualMatrix, arank: int) -> tuple[int, int]:
-    """(arank, drank) given arank = rank(M), for a dual matrix of any shape."""
-    drank = rank(doubled(a)) - arank
-    if drank < arank:
-        raise InternalInvariantViolation("dual rank fell below appreciable rank")
-    return arank, drank
 
 
 class _Analysis:
@@ -151,13 +139,9 @@ class _Analysis:
         self.a = a
 
     @cached_property
-    def echelon(self) -> tuple[RealMatrix, tuple[int, ...]]:
-        return rref(self.a.std)
-
-    @cached_property
     def index_power(self) -> tuple[int, RealMatrix, tuple]:
         """(aind, M^aind, rref(M^aind))."""
-        return _index_power(self.a.std, self.echelon)
+        return _index_power(self.a.std)
 
     @property
     def aind(self) -> int:
@@ -170,7 +154,7 @@ class _Analysis:
     @cached_property
     def bottom(self) -> tuple[RealMatrix, int]:
         """(K22, dind)."""
-        return _bottom_block_powers(self.a, self.cn)
+        return _bottom_block_powers(self.form.nhat, self.cn.k)
 
     @cached_property
     def obstruction(self) -> RealMatrix:
@@ -186,10 +170,6 @@ class _Analysis:
     @cached_property
     def wddi(self) -> DualMatrix:
         return self.form.weak_drazin_inverse()
-
-    @cached_property
-    def rank_profile(self) -> tuple[int, int]:
-        return _rank_profile(self.a, len(self.echelon[1]))
 
 
 _last: _Analysis | None = None

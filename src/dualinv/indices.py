@@ -10,10 +10,15 @@ rank(M), since swapping block rows turns one matrix into the other.  The
 appreciable index is the index of M; the dual index is the smallest power t
 at which the two ranks of A^t agree.  That t always lands in [aind, 2*aind].
 
-index_profile reads all four off the shared analysis of block_decomposition:
-rank(M) is taken once for arank and the index, the index and the
-core-nilpotent form of M come from one rank sequence, and dind is the first
-t >= aind with N^^t = 0 in the dual core-nilpotent form.
+index_profile reads all four off the dual core-nilpotent form
+A^ = P^ diag(C^, N^) P^^(-1) of block_decomposition.  P^ and the r x r block
+C^ are dual-invertible and the doubling map is multiplicative, so
+
+    rank(M) = r + rank(N),  rank(doubled(A^)) = 2r + rank(doubled(N^)),
+
+and the two ranks are r plus those of N^, an (n - r) x (n - r) matrix.  aind
+is the index of M; dind, like the K22 of the DDI obstruction, is read off
+the same N^: the first t >= aind with N^^t = 0.
 """
 
 from __future__ import annotations
@@ -23,12 +28,17 @@ from dataclasses import dataclass
 from .exceptions import DimensionError, InternalInvariantViolation
 from .matrices import DualMatrix
 from .elimination import rank
-from .block_decomposition import _analysis, _rank_profile
+from .dual_linear import doubled
+from .block_decomposition import _analysis
 
 
 def rank_profile(a: DualMatrix) -> tuple[int, int]:
     """(appreciable rank, dual rank) of a dual matrix of any shape."""
-    return _rank_profile(a, rank(a.std))
+    arank = rank(a.std)
+    drank = rank(doubled(a)) - arank
+    if drank < arank:
+        raise InternalInvariantViolation("dual rank fell below appreciable rank")
+    return arank, drank
 
 
 @dataclass(frozen=True)
@@ -50,4 +60,6 @@ def index_profile(a: DualMatrix) -> DualIndexProfile:
     if not a.std.is_square:
         raise DimensionError("index of a non-square dual matrix")
     analysis = _analysis(a)
-    return DualIndexProfile(*analysis.rank_profile, analysis.aind, analysis.bottom[1])
+    r = analysis.form.r
+    arank, drank = rank_profile(analysis.form.nhat)
+    return DualIndexProfile(r + arank, r + drank, analysis.aind, analysis.bottom[1])

@@ -22,20 +22,20 @@ def index(m: RealMatrix) -> int:
     """
     if not m.is_square:
         raise DimensionError("index of a non-square matrix")
-    return _index_power(m, rref(m))[0]
+    return _index_power(m)[0]
 
 
-def _index_power(m: RealMatrix, echelon) -> tuple[int, RealMatrix, tuple]:
-    """(k, M^k, rref(M^k)) for the index k of square M, given rref(M).
+def _index_power(m: RealMatrix) -> tuple[int, RealMatrix, tuple]:
+    """(k, M^k, rref(M^k)) for the index k of square M.
 
     The power and its reduced form are those the rank sequence stopped at,
     so the core-nilpotent form needs neither product nor elimination again.
     An invertible M stops at k = 1 without forming M^2.
     """
-    if len(echelon[1]) == m.rows:
-        return 1, m, echelon
-    power, reduced = m, echelon
-    for k in range(1, max(m.rows, 1) + 1):
+    power, reduced = m, rref(m)
+    if len(reduced[1]) == m.rows:
+        return 1, m, reduced
+    for k in range(1, m.rows + 1):
         power_next = power @ m
         reduced_next = rref(power_next)
         if len(reduced_next[1]) == len(reduced[1]):
@@ -73,7 +73,7 @@ class CoreNilpotentDecomposition:
 def core_nilpotent(m: RealMatrix) -> CoreNilpotentDecomposition:
     if not m.is_square:
         raise DimensionError("core-nilpotent form of a non-square matrix")
-    return _core_nilpotent_at(m, *_index_power(m, rref(m)))
+    return _core_nilpotent_at(m, *_index_power(m))
 
 
 def _core_nilpotent_at(

@@ -14,8 +14,13 @@ analysing another object releases the first (memory stays bounded), and a
 part whose construction raised is built again on the next call.  An
 invertible standard part forms no power of M and no inverse of P.
 
+index_profile takes its two ranks from the bottom block N^ of the form, so
+the doubled matrix it reduces has n - r rows, not n, and the dual index is
+read off that same N^.
+
 The counted index and core-nilpotent functions are the private workers that
-the public index, core_nilpotent and the analysis all run through.
+the public index, core_nilpotent and the analysis all run through; the
+counted rank_profile is the public one.
 """
 
 import gc
@@ -30,7 +35,7 @@ import dualinv
 from dualinv import DualMatrix, ddi, solve_general, solve_restricted, wddi
 from dualinv import ddi_obstruction, dgi, existence_profile, index_profile
 from dualinv import solve_ind1_corollaries, verify, wdgi
-from dualinv import block_decomposition, dual_linear, matrices, real_inverses
+from dualinv import block_decomposition, dual_linear, indices, matrices, real_inverses
 
 import cases
 import support
@@ -40,7 +45,7 @@ COUNTED = {
     "core_nilpotent": (real_inverses, "_core_nilpotent_at"),
     "bottom_block_powers": (block_decomposition, "_bottom_block_powers"),
     "decompose": (block_decomposition, "_decompose"),
-    "rank_profile": (block_decomposition, "_rank_profile"),
+    "rank_profile": (indices, "rank_profile"),
     "in_range": (dual_linear, "in_range"),
     "dual_power": (matrices, "dual_power"),
 }
@@ -91,13 +96,18 @@ def counts(monkeypatch):
             seen[_label] += 1
             return _original(*args, **kwargs)
 
-        for module_name, module in list(sys.modules.items()):
-            if module is None or not module_name.startswith("dualinv"):
-                continue
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
+        _patch_everywhere(monkeypatch, original, counting)
     return seen
+
+
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Bind replacement under every name in dualinv that binds original."""
+    for module_name, module in list(sys.modules.items()):
+        if module is None or not module_name.startswith("dualinv"):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
 
 
 def _fresh(fixture):
@@ -240,21 +250,26 @@ def test_a_part_that_raised_is_built_again(monkeypatch):
     assert verify(a, x, "drazin-k").all_hold
 
 
+def _recording(original, seen):
+    def recording(*args):
+        seen.append(args)
+        return original(*args)
+
+    return recording
+
+
 def test_invertible_standard_part_skips_the_index(counts, monkeypatch):
-    # inside real_inverses, rref runs only on the powers M^2, M^3, ... and
-    # inverse only on P, so neither may run when M is invertible
-    later = Counter()
-    for name in ("rref", "inverse"):
+    # inside real_inverses, rref runs once on M itself (its rank ends the
+    # index at 1 with no power of M) and inverse, which only P needs, never
+    reduced, inverted = [], []
+    for name, seen in (("rref", reduced), ("inverse", inverted)):
         original = getattr(real_inverses, name)
-
-        def counting(*args, _name=name, _original=original):
-            later[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(real_inverses, name, counting)
+        monkeypatch.setattr(real_inverses, name, _recording(original, seen))
     rng = random.Random(131)
+    stds = []
     for n in (1, 3, 5):
         a = support.rand_dual_invertible_std(rng, n)
+        stds.append(a.std)
         profile = index_profile(a)
         assert (profile.arank, profile.aind, profile.dind) == (n, 1, 1)
         x = wddi(a)
@@ -262,6 +277,46 @@ def test_invertible_standard_part_skips_the_index(counts, monkeypatch):
         assert ddi_obstruction(a).is_zero
         form = block_decomposition.block_diagonalize_ind1(a)
         assert form.phat == DualMatrix.identity(n) and form.chat == a
-    assert later == Counter(), dict(later)
+    assert len(reduced) == len(stds), len(reduced)
+    assert all(args[0] is m for args, m in zip(reduced, stds))
+    assert inverted == []
     assert counts["index"] == counts["core_nilpotent"] == 3, dict(counts)
     assert counts["rank_profile"] == 3, dict(counts)
+
+
+def _index_profile_inputs():
+    rng = random.Random(137)
+    yield from (_fresh(f)[0] for f in sorted(FIXTURES))
+    for n in (3, 4, 5):
+        yield support.rand_dual_invertible_std(rng, n)
+        yield support.rand_aind1(rng, n)
+    for aind, present in ((2, True), (2, False), (3, False)):
+        yield support.rand_high_index(rng, aind + 2, aind, present)
+
+
+def test_index_profile_doubles_only_the_bottom_block(monkeypatch):
+    doubled_rows = []
+    original = dual_linear.doubled
+    _patch_everywhere(monkeypatch, original, _recording(original, doubled_rows))
+    cores = 0
+    for a in _index_profile_inputs():
+        doubled_rows.clear()
+        index_profile(a)
+        r = block_decomposition._analysis(a).form.r
+        assert [args[0].rows for args in doubled_rows] == [a.rows - r]
+        cores += r > 0
+    # the bottom block is smaller than A^ on most inputs
+    assert cores >= 6
+
+
+def test_the_dual_index_is_read_off_the_forms_bottom_block(monkeypatch):
+    seen = []
+    original = block_decomposition._bottom_block_powers
+    _patch_everywhere(monkeypatch, original, _recording(original, seen))
+    for a in _index_profile_inputs():
+        seen.clear()
+        index_profile(a)
+        analysis = block_decomposition._analysis(a)
+        assert len(seen) == 1
+        assert seen[0][0] is analysis.form.nhat
+        assert seen[0][1] == analysis.aind
