@@ -8,7 +8,7 @@ string, never as a number, so exactness survives any JSON parser:
      "dual": [["0", "0"],   ["2/7", "1"]]}
 
 Strings must match -?[0-9]+(/[1-9][0-9]*)?; a zero denominator therefore
-fails at the syntax level.  Output documents always print each entry in
+fails at the syntax level.  rows and cols are each at most MAX_SIDE.  Output documents always print each entry in
 lowest terms (reduced from the matrix's ints over its one denominator at
 print time), row-major, with sorted keys, so identical inputs give
 byte-identical output.
@@ -28,6 +28,11 @@ from .matrices import DualMatrix, RealMatrix
 RATIONAL_PATTERN = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 DOCUMENT_KEYS = ("rows", "cols", "std", "dual")
+
+# An empty matrix costs time in proportion to its other side, not to the
+# size of its document.  Measured in process on a 2-core host, the slowest of
+# info and compute took 27 ms on a 4096 x 0 document and 0.68 s on 100,000 x 0.
+MAX_SIDE = 4096
 
 
 def _parse_rational(value, location: str) -> Fraction:
@@ -93,6 +98,8 @@ def parse_matrix(text: bytes | str) -> DualMatrix:
     for label, value in (("rows", rows), ("cols", cols)):
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise ParseError("must be a nonnegative integer", label)
+        if value > MAX_SIDE:
+            raise ParseError(f"{value} is past the limit of {MAX_SIDE} per side", label)
     return DualMatrix(
         _parse_grid(data["std"], rows, cols, "std"),
         _parse_grid(data["dual"], rows, cols, "dual"),

@@ -17,7 +17,7 @@ from dualinv import (
     wddi,
 )
 from dualinv.cli import main, run
-from dualinv.documents import matrix_to_document, real_to_document
+from dualinv.documents import MAX_SIDE, matrix_to_document, real_to_document
 
 import cases
 
@@ -208,6 +208,16 @@ def test_overlong_entry_is_a_parse_error(tmp_path, capsys):
     body = json.loads(capsys.readouterr().out)
     assert body["status"] == "error"
     assert body["payload"]["message"].startswith("std[0][0]")
+
+
+def test_side_past_the_limit_is_a_parse_error(tmp_path):
+    wide = tmp_path / "wide.json"
+    for cols, expected in ((MAX_SIDE, 0), (MAX_SIDE + 1, 4)):
+        wide.write_text(json.dumps({"rows": 0, "cols": cols, "std": [], "dual": []}))
+        code, doc = run(["compute", "--kind", "mp-real", str(wide)])
+        assert code == expected, doc
+    assert doc.payload["message"].startswith("cols")
+    assert str(MAX_SIDE) in doc.payload["message"]
 
 
 def test_deeply_nested_document_is_a_parse_error(tmp_path, capsys):

@@ -4,9 +4,11 @@ Whatever bytes a matrix file holds, a command prints exactly one JSON result
 document and exits with a code from the README table.  A valid matrix
 document never ends in an internal error (exit 5).
 
-Declared dimensions stay small: a valid 50-byte document with 0 rows and
-10**9 columns makes ``info`` and ``compute --kind mp-real`` allocate a row
-of that length, so no test may generate one.
+Declared dimensions go up to the parse-time limit MAX_SIDE on each side and
+one past it.  An empty matrix costs time in proportion to its longer side,
+so the valid-document property always runs on 0 x MAX_SIDE and MAX_SIDE x 0
+matrices, and the generated near-documents declare MAX_SIDE and MAX_SIDE + 1;
+the latter must be refused like any other malformed document.
 """
 
 import contextlib
@@ -15,11 +17,12 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from dualinv import DualMatrix, print_matrix
 from dualinv.cli import COMPUTE_KINDS, main
+from dualinv.documents import MAX_SIDE
 from dualinv.dual_inverses import VERIFY_KINDS
 
 STATUS_OF_EXIT = {
@@ -64,6 +67,7 @@ def run_main(argv) -> tuple[int, dict]:
 # --- arbitrary bytes -------------------------------------------------------
 
 small_ints = st.integers(min_value=-2, max_value=4)
+sides_at_the_limit = st.sampled_from([MAX_SIDE, MAX_SIDE + 1])
 literals = st.one_of(
     st.sampled_from(["0", "1", "-1", "1/2", "-3/4", "2/0", "1/-2", "", "-", "1.5"]),
     st.just("9" * 5000),  # past the 4300-digit limit on parsing an int
@@ -93,8 +97,8 @@ def grids(draw):
 
 near_documents = st.fixed_dictionaries(
     {
-        "rows": st.one_of(small_ints, json_values),
-        "cols": st.one_of(small_ints, json_values),
+        "rows": st.one_of(small_ints, sides_at_the_limit, json_values),
+        "cols": st.one_of(small_ints, sides_at_the_limit, json_values),
         "std": st.one_of(grids(), json_values),
         "dual": st.one_of(grids(), json_values),
     }
@@ -169,8 +173,17 @@ def test_any_bytes_give_one_document_with_a_documented_exit(workdir, raw, which,
     run_main(argv)
 
 
+def empty_at_the_limit(rows, cols):
+    """An empty matrix with the longest side a document may declare, as its
+    own candidate inverse, with a zero right-hand side."""
+    a = DualMatrix.zeros(rows, cols)
+    return a, a, DualMatrix.zeros(rows, 1)
+
+
 @settings(FUZZ, max_examples=80)
 @given(triple=valid_triples())
+@example(triple=empty_at_the_limit(0, MAX_SIDE))
+@example(triple=empty_at_the_limit(MAX_SIDE, 0))
 def test_valid_documents_never_give_an_internal_error(workdir, triple):
     paths = []
     for name, matrix in zip("axb", triple):

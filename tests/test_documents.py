@@ -13,6 +13,7 @@ from dualinv import (
     parse_matrix,
     print_matrix,
 )
+from dualinv.documents import MAX_SIDE
 
 import cases
 import support
@@ -88,6 +89,23 @@ def test_malformed_documents_rejected(text, fragment):
     with pytest.raises(ParseError) as info:
         parse_matrix(text)
     assert fragment in str(info.value)
+
+
+def _zeros_document(rows, cols):
+    grid = [["0"] * cols] * rows
+    return json.dumps({"rows": rows, "cols": cols, "std": grid, "dual": grid})
+
+
+@pytest.mark.parametrize("label", ["rows", "cols"])
+def test_each_side_is_bounded(label):
+    def shape(side):
+        return (side, 0) if label == "rows" else (0, side)
+
+    assert parse_matrix(_zeros_document(*shape(MAX_SIDE))).shape == shape(MAX_SIDE)
+    with pytest.raises(ParseError) as info:
+        parse_matrix(_zeros_document(*shape(MAX_SIDE + 1)))
+    assert info.value.location == label
+    assert str(MAX_SIDE) in str(info.value)
 
 
 def test_literal_past_the_int_digit_limit_rejected():
