@@ -8,10 +8,10 @@ string, never as a number, so exactness survives any JSON parser:
      "dual": [["0", "0"],   ["2/7", "1"]]}
 
 Strings must match -?[0-9]+(/[1-9][0-9]*)?; a zero denominator therefore
-fails at the syntax level.  rows and cols are each at most MAX_SIDE.  Output documents always print each entry in
-lowest terms (reduced from the matrix's ints over its one denominator at
-print time), row-major, with sorted keys, so identical inputs give
-byte-identical output.
+fails at the syntax level, and rows and cols are each at most MAX_SIDE.
+Output documents always print each entry in lowest terms (reduced from the
+matrix's ints over its one denominator at print time), row-major, with
+sorted keys, so identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
