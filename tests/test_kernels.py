@@ -1,7 +1,8 @@
 """The integer kernels of ``RealMatrix.__matmul__`` and ``rref`` against the
 Fraction loops they replaced (``support.matmul_reference`` and
 ``support.rref_reference``), and ``rref``, ``rank``, ``nullspace``,
-``inverse`` and ``moore_penrose`` against sympy as an independent oracle.
+``inverse`` and ``moore_penrose`` against sympy as an independent oracle;
+``drazin`` is checked against its defining equations in sympy arithmetic.
 
 Every kernel result must be in the canonical form that ``==`` and ``hash``
 rely on: ints over one positive denominator in lowest terms.  Dense p/q
@@ -19,6 +20,7 @@ import pytest
 from dualinv import (
     DualMatrix,
     NotInvertible,
+    drazin,
     RealMatrix,
     dual_power,
     hstack,
@@ -160,6 +162,24 @@ def test_moore_penrose_matches_sympy():
     for _ in range(300):
         m = _matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         assert moore_penrose(m) == _from_sympy(_to_sympy(sympy, m).pinv()), m
+
+
+def test_drazin_satisfies_its_equations_in_sympy_arithmetic():
+    # sympy has no Drazin inverse; its own products check X M X = X,
+    # M X = X M and M^(k+1) X = M^k at k = aind, and its ranks check that k
+    # is the index: rank(M^k) = rank(M^(k+1)) < rank(M^(k-1))
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2035)
+    for aind in (2, 3, 4):
+        for n in range(aind, aind + 5):
+            for present in (True, False):
+                m = support.rand_high_index(rng, n, aind, present).std
+                s, x = _to_sympy(sympy, m), _to_sympy(sympy, drazin(m))
+                assert x * s * x == x, m
+                assert s * x == x * s, m
+                assert s ** (aind + 1) * x == s**aind, m
+                ranks = [(s**t).rank() for t in (aind - 1, aind, aind + 1)]
+                assert ranks[0] > ranks[1] == ranks[2], m
 
 
 def _canonical(m: RealMatrix) -> bool:
