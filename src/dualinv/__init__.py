@@ -6,152 +6,97 @@ group inverses when they exist, their always-existing weak variants, the
 rank and index invariants that govern existence, and parametric solution
 families for dual linear systems.  Everything runs in exact rational
 arithmetic; results are equalities, not approximations.
+
+Names load on first use (PEP 562): ``import dualinv`` imports no submodule,
+and ``dualinv.wddi`` imports the modules that define it, then keeps the
+name in this module's namespace.
 """
 
-from .exceptions import (
-    DimensionError,
-    DoesNotExist,
-    Inconsistent,
-    InconsistentDualPart,
-    InconsistentStandardPart,
-    IndexTooLarge,
-    InternalInvariantViolation,
-    NotInvertible,
-    ParseError,
-    PreconditionViolated,
-)
-from .matrices import (
-    DualMatrix,
-    RealMatrix,
-    block2x2,
-    block_diag,
-    dual_block_diag,
-    dual_power,
-    dual_vstack,
-    hstack,
-    vstack,
-)
-from .elimination import (
-    column_space_contains,
-    inverse,
-    nullspace,
-    rank,
-    rref,
-    solve,
-)
-from .real_inverses import (
-    CoreNilpotentDecomposition,
-    core_nilpotent,
-    drazin,
-    group_inverse,
-    index,
-    moore_penrose,
-)
-from .dual_linear import (
-    DualAffineSet,
-    ParametricDualSolutions,
-    doubled,
-    dual_inverse,
-    dual_solve,
-    in_range,
-    stack_vector,
-    unstack_vector,
-)
-from .indices import DualIndexProfile, index_profile, rank_profile
-from .dual_inverses import (
-    ExistenceProfile,
-    VerificationReport,
-    ddi,
-    ddi_obstruction,
-    dgi,
-    existence_profile,
-    verify,
-    wddi,
-    wdgi,
-)
-from .block_decomposition import (
-    DualBlockDecompositionInd1,
-    block_diagonalize_ind1,
-    is_dual_nilpotent,
-    sharp_of_weak_group,
-    wddi_from_given_decomposition,
-)
-from .equation_solvers import (
-    solve_general,
-    solve_ind1_corollaries,
-    solve_restricted,
-)
-from .documents import (
-    ResultDocument,
-    matrix_to_document,
-    parse_matrix,
-    print_matrix,
-)
+import importlib
 
-__all__ = [
-    "DimensionError",
-    "DoesNotExist",
-    "Inconsistent",
-    "InconsistentDualPart",
-    "InconsistentStandardPart",
-    "IndexTooLarge",
-    "InternalInvariantViolation",
-    "NotInvertible",
-    "ParseError",
-    "PreconditionViolated",
-    "DualMatrix",
-    "RealMatrix",
-    "block2x2",
-    "block_diag",
-    "dual_block_diag",
-    "dual_power",
-    "dual_vstack",
-    "hstack",
-    "vstack",
-    "column_space_contains",
-    "inverse",
-    "nullspace",
-    "rank",
-    "rref",
-    "solve",
-    "CoreNilpotentDecomposition",
-    "core_nilpotent",
-    "drazin",
-    "group_inverse",
-    "index",
-    "moore_penrose",
-    "DualAffineSet",
-    "ParametricDualSolutions",
-    "doubled",
-    "dual_inverse",
-    "dual_solve",
-    "in_range",
-    "stack_vector",
-    "unstack_vector",
-    "DualIndexProfile",
-    "index_profile",
-    "rank_profile",
-    "ExistenceProfile",
-    "VerificationReport",
-    "ddi",
-    "ddi_obstruction",
-    "dgi",
-    "existence_profile",
-    "verify",
-    "wddi",
-    "wdgi",
-    "DualBlockDecompositionInd1",
-    "block_diagonalize_ind1",
-    "is_dual_nilpotent",
-    "sharp_of_weak_group",
-    "wddi_from_given_decomposition",
-    "solve_general",
-    "solve_ind1_corollaries",
-    "solve_restricted",
-    "ResultDocument",
-    "matrix_to_document",
-    "parse_matrix",
-    "print_matrix",
-]
+# module -> the names it exports, in the order of __all__
+_EXPORTS = {
+    "exceptions": (
+        "DimensionError",
+        "DoesNotExist",
+        "Inconsistent",
+        "InconsistentDualPart",
+        "InconsistentStandardPart",
+        "IndexTooLarge",
+        "InternalInvariantViolation",
+        "NotInvertible",
+        "ParseError",
+        "PreconditionViolated",
+    ),
+    "matrices": (
+        "DualMatrix",
+        "RealMatrix",
+        "block2x2",
+        "block_diag",
+        "dual_block_diag",
+        "dual_power",
+        "dual_vstack",
+        "hstack",
+        "vstack",
+    ),
+    "elimination": ("column_space_contains", "inverse", "nullspace", "rank", "rref", "solve"),
+    "real_inverses": (
+        "CoreNilpotentDecomposition",
+        "core_nilpotent",
+        "drazin",
+        "group_inverse",
+        "index",
+        "moore_penrose",
+    ),
+    "dual_linear": (
+        "DualAffineSet",
+        "ParametricDualSolutions",
+        "doubled",
+        "dual_inverse",
+        "dual_solve",
+        "in_range",
+        "stack_vector",
+        "unstack_vector",
+    ),
+    "indices": ("DualIndexProfile", "index_profile", "rank_profile"),
+    "dual_inverses": (
+        "ExistenceProfile",
+        "VerificationReport",
+        "ddi",
+        "ddi_obstruction",
+        "dgi",
+        "existence_profile",
+        "verify",
+        "wddi",
+        "wdgi",
+    ),
+    "block_decomposition": (
+        "DualBlockDecompositionInd1",
+        "block_diagonalize_ind1",
+        "is_dual_nilpotent",
+        "sharp_of_weak_group",
+        "wddi_from_given_decomposition",
+    ),
+    "equation_solvers": ("solve_general", "solve_ind1_corollaries", "solve_restricted"),
+    "documents": ("ResultDocument", "matrix_to_document", "parse_matrix", "print_matrix"),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -19,9 +19,10 @@ doubling map is multiplicative.  K22, dind and the two ranks all come from
 the form's N^.
 
 Each public function reads these objects off one _Analysis of its input,
-whose parts (the index of M, the core-nilpotent form, the dual block form,
-(K22, dind), the obstruction, the WDDI) are built on first use and then
-kept.  The module holds the analysis of the last dual matrix asked about and
+whose parts (the index of M, the core-nilpotent form, E and N^, the dual
+block form, (K22, dind), the obstruction, the WDDI) are built on first use
+and then kept.  E and N^ are a part of their own, so the ranks, dind and
+the obstruction invert no C^.  The module holds the analysis of the last dual matrix asked about and
 hands it out again only for that very object, never for an equal copy;
 analysing another object drops it, so at most one input is kept alive.  When
 M is invertible the rank of M gives aind = 1 with no power of M, and the form
@@ -30,7 +31,6 @@ takes P = I and C^ = A^ (N^ is 0 x 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .exceptions import (
@@ -40,13 +40,12 @@ from .exceptions import (
     PreconditionViolated,
 )
 from .matrices import DualMatrix, RealMatrix, block2x2, block_diag, dual_block_diag
-from .matrices import hstack, vstack
+from .matrices import _Value, hstack, vstack
 from .real_inverses import CoreNilpotentDecomposition, _core_nilpotent_at, _index_power
 from .dual_linear import dual_inverse
 
 
-@dataclass(frozen=True)
-class DualBlockDecompositionInd1:
+class DualBlockDecompositionInd1(_Value):
     """A^ = phat @ dual_block_diag(chat, nhat) @ phat_inv, phat = P (I + eps*T).
 
     chat is r x r with invertible standard part; nhat = N + eps*nblock is
@@ -54,14 +53,21 @@ class DualBlockDecompositionInd1:
     dual inverses of phat and chat; t12 and t21 are the blocks of T.
     """
 
-    phat: DualMatrix
-    chat: DualMatrix
-    nhat: DualMatrix
-    r: int
-    phat_inv: DualMatrix
-    chat_inv: DualMatrix
-    t12: RealMatrix
-    t21: RealMatrix
+    __slots__ = ("phat", "chat", "nhat", "r", "phat_inv", "chat_inv", "t12", "t21")
+
+    def __init__(
+        self,
+        phat: DualMatrix,
+        chat: DualMatrix,
+        nhat: DualMatrix,
+        r: int,
+        phat_inv: DualMatrix,
+        chat_inv: DualMatrix,
+        t12: RealMatrix,
+        t21: RealMatrix,
+    ):
+        self.phat, self.chat, self.nhat, self.r = phat, chat, nhat, r
+        self.phat_inv, self.chat_inv, self.t12, self.t21 = phat_inv, chat_inv, t12, t21
 
     @property
     def nblock(self) -> RealMatrix:
@@ -87,12 +93,21 @@ class DualBlockDecompositionInd1:
         return self._conjugate(self.chat, DualMatrix.zeros(*self.nhat.shape))
 
 
-def _decompose(
-    a: DualMatrix, cn: CoreNilpotentDecomposition
-) -> DualBlockDecompositionInd1:
-    """Block form of A^ from the core-nilpotent form of its standard part."""
+def _e_nhat(a: DualMatrix, cn: CoreNilpotentDecomposition) -> tuple[RealMatrix, DualMatrix]:
+    """(E, N^): E = P^(-1) M0 P and the bottom block N^ = N + eps*E22 of the
+    form, which needs neither C^^(-1) nor T."""
     n, r = a.rows, cn.r
     e = cn.p_inv @ a.dual @ cn.p
+    return e, DualMatrix(cn.n, e.submatrix(r, n, r, n))
+
+
+def _decompose(
+    a: DualMatrix, cn: CoreNilpotentDecomposition, e_nhat: tuple | None = None
+) -> DualBlockDecompositionInd1:
+    """Block form of A^ from the core-nilpotent form of its standard part
+    and, when already at hand, its (E, N^)."""
+    n, r = a.rows, cn.r
+    e, nhat = e_nhat or _e_nhat(a, cn)
     e12, e21 = e.submatrix(0, r, r, n), e.submatrix(r, n, 0, r)
     chat = DualMatrix(cn.c, e.submatrix(0, r, 0, r))
     chat_inv = dual_inverse(chat)
@@ -109,7 +124,7 @@ def _decompose(
     return DualBlockDecompositionInd1(
         phat=DualMatrix(cn.p, hstack(p_right @ t21, p_left @ t12)),
         chat=chat,
-        nhat=DualMatrix(cn.n, e.submatrix(r, n, r, n)),
+        nhat=nhat,
         r=r,
         # (P (I + eps*T))^(-1) = (I - eps*T) P^(-1)
         phat_inv=DualMatrix(cn.p_inv, -vstack(t12 @ q_bottom, t21 @ q_top)),
@@ -152,9 +167,15 @@ class _Analysis:
         return _core_nilpotent_at(self.a.std, *self.index_power)
 
     @cached_property
+    def e_nhat(self) -> tuple[RealMatrix, DualMatrix]:
+        """(E, N^), kept apart from the form: the ranks, (K22, dind) and the
+        obstruction need no C^^(-1) or T."""
+        return _e_nhat(self.a, self.cn)
+
+    @cached_property
     def bottom(self) -> tuple[RealMatrix, int]:
         """(K22, dind)."""
-        return _bottom_block_powers(self.form.nhat, self.cn.k)
+        return _bottom_block_powers(self.e_nhat[1], self.cn.k)
 
     @cached_property
     def obstruction(self) -> RealMatrix:
@@ -165,7 +186,7 @@ class _Analysis:
 
     @cached_property
     def form(self) -> DualBlockDecompositionInd1:
-        return _decompose(self.a, self.cn)
+        return _decompose(self.a, self.cn, self.e_nhat)
 
     @cached_property
     def wddi(self) -> DualMatrix:

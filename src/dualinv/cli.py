@@ -11,6 +11,10 @@ Commands:
 Exit codes: 0 ok, 2 requested object does not exist, 3 inconsistent system,
 4 parse or usage error, 5 internal error (any other exception, a bug).
 Exactly one JSON result document goes to stdout.
+
+Each command imports the layers it computes with when it runs, so a process
+loads only those: info needs no dual inverse or solver, and the -real kinds
+of compute no dual layer at all.
 """
 
 from __future__ import annotations
@@ -28,17 +32,13 @@ from .exceptions import (
     IndexTooLarge,
     ParseError,
 )
-from .matrices import DualMatrix
+from .matrices import VERIFY_KINDS, DualMatrix
 from .documents import (
     ResultDocument,
     matrix_to_document,
     parse_matrix,
     real_to_document,
 )
-from .indices import index_profile, rank_profile
-from .real_inverses import drazin, moore_penrose
-from . import dual_inverses
-from .equation_solvers import solve_general, solve_restricted
 
 COMPUTE_KINDS = ("drazin-real", "mp-real", "ddi", "wddi", "dgi", "wdgi")
 
@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
     p_compute.add_argument("file")
 
     p_verify = sub.add_parser("verify", help="check defining equations")
-    p_verify.add_argument("--kind", required=True, choices=dual_inverses.VERIFY_KINDS)
+    p_verify.add_argument("--kind", required=True, choices=VERIFY_KINDS)
     p_verify.add_argument("file")
     p_verify.add_argument("xfile")
 
@@ -89,6 +89,8 @@ def _load(path: str) -> tuple[DualMatrix, dict]:
 
 
 def _run_info(args) -> tuple[int, ResultDocument]:
+    from .indices import index_profile, rank_profile
+
     a, provenance = _load(args.file)
     payload: dict = {"rows": a.rows, "cols": a.cols}
     if a.std.is_square:
@@ -111,10 +113,16 @@ def _run_compute(args) -> tuple[int, ResultDocument]:
     inputs = (provenance,)
     try:
         if args.kind == "drazin-real":
+            from .real_inverses import drazin
+
             payload = {"result": real_to_document(drazin(a.std))}
         elif args.kind == "mp-real":
+            from .real_inverses import moore_penrose
+
             payload = {"result": real_to_document(moore_penrose(a.std))}
         else:
+            from . import dual_inverses
+
             fn = getattr(dual_inverses, args.kind)
             payload = {"result": matrix_to_document(fn(a))}
     except DoesNotExist as exc:
@@ -128,9 +136,11 @@ def _run_compute(args) -> tuple[int, ResultDocument]:
 
 
 def _run_verify(args) -> tuple[int, ResultDocument]:
+    from .dual_inverses import verify
+
     a, prov_a = _load(args.file)
     x, prov_x = _load(args.xfile)
-    report = dual_inverses.verify(a, x, args.kind)
+    report = verify(a, x, args.kind)
     payload = {
         "kind": report.kind,
         "exponent": report.exponent,
@@ -143,6 +153,8 @@ def _run_verify(args) -> tuple[int, ResultDocument]:
 
 
 def _run_solve(args) -> tuple[int, ResultDocument]:
+    from .equation_solvers import solve_general, solve_restricted
+
     mode = "restricted" if args.restricted else "general"
     operation = f"solve:{mode}"
     a, prov_a = _load(args.afile)

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from .exceptions import ParseError
-from .matrices import DualMatrix, RealMatrix
+from .matrices import DualMatrix, RealMatrix, _Value
 
 RATIONAL_PATTERN = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
@@ -155,20 +154,27 @@ def print_matrix(m: DualMatrix) -> str:
     return json.dumps(matrix_to_document(m), sort_keys=True, indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class ResultDocument:
+class ResultDocument(_Value):
     """What one command invocation reports.
 
     status is one of ok / does-not-exist / inconsistent / error /
     internal-error; inputs records each input file with its content digest;
     payload carries the matrices and diagnostics, rationals always as
     strings, and for internal-error the message and the exception type.
+    A document given no payload gets an empty dict of its own.
     """
 
-    status: str
-    operation: str
-    inputs: tuple[dict, ...] = ()
-    payload: dict = field(default_factory=dict)
+    __slots__ = ("status", "operation", "inputs", "payload")
+
+    def __init__(
+        self,
+        status: str,
+        operation: str,
+        inputs: tuple[dict, ...] = (),
+        payload: dict | None = None,
+    ):
+        self.status, self.operation, self.inputs = status, operation, inputs
+        self.payload = {} if payload is None else payload
 
     def to_json(self) -> str:
         body = {

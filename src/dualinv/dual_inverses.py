@@ -26,18 +26,15 @@ first equation names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exceptions import DoesNotExist, IndexTooLarge
 from .exceptions import DimensionError, InternalInvariantViolation
-from .matrices import DualMatrix, RealMatrix, dual_power
+from .matrices import VERIFY_KINDS, DualMatrix, RealMatrix, _Value, dual_power
 from .indices import rank_profile
 from .real_inverses import moore_penrose
 from .block_decomposition import _analysis
 
 
-@dataclass(frozen=True)
-class ExistenceProfile:
+class ExistenceProfile(_Value):
     """Three equivalent answers to "does the dual Drazin inverse exist?".
 
     ddi_exists states that the obstruction matrix vanishes; index_equality
@@ -46,19 +43,15 @@ class ExistenceProfile:
     insists they match.  The obstruction matrix is kept as the witness.
     """
 
-    ddi_exists: bool
-    index_equality: bool
-    rank_equality: bool
-    obstruction: RealMatrix
+    __slots__ = ("ddi_exists", "index_equality", "rank_equality", "obstruction")
 
-    def __post_init__(self):
-        if not (
-            self.ddi_exists
-            == self.obstruction.is_zero
-            == self.index_equality
-            == self.rank_equality
-        ):
+    def __init__(
+        self, ddi_exists: bool, index_equality: bool, rank_equality: bool, obstruction: RealMatrix
+    ):
+        if not (ddi_exists == obstruction.is_zero == index_equality == rank_equality):
             raise InternalInvariantViolation("existence characterizations disagree")
+        self.ddi_exists, self.index_equality = ddi_exists, index_equality
+        self.rank_equality, self.obstruction = rank_equality, obstruction
 
 
 def _square(a: DualMatrix) -> None:
@@ -137,17 +130,16 @@ def dgi(a: DualMatrix) -> DualMatrix:
     return analysis.wddi
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Value):
     """Outcome of checking the three defining equations of an inverse kind."""
 
-    kind: str
-    exponent: int
-    equations: tuple[tuple[str, bool], ...]
-    all_hold: bool
+    __slots__ = ("kind", "exponent", "equations", "all_hold")
 
-
-VERIFY_KINDS = ("group", "drazin-k", "wddi-t", "wdgi")
+    def __init__(
+        self, kind: str, exponent: int, equations: tuple[tuple[str, bool], ...], all_hold: bool
+    ):
+        self.kind, self.exponent = kind, exponent
+        self.equations, self.all_hold = equations, all_hold
 
 
 def verify(a: DualMatrix, x: DualMatrix, kind: str) -> VerificationReport:

@@ -11,10 +11,8 @@ null spaces of dual matrices can be read off their doubled forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exceptions import DimensionError, Inconsistent
-from .matrices import DualMatrix, RealMatrix, block2x2, hstack, vstack
+from .matrices import DualMatrix, RealMatrix, _Value, block2x2, hstack, vstack
 from .elimination import column_space_contains, inverse, rank, solve
 
 
@@ -54,8 +52,7 @@ def dual_inverse(a: DualMatrix) -> DualMatrix:
     return DualMatrix(m_inv, -(m_inv @ a.dual @ m_inv))
 
 
-@dataclass(frozen=True)
-class ParametricDualSolutions:
+class ParametricDualSolutions(_Value):
     """Solution family particular + sum_i generators[i] @ y^_i.
 
     Each generator is an n x w_i dual matrix whose parameter y^_i ranges over
@@ -63,8 +60,10 @@ class ParametricDualSolutions:
     unique.
     """
 
-    particular: DualMatrix
-    generators: tuple[DualMatrix, ...]
+    __slots__ = ("particular", "generators")
+
+    def __init__(self, particular: DualMatrix, generators: tuple[DualMatrix, ...]):
+        self.particular, self.generators = particular, generators
 
     def member(self, assignments: tuple[DualMatrix, ...]) -> DualMatrix:
         if len(assignments) != len(self.generators):
@@ -75,8 +74,7 @@ class ParametricDualSolutions:
         return x
 
 
-@dataclass(frozen=True)
-class DualAffineSet:
+class DualAffineSet(_Value):
     """Affine subset of dual n-vectors, stored in stacked real coordinates.
 
     ``point`` is one element, ``span`` a real 2n x m matrix whose column
@@ -86,8 +84,10 @@ class DualAffineSet:
     of the doubled generator columns equal to the dual span.
     """
 
-    point: RealMatrix
-    span: RealMatrix
+    __slots__ = ("point", "span")
+
+    def __init__(self, point: RealMatrix, span: RealMatrix):
+        self.point, self.span = point, span
 
     @classmethod
     def from_solutions(cls, sols: ParametricDualSolutions) -> "DualAffineSet":

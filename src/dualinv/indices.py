@@ -23,10 +23,8 @@ the same N^: the first t >= aind with N^^t = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exceptions import DimensionError, InternalInvariantViolation
-from .matrices import DualMatrix
+from .matrices import DualMatrix, _Value
 from .elimination import rank
 from .dual_linear import doubled
 from .block_decomposition import _analysis
@@ -41,18 +39,15 @@ def rank_profile(a: DualMatrix) -> tuple[int, int]:
     return arank, drank
 
 
-@dataclass(frozen=True)
-class DualIndexProfile:
-    arank: int
-    drank: int
-    aind: int
-    dind: int
+class DualIndexProfile(_Value):
+    __slots__ = ("arank", "drank", "aind", "dind")
 
-    def __post_init__(self):
-        if self.drank < self.arank:
+    def __init__(self, arank: int, drank: int, aind: int, dind: int):
+        if drank < arank:
             raise InternalInvariantViolation("dual rank below appreciable rank")
-        if not (self.aind <= self.dind <= 2 * self.aind):
+        if not (aind <= dind <= 2 * aind):
             raise InternalInvariantViolation("dual index outside [aind, 2*aind]")
+        self.arank, self.drank, self.aind, self.dind = arank, drank, aind, dind
 
 
 def index_profile(a: DualMatrix) -> DualIndexProfile:
@@ -60,6 +55,6 @@ def index_profile(a: DualMatrix) -> DualIndexProfile:
     if not a.std.is_square:
         raise DimensionError("index of a non-square dual matrix")
     analysis = _analysis(a)
-    r = analysis.form.r
-    arank, drank = rank_profile(analysis.form.nhat)
+    r = analysis.cn.r
+    arank, drank = rank_profile(analysis.e_nhat[1])
     return DualIndexProfile(r + arank, r + drank, analysis.aind, analysis.bottom[1])

@@ -18,7 +18,6 @@ Fraction values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -252,16 +251,43 @@ def block_diag(a: RealMatrix, b: RealMatrix) -> RealMatrix:
     )
 
 
-@dataclass(frozen=True)
-class DualMatrix:
+class _Value:
+    """Base of the package's value classes.
+
+    ``==``, ``hash`` and ``repr`` are structural over the fields a subclass
+    names in ``__slots__``, in order, and the repr reads
+    Name(field=value, ...).  As with RealMatrix, immutability is by
+    contract: nothing assigns a field after the constructor.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+
+class DualMatrix(_Value):
     """Dual matrix std + eps*dual; both parts share one shape."""
 
-    std: RealMatrix
-    dual: RealMatrix
+    __slots__ = ("std", "dual")
 
-    def __post_init__(self):
-        if self.std.shape != self.dual.shape:
+    def __init__(self, std: RealMatrix, dual: RealMatrix):
+        if std.rows != dual.rows or std.cols != dual.cols:
             raise DimensionError("standard and dual parts differ in shape")
+        self.std = std
+        self.dual = dual
 
     @classmethod
     def of(cls, std_rows, dual_rows) -> "DualMatrix":
@@ -321,9 +347,6 @@ class DualMatrix:
             self.std.submatrix(r0, r1, c0, c1), self.dual.submatrix(r0, r1, c0, c1)
         )
 
-    def __repr__(self) -> str:
-        return f"DualMatrix(std={self.std!r}, dual={self.dual!r})"
-
 
 def dual_vstack(*mats: DualMatrix) -> DualMatrix:
     return DualMatrix(vstack(*(m.std for m in mats)), vstack(*(m.dual for m in mats)))
@@ -331,6 +354,11 @@ def dual_vstack(*mats: DualMatrix) -> DualMatrix:
 
 def dual_block_diag(a: DualMatrix, b: DualMatrix) -> DualMatrix:
     return DualMatrix(block_diag(a.std, b.std), block_diag(a.dual, b.dual))
+
+
+# the equation sets that dual_inverses.verify checks, named here so that the
+# command line can offer them without loading the dual layers
+VERIFY_KINDS = ("group", "drazin-k", "wddi-t", "wdgi")
 
 
 def dual_power(a: DualMatrix, t: int) -> DualMatrix:

@@ -8,10 +8,8 @@ a full-rank factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exceptions import DimensionError, IndexTooLarge, InternalInvariantViolation
-from .matrices import RealMatrix, block_diag, hstack
+from .matrices import RealMatrix, _Value, block_diag, hstack
 from .elimination import _null_basis, inverse, rank, rref
 
 
@@ -44,8 +42,7 @@ def _index_power(m: RealMatrix) -> tuple[int, RealMatrix, tuple]:
     raise InternalInvariantViolation("rank sequence failed to stabilize by n")
 
 
-@dataclass(frozen=True)
-class CoreNilpotentDecomposition:
+class CoreNilpotentDecomposition(_Value):
     """M = p @ block_diag(c, n) @ p_inv.
 
     c is r x r invertible with r = rank(M^k); n is nilpotent (n^k = 0);
@@ -54,12 +51,12 @@ class CoreNilpotentDecomposition:
     p = p_inv = I and c = M, as a nilpotent one takes p = I and n = M.
     """
 
-    p: RealMatrix
-    p_inv: RealMatrix
-    c: RealMatrix
-    n: RealMatrix
-    r: int
-    k: int
+    __slots__ = ("p", "p_inv", "c", "n", "r", "k")
+
+    def __init__(
+        self, p: RealMatrix, p_inv: RealMatrix, c: RealMatrix, n: RealMatrix, r: int, k: int
+    ):
+        self.p, self.p_inv, self.c, self.n, self.r, self.k = p, p_inv, c, n, r, k
 
     def assemble(self) -> RealMatrix:
         return self.p @ block_diag(self.c, self.n) @ self.p_inv

@@ -309,7 +309,8 @@ def test_unexpected_exception_is_an_internal_error_document(error, monkeypatch, 
     def broken(a):
         raise error
 
-    monkeypatch.setattr("dualinv.cli.index_profile", broken)
+    # info imports index_profile from dualinv.indices when it runs
+    monkeypatch.setattr("dualinv.indices.index_profile", broken)
     code, doc = run(["info", ABSENT])
     assert code == 5
     assert doc.status == "internal-error"

@@ -16,7 +16,9 @@ invertible standard part forms no power of M and no inverse of P.
 
 index_profile takes its two ranks from the bottom block N^ of the form, so
 the doubled matrix it reduces has n - r rows, not n, and the dual index is
-read off that same N^.
+read off that same N^.  N^ is kept apart from the rest of the form, so
+index_profile, ddi_obstruction and verify's wddi-t exponent invert no core
+block C^; a later WDDI inverts it once.
 
 The counted index and core-nilpotent functions are the private workers that
 the public index, core_nilpotent and the analysis all run through; the
@@ -320,3 +322,25 @@ def test_the_dual_index_is_read_off_the_forms_bottom_block(monkeypatch):
         assert len(seen) == 1
         assert seen[0][0] is analysis.form.nhat
         assert seen[0][1] == analysis.aind
+
+
+@pytest.mark.parametrize("call", ["index_profile", "ddi_obstruction", "verify_wddi_t"])
+def test_a_lone_call_reading_only_the_bottom_block_inverts_nothing(monkeypatch, call):
+    inverted = []
+    original = dual_linear.dual_inverse
+    _patch_everywhere(monkeypatch, original, _recording(original, inverted))
+    for a in _index_profile_inputs():
+        _call(call, a, None)
+        assert inverted == [], call
+
+
+def test_the_square_task_inverts_the_core_block_once(monkeypatch):
+    inverted = []
+    original = dual_linear.dual_inverse
+    _patch_everywhere(monkeypatch, original, _recording(original, inverted))
+    for a in _index_profile_inputs():
+        inverted.clear()
+        for call in SEQUENCES["square_task"]:
+            _call(call, a, None)
+        form = block_decomposition._analysis(a).form
+        assert [args[0] for args in inverted] == [form.chat]

@@ -1,6 +1,10 @@
-"""The package's export list matches the names it binds."""
+"""The package's export list matches the names it binds, and each name
+loads on first use through the package's module __getattr__ (PEP 562)."""
 
+import importlib
 import types
+
+import pytest
 
 import dualinv
 
@@ -17,3 +21,32 @@ def test_every_public_attribute_is_exported():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(public - set(dualinv.__all__)) == []
+
+
+@pytest.mark.parametrize("name", dualinv.__all__)
+def test_each_name_resolves_through_the_lazy_getattr(name):
+    value = dualinv.__getattr__(name)
+    home = importlib.import_module(f"dualinv.{dualinv._MODULE_OF[name]}")
+    assert value is getattr(home, name)
+    # the resolved name is kept in the package namespace
+    assert vars(dualinv)[name] is value
+    assert getattr(dualinv, name) is value
+
+
+def test_dir_covers_every_exported_name():
+    assert sorted(set(dualinv.__all__) - set(dir(dualinv))) == []
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dualinv.no_such_name
+    assert not hasattr(dualinv, "no_such_name")
+    with pytest.raises(ImportError):
+        from dualinv import no_such_name  # noqa: F401
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from dualinv import *", namespace)
+    assert sorted(set(dualinv.__all__) - set(namespace)) == []
+    assert all(namespace[name] is getattr(dualinv, name) for name in dualinv.__all__)
