@@ -22,11 +22,11 @@ Each public function reads these objects off one _Analysis of its input,
 whose parts (the index of M, the core-nilpotent form, E and N^, the dual
 block form, (K22, dind), the obstruction, the WDDI) are built on first use
 and then kept.  E and N^ are a part of their own, so the ranks, dind and
-the obstruction invert no C^.  The module holds the analysis of the last dual matrix asked about and
-hands it out again only for that very object, never for an equal copy;
-analysing another object drops it, so at most one input is kept alive.  When
-M is invertible the rank of M gives aind = 1 with no power of M, and the form
-takes P = I and C^ = A^ (N^ is 0 x 0).
+the obstruction invert no C^.  The module holds the analysis of the last
+dual matrix asked about and hands it out again only for that very object,
+never for an equal copy; analysing another object drops it, so at most one
+input is kept alive.  When M is invertible the rank of M gives aind = 1 with
+no power of M, and the form takes P = I and C^ = A^ (N^ is 0 x 0).
 """
 
 from __future__ import annotations
@@ -102,12 +102,12 @@ def _e_nhat(a: DualMatrix, cn: CoreNilpotentDecomposition) -> tuple[RealMatrix, 
 
 
 def _decompose(
-    a: DualMatrix, cn: CoreNilpotentDecomposition, e_nhat: tuple | None = None
+    a: DualMatrix, cn: CoreNilpotentDecomposition, e_nhat: tuple[RealMatrix, DualMatrix]
 ) -> DualBlockDecompositionInd1:
     """Block form of A^ from the core-nilpotent form of its standard part
-    and, when already at hand, its (E, N^)."""
+    and its (E, N^)."""
     n, r = a.rows, cn.r
-    e, nhat = e_nhat or _e_nhat(a, cn)
+    e, nhat = e_nhat
     e12, e21 = e.submatrix(0, r, r, n), e.submatrix(r, n, 0, r)
     chat = DualMatrix(cn.c, e.submatrix(0, r, 0, r))
     chat_inv = dual_inverse(chat)

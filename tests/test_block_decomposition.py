@@ -22,7 +22,7 @@ from dualinv import (
     wddi_from_given_decomposition,
     wdgi,
 )
-from dualinv.block_decomposition import _decompose
+from dualinv.block_decomposition import _decompose, _e_nhat
 
 import cases
 import support
@@ -56,7 +56,8 @@ class TestBlockDiagonalize:
             assert d.phat == d.phat_inv == DualMatrix.identity(n)
             assert d.chat == a and d.chat_inv == dual_inverse(a)
             assert d.nhat.shape == (0, 0)
-            assert d == _decompose(a, core_nilpotent(a.std))
+            cn = core_nilpotent(a.std)
+            assert d == _decompose(a, cn, _e_nhat(a, cn))
 
     def test_pure_eps_matrix(self):
         m0 = RealMatrix.from_rows([[1, 2], [3, 4]])
@@ -97,7 +98,7 @@ class TestAnyIndex:
         for a in self.inputs():
             cn = core_nilpotent(a.std)
             assert cn.k >= 2
-            d = _decompose(a, cn)
+            d = _decompose(a, cn, _e_nhat(a, cn))
             assert d.assemble() == a
             assert d.phat_inv == dual_inverse(d.phat)
             assert d.chat_inv == dual_inverse(d.chat)
@@ -107,7 +108,7 @@ class TestAnyIndex:
     def test_off_diagonal_blocks_solve_their_sylvester_equations(self):
         for a in self.inputs():
             cn = core_nilpotent(a.std)
-            d = _decompose(a, cn)
+            d = _decompose(a, cn, _e_nhat(a, cn))
             n, r = a.rows, cn.r
             e = cn.p_inv @ a.dual @ cn.p
             assert cn.c @ d.t12 - d.t12 @ cn.n == -e.submatrix(0, r, r, n)
@@ -118,7 +119,8 @@ class TestAnyIndex:
 
     def test_weak_drazin_inverse_matches_the_consumed_decomposition(self):
         for a in self.inputs():
-            d = _decompose(a, core_nilpotent(a.std))
+            cn = core_nilpotent(a.std)
+            d = _decompose(a, cn, _e_nhat(a, cn))
             x = d.weak_drazin_inverse()
             assert x == wddi(a)
             assert x == wddi_from_given_decomposition(d.phat, d.chat, d.nhat)
