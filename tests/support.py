@@ -10,8 +10,11 @@ form.  The second routes live here as references: the closed-form dual
 power, the closed-form weak dual group inverse built from the real group
 inverse, the explicit and the Horner power sums of the weak dual Drazin
 inverse, the projector form of the DDI obstruction, the dual index from the
-bordered ranks of A^^t, the residual form of the solver conditions and the
-witness-first existence test of the dual group inverse.
+bordered ranks of A^^t, the existence profile from those two and the
+bordered ranks of A^^aind, the WDDI and the dual index from the Drazin
+inverse and the index of the doubled matrix, the residual form of the
+solver conditions and the witness-first existence test of the dual group
+inverse.
 The Fraction loops that the integer kernels of ``RealMatrix.__matmul__`` and
 ``rref`` replaced are kept here as the references for those kernels.
 """
@@ -29,7 +32,9 @@ from dualinv import (
     RealMatrix,
     dgi,
     drazin,
+    ExistenceProfile,
     dual_block_diag,
+    doubled,
     dual_inverse,
     dual_power,
     group_inverse,
@@ -164,17 +169,30 @@ def rand_unimodular(rng, n: int, ops: int) -> tuple[RealMatrix, RealMatrix]:
     return RealMatrix.from_rows(p, cols=n), RealMatrix.from_rows(p_inv, cols=n)
 
 
-def rand_high_index(rng, n: int, aind: int, ddi_present: bool) -> DualMatrix:
+def rand_high_index(
+    rng, n: int, aind: int, ddi_present: bool | None = None, dind: int | None = None
+) -> DualMatrix:
     """P (diag(C, N) + eps*E) P^(-1) with aind(M) = ``aind`` and a chosen E22.
 
     C is invertible of size r in [0, n - aind]; N is nilpotent with Jordan
     blocks (ones on the superdiagonal): one of size ``aind``, then blocks of
     at most that size.  In this basis the dual part of A^^t has the bottom
     block K22(t) = sum_{i=1..t} N^(t-i) E22 N^(i-1), drank - arank of A^^t is
-    its rank, and K22(t+1) = K22(t) N for t >= aind.  With ``ddi_present``
-    E22 = 0, so dind = aind.  Otherwise E22's entry (aind-1, 0) is nonzero,
-    K22(2 aind - 1) = N^(aind-1) E22 N^(aind-1) keeps it, and dind = 2 aind.
+    its rank, and K22(t+1) = K22(t) N for t >= aind.
+
+    Give either ``ddi_present`` (dind = aind when true, else 2 aind) or
+    ``dind`` in [aind, 2 aind].  With s = dind - aind > 0, E22 is zero but
+    for its entry (s-1, 0), inside the Jordan block of size aind: the term
+    N^(t-i) E22 N^(i-1) of K22(t) sits at (s-1-t+i, i-1) and is nonzero
+    exactly when t-s+1 <= i <= aind, so N^^t != 0 for t < aind + s and
+    dind = aind + s.  With s = 0, E22 = 0 and dind = aind.
     """
+    if (ddi_present is None) == (dind is None):
+        raise ValueError("give exactly one of ddi_present and dind")
+    if dind is None:
+        dind = aind if ddi_present else 2 * aind
+    if not aind <= dind <= 2 * aind:
+        raise ValueError(f"dind {dind} outside [{aind}, {2 * aind}]")
     r = rng.randint(0, n - aind)
     sizes = [aind]
     while sum(sizes) < n - r:
@@ -191,8 +209,8 @@ def rand_high_index(rng, n: int, aind: int, ddi_present: bool) -> DualMatrix:
     e = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
     for row in e[r:]:
         row[r:] = [0] * (n - r)
-    if not ddi_present:
-        e[r + aind - 1][r] = rng.choice((-2, -1, 1, 2))
+    if dind > aind:
+        e[r + dind - aind - 1][r] = rng.choice((-2, -1, 1, 2))
     p, p_inv = rand_unimodular(rng, n, 2 * n)
     return DualMatrix(
         p @ RealMatrix.from_rows(core, cols=n) @ p_inv,
@@ -343,6 +361,33 @@ def dual_index_bordered(a: DualMatrix) -> int:
             return t
         power = power @ a
     raise AssertionError("no dual index in [aind, 2*aind]")
+
+
+def existence_profile_bordered(a: DualMatrix) -> ExistenceProfile:
+    """The existence profile with each field from a route independent of the
+    block form: the obstruction in projector form, dind from the bordered
+    ranks of A^^t, and the two bordered ranks of A^^aind."""
+    arank, drank = rank_profile(dual_power(a, index(a.std)))
+    obstruction = obstruction_projector(a)
+    return ExistenceProfile(
+        ddi_exists=obstruction.is_zero,
+        index_equality=dual_index_bordered(a) == index(a.std),
+        rank_equality=arank == drank,
+        obstruction=obstruction,
+    )
+
+
+def wddi_doubled(a: DualMatrix) -> tuple[RealMatrix, int]:
+    """(drazin(D), index(D)) of the doubled matrix D = [[M, 0], [M0, M]].
+
+    Doubling is an injective algebra homomorphism that maps the dual
+    core-nilpotent form to a real one (the image of C^ is invertible, that
+    of N^ nilpotent), so D's Drazin inverse is the doubled WDDI of A^, its
+    index is dind(A^), and the DDI exists exactly when that index is aind.
+    Only the real drazin and index run, on a 2n x 2n matrix.
+    """
+    d = doubled(a)
+    return drazin(d), index(d)
 
 
 def solver_outcome_residual(a: DualMatrix, b: DualMatrix, restricted: bool) -> str:
