@@ -39,7 +39,7 @@ _EXPORTS = {
         "hstack",
         "vstack",
     ),
-    "elimination": ("column_space_contains", "inverse", "nullspace", "rank", "rref", "solve"),
+    "elimination": ("column_space_contains", "inverse", "nullspace", "rank", "rref"),
     "real_inverses": (
         "CoreNilpotentDecomposition",
         "core_nilpotent",
@@ -48,16 +48,7 @@ _EXPORTS = {
         "index",
         "moore_penrose",
     ),
-    "dual_linear": (
-        "DualAffineSet",
-        "ParametricDualSolutions",
-        "doubled",
-        "dual_inverse",
-        "dual_solve",
-        "in_range",
-        "stack_vector",
-        "unstack_vector",
-    ),
+    "dual_linear": ("ParametricDualSolutions", "doubled", "dual_inverse"),
     "indices": ("DualIndexProfile", "index_profile", "rank_profile"),
     "dual_inverses": (
         "ExistenceProfile",

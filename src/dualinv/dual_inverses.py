@@ -18,10 +18,14 @@ inverse or power of A^.  When the DDI exists it is the WDDI.  The group
 flavour (DGI / WDGI) is the index-1 case of the same form, and the DGI
 exists exactly when dind = 1 (E22 = 0).  The form, K22 and dind come from
 the analysis block_decomposition keeps of the last dual matrix asked about,
-so several calls on the same object build them once.  Two calls do form a
-power of A^: existence_profile takes the two ranks of A^^k, as a route
-independent of the block form, and verify forms the power A^^e that its
-first equation names.
+so several calls on the same object build them once.
+
+existence_profile reads all three characterizations off the same form.
+P^ keeps both ranks, C^^k is dual-invertible and N^^k = eps*K22, so
+arank(A^^k) = r and drank(A^^k) = r + rank(K22): the two ranks agree exactly
+when K22 = 0, which is also when the obstruction vanishes and when
+dind = k.  One call does form a power of A^: verify forms the power A^^e
+that its first equation names.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from __future__ import annotations
 from .exceptions import DoesNotExist, IndexTooLarge
 from .exceptions import DimensionError, InternalInvariantViolation
 from .matrices import VERIFY_KINDS, DualMatrix, RealMatrix, _Value, dual_power
-from .indices import rank_profile
 from .real_inverses import moore_penrose
 from .block_decomposition import _analysis
 
@@ -69,11 +72,11 @@ def existence_profile(a: DualMatrix) -> ExistenceProfile:
     _square(a)
     analysis = _analysis(a)
     obstruction = analysis.obstruction
-    ar, dr = rank_profile(dual_power(a, analysis.aind))
+    k22, dind = analysis.bottom
     return ExistenceProfile(
         ddi_exists=obstruction.is_zero,
-        index_equality=analysis.bottom[1] == analysis.aind,
-        rank_equality=ar == dr,
+        index_equality=dind == analysis.aind,
+        rank_equality=k22.is_zero,
         obstruction=obstruction,
     )
 

@@ -100,25 +100,6 @@ def _null_basis(
     return _reduced(cols, len(free), tuple(rows), den)
 
 
-def solve(a: RealMatrix, b: RealMatrix) -> tuple[RealMatrix, RealMatrix] | None:
-    """General solution of a x = b, or None when inconsistent.
-
-    b may have several columns; the particular solution then has the same
-    column count.  Returns (particular, nullspace basis of a).
-    """
-    if a.rows != b.rows:
-        raise DimensionError(f"system {a.shape} does not accept rhs {b.shape}")
-    reduced, pivots = rref(hstack(a, b))
-    if any(pc >= a.cols for pc in pivots):
-        return None
-    particular_rows = [(0,) * b.cols] * a.cols
-    for row, pc in zip(reduced.nums, pivots):
-        particular_rows[pc] = row[a.cols:]
-    particular = _reduced(a.cols, b.cols, tuple(particular_rows), reduced.den)
-    # every pivot lies left of b, so the left block is the reduced form of a
-    return particular, _null_basis(reduced, pivots, a.cols)
-
-
 def inverse(m: RealMatrix) -> RealMatrix:
     """Inverse of a square matrix; raises NotInvertible when singular."""
     if not m.is_square:

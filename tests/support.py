@@ -14,7 +14,9 @@ bordered ranks of A^^t, the existence profile from those two and the
 bordered ranks of A^^aind, the WDDI and the dual index from the Drazin
 inverse and the index of the doubled matrix, the residual form of the
 solver conditions and the witness-first existence test of the dual group
-inverse.
+inverse.  The doubled-system solver (``solve``, ``dual_solve``,
+``in_range`` and ``DualAffineSet``) is the reference for the solution
+families and the range tests.
 The Fraction loops that the integer kernels of ``RealMatrix.__matmul__`` and
 ``rref`` replaced are kept here as the references for those kernels.
 """
@@ -28,26 +30,30 @@ from dualinv import (
     DimensionError,
     DoesNotExist,
     DualMatrix,
-    IndexTooLarge,
-    RealMatrix,
-    dgi,
-    drazin,
     ExistenceProfile,
-    dual_block_diag,
+    Inconsistent,
+    IndexTooLarge,
+    ParametricDualSolutions,
+    RealMatrix,
+    column_space_contains,
+    dgi,
     doubled,
+    drazin,
+    dual_block_diag,
     dual_inverse,
     dual_power,
     group_inverse,
     hstack,
-    in_range,
     index,
     inverse,
     moore_penrose,
     rank,
     rank_profile,
-    solve,
+    rref,
     vstack,
 )
+from dualinv.elimination import _null_basis
+from dualinv.matrices import _reduced, _Value
 
 
 def matmul_reference(a: RealMatrix, b: RealMatrix) -> RealMatrix:
@@ -470,6 +476,140 @@ def assemble_decomposition(
     phat: DualMatrix, chat: DualMatrix, nhat: DualMatrix
 ) -> DualMatrix:
     return phat @ dual_block_diag(chat, nhat) @ dual_inverse(phat)
+
+
+# The doubled-system solver: the full solution set of A^ x^ = b^ and range
+# membership from the doubled real system [[M, 0], [M0, M]] [x; x0] = [b; b0],
+# and affine sets of dual vectors in stacked coordinates [std; dual].
+
+
+def solve(a: RealMatrix, b: RealMatrix) -> tuple[RealMatrix, RealMatrix] | None:
+    """General solution of a x = b, or None when inconsistent.
+
+    b may have several columns; the particular solution then has the same
+    column count.  Returns (particular, nullspace basis of a).
+    """
+    if a.rows != b.rows:
+        raise DimensionError(f"system {a.shape} does not accept rhs {b.shape}")
+    reduced, pivots = rref(hstack(a, b))
+    if any(pc >= a.cols for pc in pivots):
+        return None
+    particular_rows = [(0,) * b.cols] * a.cols
+    for row, pc in zip(reduced.nums, pivots):
+        particular_rows[pc] = row[a.cols:]
+    particular = _reduced(a.cols, b.cols, tuple(particular_rows), reduced.den)
+    # every pivot lies left of b, so the left block is the reduced form of a
+    return particular, _null_basis(reduced, pivots, a.cols)
+
+
+def stack_vector(v: DualMatrix) -> RealMatrix:
+    """Column vector [std; dual] in R^(2n) for an n x 1 dual vector."""
+    if v.cols != 1:
+        raise DimensionError("stacking expects a column vector")
+    return vstack(v.std, v.dual)
+
+
+def unstack_vector(w: RealMatrix) -> DualMatrix:
+    if w.cols != 1 or w.rows % 2 != 0:
+        raise DimensionError("unstacking expects a 2n x 1 column")
+    n = w.rows // 2
+    return DualMatrix(w.submatrix(0, n, 0, 1), w.submatrix(n, 2 * n, 0, 1))
+
+
+class DualAffineSet(_Value):
+    """Affine subset of dual n-vectors, stored in stacked real coordinates.
+
+    ``point`` is one element, ``span`` a real 2n x m matrix whose column
+    space is the direction space.  Spanning over real coefficients is enough:
+    the sets built here always come from dual-parameter families, and those
+    are closed under the shift (u; v) -> (0; u), which makes the real span
+    of the doubled generator columns equal to the dual span.
+    """
+
+    __slots__ = ("point", "span")
+
+    def __init__(self, point: RealMatrix, span: RealMatrix):
+        self.point, self.span = point, span
+
+    @classmethod
+    def from_solutions(cls, sols: ParametricDualSolutions) -> "DualAffineSet":
+        n = sols.particular.rows
+        pieces = [RealMatrix.zeros(2 * n, 0)]
+        for g in sols.generators:
+            pieces.append(vstack(g.std, g.dual))
+            pieces.append(vstack(RealMatrix.zeros(g.rows, g.cols), g.std))
+        return cls(stack_vector(sols.particular), hstack(*pieces))
+
+    @classmethod
+    def range_of(cls, a: DualMatrix) -> "DualAffineSet":
+        """Range {A^ y^} as a stacked affine set through the origin."""
+        return cls(RealMatrix.zeros(2 * a.rows, 1), doubled(a))
+
+    def contains_vector(self, v: DualMatrix) -> bool:
+        return column_space_contains(self.span, stack_vector(v) - self.point)
+
+    def contains_set(self, other: "DualAffineSet") -> bool:
+        return (
+            column_space_contains(self.span, other.span)
+            and column_space_contains(self.span, other.point - self.point)
+        )
+
+    def same_set(self, other: "DualAffineSet") -> bool:
+        return self.contains_set(other) and other.contains_set(self)
+
+    def intersect(self, other: "DualAffineSet") -> "DualAffineSet | None":
+        """Intersection as an affine set, or None when empty."""
+        system = hstack(self.span, -other.span)
+        outcome = solve(system, other.point - self.point)
+        if outcome is None:
+            return None
+        particular, homogeneous = outcome
+        c_self = particular.submatrix(0, self.span.cols, 0, 1)
+        h_self = homogeneous.submatrix(0, self.span.cols, 0, homogeneous.cols)
+        return DualAffineSet(self.point + self.span @ c_self, self.span @ h_self)
+
+
+def dual_solve(a: DualMatrix, b: DualMatrix) -> ParametricDualSolutions:
+    """Full solution set of A^ x^ = b^ via the doubled system.
+
+    Raises Inconsistent when the doubled system has no solution.  Null-space
+    columns (u; v) with u nonzero become standard-direction generators
+    u + eps*v; columns (0; v) become eps-direction generators eps*v.  Both
+    kinds take dual parameters.
+    """
+    if a.rows != b.rows or b.cols != 1:
+        raise DimensionError(f"system {a.shape} does not accept rhs {b.shape}")
+    outcome = solve(doubled(a), stack_vector(b))
+    if outcome is None:
+        raise Inconsistent("dual system has no solution")
+    particular, null_basis = outcome
+    n = a.cols
+    std_dirs = []
+    eps_dirs = []
+    for j in range(null_basis.cols):
+        u = null_basis.submatrix(0, n, j, j + 1)
+        v = null_basis.submatrix(n, 2 * n, j, j + 1)
+        if u.is_zero:
+            eps_dirs.append(DualMatrix.eps(v))
+        else:
+            std_dirs.append(DualMatrix(u, v))
+    generators = []
+    for group in (std_dirs, eps_dirs):
+        if group:
+            generators.append(
+                DualMatrix(
+                    hstack(*(g.std for g in group)),
+                    hstack(*(g.dual for g in group)),
+                )
+            )
+    return ParametricDualSolutions(unstack_vector(particular), tuple(generators))
+
+
+def in_range(a: DualMatrix, v: DualMatrix) -> bool:
+    """True when v^ lies in the range of A^ (over dual coefficients)."""
+    if a.rows != v.rows or v.cols != 1:
+        raise DimensionError("range test expects a conforming column vector")
+    return column_space_contains(doubled(a), stack_vector(v))
 
 
 def size_mix(rng, count: int, small=(1, 2, 3, 4), large=(5, 6), large_every: int = 25):

@@ -12,7 +12,6 @@ import pytest
 
 from dualinv import (
     DoesNotExist,
-    DualAffineSet,
     DualMatrix,
     Inconsistent,
     block_diagonalize_ind1,
@@ -21,8 +20,6 @@ from dualinv import (
     dgi,
     drazin,
     dual_power,
-    dual_solve,
-    in_range,
     index_profile,
     rank_profile,
     solve_general,
@@ -33,6 +30,7 @@ from dualinv import (
     wddi_from_given_decomposition,
     wdgi,
 )
+from support import DualAffineSet, dual_solve, in_range
 from support import weak_drazin_dual_part_horner as _weak_drazin_dual_part
 
 import cases

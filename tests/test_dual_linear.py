@@ -6,20 +6,16 @@ import pytest
 
 from dualinv import (
     DimensionError,
-    DualAffineSet,
     DualMatrix,
     Inconsistent,
     NotInvertible,
     RealMatrix,
     doubled,
     dual_inverse,
-    dual_solve,
-    in_range,
     rank,
     hstack,
-    stack_vector,
-    unstack_vector,
 )
+from support import DualAffineSet, dual_solve, in_range, stack_vector, unstack_vector
 
 import cases
 import support

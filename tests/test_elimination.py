@@ -16,8 +16,8 @@ from dualinv import (
     nullspace,
     rank,
     rref,
-    solve,
 )
+from support import solve
 
 import cases
 import support

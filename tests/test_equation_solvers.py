@@ -6,7 +6,6 @@ import pytest
 
 from dualinv import (
     DimensionError,
-    DualAffineSet,
     DualMatrix,
     Inconsistent,
     InconsistentDualPart,
@@ -19,14 +18,13 @@ from dualinv import (
     column_space_contains,
     dual_power,
     dual_vstack,
-    dual_solve,
-    in_range,
     index_profile,
     inverse,
     solve_general,
     solve_ind1_corollaries,
     solve_restricted,
 )
+from support import DualAffineSet, dual_solve, in_range
 
 import cases
 import support

@@ -30,10 +30,10 @@ from dualinv import (
     nullspace,
     rank,
     rref,
-    solve,
     vstack,
     wddi,
 )
+from support import solve
 
 import support
 

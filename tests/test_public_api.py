@@ -8,6 +8,71 @@ import pytest
 
 import dualinv
 
+# The exported names, sorted.  A change to the public API edits this list.
+PUBLIC_API = [
+    "CoreNilpotentDecomposition",
+    "DimensionError",
+    "DoesNotExist",
+    "DualBlockDecompositionInd1",
+    "DualIndexProfile",
+    "DualMatrix",
+    "ExistenceProfile",
+    "Inconsistent",
+    "InconsistentDualPart",
+    "InconsistentStandardPart",
+    "IndexTooLarge",
+    "InternalInvariantViolation",
+    "NotInvertible",
+    "ParametricDualSolutions",
+    "ParseError",
+    "PreconditionViolated",
+    "RealMatrix",
+    "ResultDocument",
+    "VerificationReport",
+    "block2x2",
+    "block_diag",
+    "block_diagonalize_ind1",
+    "column_space_contains",
+    "core_nilpotent",
+    "ddi",
+    "ddi_obstruction",
+    "dgi",
+    "doubled",
+    "drazin",
+    "dual_block_diag",
+    "dual_inverse",
+    "dual_power",
+    "dual_vstack",
+    "existence_profile",
+    "group_inverse",
+    "hstack",
+    "index",
+    "index_profile",
+    "inverse",
+    "is_dual_nilpotent",
+    "matrix_to_document",
+    "moore_penrose",
+    "nullspace",
+    "parse_matrix",
+    "print_matrix",
+    "rank",
+    "rank_profile",
+    "rref",
+    "sharp_of_weak_group",
+    "solve_general",
+    "solve_ind1_corollaries",
+    "solve_restricted",
+    "verify",
+    "vstack",
+    "wddi",
+    "wddi_from_given_decomposition",
+    "wdgi",
+]
+
+
+def test_the_export_list_is_the_pinned_one():
+    assert sorted(dualinv.__all__) == PUBLIC_API
+
 
 def test_every_exported_name_resolves():
     assert [name for name in dualinv.__all__ if not hasattr(dualinv, name)] == []

@@ -4,6 +4,8 @@ ResultDocument defaults and the checks their constructors make.
 Each class is built from the same field values twice, by keyword and by
 position; the two are equal and hash-equal, and the repr names every field
 in order, as Name(field=value, ...).  Changing one field makes them unequal.
+DualAffineSet, the doubled-system reference in ``support``, is built on the
+same base class and checked the same way.
 """
 
 import weakref
@@ -13,7 +15,6 @@ import pytest
 from dualinv import (
     CoreNilpotentDecomposition,
     DimensionError,
-    DualAffineSet,
     DualBlockDecompositionInd1,
     DualIndexProfile,
     DualMatrix,
@@ -25,6 +26,7 @@ from dualinv import (
     VerificationReport,
     block_diagonalize_ind1,
 )
+from support import DualAffineSet
 
 A = DualMatrix.of([[1, 2], [0, 0]], [[0, 1], [1, 0]])
 B = DualMatrix.of([[1, 2], [0, 0]], [[0, 1], [1, 1]])
