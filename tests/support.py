@@ -373,11 +373,12 @@ def existence_profile_bordered(a: DualMatrix) -> ExistenceProfile:
     """The existence profile with each field from a route independent of the
     block form: the obstruction in projector form, dind from the bordered
     ranks of A^^t, and the two bordered ranks of A^^aind."""
-    arank, drank = rank_profile(dual_power(a, index(a.std)))
+    aind = index(a.std)
+    arank, drank = rank_profile(dual_power(a, aind))
     obstruction = obstruction_projector(a)
     return ExistenceProfile(
         ddi_exists=obstruction.is_zero,
-        index_equality=dual_index_bordered(a) == index(a.std),
+        index_equality=dual_index_bordered(a) == aind,
         rank_equality=arank == drank,
         obstruction=obstruction,
     )

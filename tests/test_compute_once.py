@@ -22,9 +22,9 @@ block C^; a later WDDI inverts it once.
 
 The counted index and core-nilpotent functions are the private workers that
 the public index, core_nilpotent and the analysis all run through; the
-counted rank_profile is the public one.  The range test is the doubled-system
-one that moved to ``support``; no library module binds it, so it is counted
-there.
+counted rank_profile is the public one.  The counted range test is the
+doubled-system one in ``support``; no library module binds it, so it is
+counted there.
 """
 
 import gc
