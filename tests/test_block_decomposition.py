@@ -267,3 +267,55 @@ class TestConsumedDecomposition:
                 dual_inverse(chat), DualMatrix.zeros(n - r, n - r)
             )
             assert result == phat @ inner @ dual_inverse(phat)
+
+
+ORACLE_PAIRS = [(aind, dind) for aind in range(1, 6) for dind in range(aind, 2 * aind + 1)]
+
+
+class TestBlockProductsAgainstPaddedConjugation:
+    """The WDDI, the sharp and the reassembly of the form against the padded
+    n x n conjugation P^ diag(U^, V^) P^^(-1), the route that
+    wddi_from_given_decomposition keeps for external forms: at r = 0, at
+    r = n, and at every (aind, dind) with aind from 1 to 5."""
+
+    CASES = ["r=0", "r=n", *ORACLE_PAIRS]
+
+    @staticmethod
+    def inputs(case):
+        if case == "r=0":
+            rng = random.Random(263)
+            yield DualMatrix.zeros(2, 2)
+            yield DualMatrix.eps(support.rand_int_matrix(rng, 3, 3))
+            for aind in (1, 2, 3, 4):
+                dind = rng.randint(aind, 2 * aind)
+                yield support.rand_high_index(rng, aind, aind, dind=dind)
+        elif case == "r=n":
+            rng = random.Random(269)
+            yield DualMatrix.identity(2)
+            for n in (1, 2, 3, 5):
+                yield support.rand_dual_invertible_std(rng, n)
+        else:
+            aind, dind = case
+            rng = random.Random(2000 * aind + dind)
+            for extra in (0, 1, 3):
+                yield support.rand_high_index(rng, aind + extra, aind, dind=dind)
+
+    @pytest.mark.parametrize(
+        "case", CASES, ids=[c if isinstance(c, str) else "aind{}-dind{}".format(*c) for c in CASES]
+    )
+    def test_block_products_match_the_padded_route(self, case):
+        for a in self.inputs(case):
+            cn = core_nilpotent(a.std)
+            d = _decompose(a, cn, _e_nhat(a, cn))
+            n, r = a.rows, d.r
+            assert r == {"r=0": 0, "r=n": n}.get(case, r)
+            zero = DualMatrix.zeros(n - r, n - r)
+
+            def padded(top, bottom):
+                return d.phat @ dual_block_diag(top, bottom) @ d.phat_inv
+
+            x = d.weak_drazin_inverse()
+            assert x == padded(d.chat_inv, zero)
+            assert x == wddi(a) == wddi_from_given_decomposition(d.phat, d.chat, d.nhat)
+            assert d.sharp() == padded(d.chat, zero)
+            assert d.assemble() == padded(d.chat, d.nhat) == a
