@@ -13,10 +13,12 @@ the WDGI at index 1 (where N^ = eps*E22); the DDI obstruction
 (I - M M^D) K (I - M M^D), K the dual part of A^^k, is P diag(0, K22) P^(-1)
 with K22 that of N^^k; and dind(A^) is the first t >= k with N^^t = 0, since
 P^ keeps both ranks of A^^t, C^^t is invertible and N^^t = eps*K22(t) for
-t >= k.  For the same reason both ranks of A^ exceed those of N^ by r:
-rank(M) = r + rank(N) and rank(doubled(A^)) = 2r + rank(doubled(N^)), as the
-doubling map is multiplicative.  K22, dind and the two ranks all come from
-the form's N^.
+t >= k, where K22(t+1) = K22(t) N.  For the same reason both ranks of A^
+exceed those of N^ by r: rank(M) = r + rank(N) and rank(doubled(A^)) =
+2r + rank(doubled(N^)), as the doubling map is multiplicative.  K22, dind
+and the two ranks all come from the form's N^.  Each P^ diag(U^, V^) P^^(-1)
+is taken on the blocks that carry data, P^[:, :r] U^ P^^(-1)[:r, :] +
+P^[:, r:] V^ P^^(-1)[r:, :]: the WDDI needs r columns of P^ and r rows of P^^(-1).
 
 Each public function reads these objects off one _Analysis of its input,
 whose parts (the index of M, the core-nilpotent form, E and N^, the dual
@@ -26,7 +28,8 @@ the obstruction invert no C^.  The module holds the analysis of the last
 dual matrix asked about and hands it out again only for that very object,
 never for an equal copy; analysing another object drops it, so at most one
 input is kept alive.  When M is invertible the rank of M gives aind = 1 with
-no power of M, and the form takes P = I and C^ = A^ (N^ is 0 x 0).
+no power of M, and the form takes P^ = I and C^ = A^ (N^ is 0 x 0); when M is
+nilpotent it takes P^ = I and N^ = A^.  Nothing is multiplied by that I.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .exceptions import (
     NotInvertible,
     PreconditionViolated,
 )
-from .matrices import DualMatrix, RealMatrix, block2x2, block_diag, dual_block_diag
+from .matrices import DualMatrix, RealMatrix, dual_block_diag
 from .matrices import _Value, hstack, vstack
 from .real_inverses import CoreNilpotentDecomposition, _core_nilpotent_at, _index_power
 from .dual_linear import dual_inverse
@@ -73,31 +76,34 @@ class DualBlockDecompositionInd1(_Value):
     def nblock(self) -> RealMatrix:
         return self.nhat.dual
 
-    def _conjugate(self, top: DualMatrix, bottom: DualMatrix) -> DualMatrix:
-        """P^ diag(U, V) P^^(-1) = P (diag(U, V) + eps*(T D - D T)) P^(-1)
-        with D = diag(U.std, V.std); T D - D T is taken block by block."""
-        u, v, t12, t21 = top.std, bottom.std, self.t12, self.t21
-        twist = block2x2(top.dual, t12 @ v - u @ t12, t21 @ u - v @ t21, bottom.dual)
-        p, p_inv = self.phat.std, self.phat_inv.std
-        return DualMatrix(p @ block_diag(u, v) @ p_inv, p @ twist @ p_inv)
+    def _conjugate(self, top: DualMatrix, bottom: DualMatrix | None = None) -> DualMatrix:
+        """P^ diag(U^, V^) P^^(-1) from the column blocks of P^ and the row
+        blocks of P^^(-1), with V^ = 0 when bottom is None; U^ at r = n."""
+        p, q, r, n = self.phat, self.phat_inv, self.r, self.phat.rows
+        if r == n:
+            return top
+        out = p.submatrix(0, n, 0, r) @ top @ q.submatrix(0, r, 0, n)
+        if bottom is not None:
+            out = out + p.submatrix(0, n, r, n) @ bottom @ q.submatrix(r, n, 0, n)
+        return out
 
     def assemble(self) -> DualMatrix:
         return self._conjugate(self.chat, self.nhat)
 
     def weak_drazin_inverse(self) -> DualMatrix:
         """P^ diag(C^^(-1), 0) P^^(-1), the WDDI of A^ (the WDGI at aind 1)."""
-        return self._conjugate(self.chat_inv, DualMatrix.zeros(*self.nhat.shape))
+        return self._conjugate(self.chat_inv)
 
     def sharp(self) -> DualMatrix:
         """P^ diag(C^, 0) P^^(-1), the group inverse of the WDGI."""
-        return self._conjugate(self.chat, DualMatrix.zeros(*self.nhat.shape))
+        return self._conjugate(self.chat)
 
 
 def _e_nhat(a: DualMatrix, cn: CoreNilpotentDecomposition) -> tuple[RealMatrix, DualMatrix]:
     """(E, N^): E = P^(-1) M0 P and the bottom block N^ = N + eps*E22 of the
-    form, which needs neither C^^(-1) nor T."""
+    form, which needs neither C^^(-1) nor T; E = M0 where P = I."""
     n, r = a.rows, cn.r
-    e = cn.p_inv @ a.dual @ cn.p
+    e = a.dual if r in (0, n) else cn.p_inv @ a.dual @ cn.p
     return e, DualMatrix(cn.n, e.submatrix(r, n, r, n))
 
 
@@ -108,9 +114,13 @@ def _decompose(
     and its (E, N^)."""
     n, r = a.rows, cn.r
     e, nhat = e_nhat
-    e12, e21 = e.submatrix(0, r, r, n), e.submatrix(r, n, 0, r)
     chat = DualMatrix(cn.c, e.submatrix(0, r, 0, r))
     chat_inv = dual_inverse(chat)
+    if r in (0, n):  # P = I and T has no entries, so P^ = I
+        eye = DualMatrix.identity(n)
+        t12, t21 = RealMatrix.zeros(r, n - r), RealMatrix.zeros(n - r, r)
+        return DualBlockDecompositionInd1(eye, chat, nhat, r, eye, chat_inv, t12, t21)
+    e12, e21 = e.submatrix(0, r, r, n), e.submatrix(r, n, 0, r)
     c_inv = chat_inv.std
     # both sums by Horner's rule: x = sum_{j<k} C^(-j) E12 N^j, y likewise
     x, y = e12, e21
@@ -121,17 +131,10 @@ def _decompose(
     # P T and T P^(-1) block by block, with T = [[0, t12], [t21, 0]]
     p_left, p_right = cn.p.submatrix(0, n, 0, r), cn.p.submatrix(0, n, r, n)
     q_top, q_bottom = cn.p_inv.submatrix(0, r, 0, n), cn.p_inv.submatrix(r, n, 0, n)
-    return DualBlockDecompositionInd1(
-        phat=DualMatrix(cn.p, hstack(p_right @ t21, p_left @ t12)),
-        chat=chat,
-        nhat=nhat,
-        r=r,
-        # (P (I + eps*T))^(-1) = (I - eps*T) P^(-1)
-        phat_inv=DualMatrix(cn.p_inv, -vstack(t12 @ q_bottom, t21 @ q_top)),
-        chat_inv=chat_inv,
-        t12=t12,
-        t21=t21,
-    )
+    phat = DualMatrix(cn.p, hstack(p_right @ t21, p_left @ t12))
+    # (P (I + eps*T))^(-1) = (I - eps*T) P^(-1)
+    phat_inv = DualMatrix(cn.p_inv, -vstack(t12 @ q_bottom, t21 @ q_top))
+    return DualBlockDecompositionInd1(phat, chat, nhat, r, phat_inv, chat_inv, t12, t21)
 
 
 def _bottom_block_powers(nhat: DualMatrix, k: int) -> tuple[RealMatrix, int]:
@@ -140,9 +143,10 @@ def _bottom_block_powers(nhat: DualMatrix, k: int) -> tuple[RealMatrix, int]:
     power = nhat
     for _ in range(k - 1):
         power = power @ nhat
-    k22, t = power.dual, k
-    while not power.is_zero:
-        power, t = power @ nhat, t + 1
+    k22 = dual = power.dual
+    t = k
+    while not dual.is_zero:
+        dual, t = dual @ nhat.std, t + 1
     return k22, t
 
 
@@ -179,9 +183,11 @@ class _Analysis:
 
     @cached_property
     def obstruction(self) -> RealMatrix:
-        """The DDI obstruction P diag(0, K22) P^(-1)."""
+        """The DDI obstruction P diag(0, K22) P^(-1), K22 itself at r = 0."""
         cn, n = self.cn, self.a.rows
         k22 = self.bottom[0]
+        if cn.r == 0:
+            return k22
         return cn.p.submatrix(0, n, cn.r, n) @ k22 @ cn.p_inv.submatrix(cn.r, n, 0, n)
 
     @cached_property

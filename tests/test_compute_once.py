@@ -12,7 +12,9 @@ A sequence of calls on one object builds each part once.  A value-equal but
 distinct object gets an analysis of its own (nothing is keyed on value),
 analysing another object releases the first (memory stays bounded), and a
 part whose construction raised is built again on the next call.  An
-invertible standard part forms no power of M and no inverse of P.
+invertible standard part forms no power of M and no inverse of P.  The form
+of an invertible or a nilpotent standard part takes P = I, built with no
+inverse, and no call multiplies a RealMatrix by an identity factor there.
 
 index_profile takes its two ranks from the bottom block N^ of the form, so
 the doubled matrix it reduces has n - r rows, not n, and the dual index is
@@ -36,7 +38,7 @@ from collections import Counter
 import pytest
 
 import dualinv
-from dualinv import DualMatrix, ddi, solve_general, solve_restricted, wddi
+from dualinv import DualMatrix, RealMatrix, ddi, solve_general, solve_restricted, wddi
 from dualinv import ddi_obstruction, dgi, existence_profile, index_profile
 from dualinv import solve_ind1_corollaries, verify, wdgi
 from dualinv import block_decomposition, dual_linear, indices, matrices, real_inverses
@@ -349,3 +351,79 @@ def test_the_square_task_inverts_the_core_block_once(monkeypatch):
             _call(call, a, None)
         form = block_decomposition._analysis(a).form
         assert [args[0] for args in inverted] == [form.chat]
+
+
+# Inputs whose form takes P = I: invertible standard parts (r = n) and
+# nilpotent ones (r = 0), at aind 1, where M = 0, and at aind 3.  The aind-1
+# right-hand side has a zero standard part and a dual part in the range of
+# the rank-2 M0, so solve_general returns a family with both generators.
+_M0_RANK2 = RealMatrix.from_rows([[1, 2, 0], [2, 4, 1], [3, 6, 1]])
+IDENTITY_BASIS = {
+    "invertible_3": (
+        support.rand_dual_invertible_std(random.Random(139), 3),
+        support.rand_dual_parameter(random.Random(141), 3),
+    ),
+    "invertible_5": (
+        support.rand_dual_invertible_std(random.Random(143), 5),
+        support.rand_dual_parameter(random.Random(145), 5),
+    ),
+    "nilpotent_aind1": (
+        DualMatrix.eps(_M0_RANK2),
+        DualMatrix.eps(_M0_RANK2 @ RealMatrix.from_rows([[1], [-1], [2]])),
+    ),
+    "nilpotent_aind3": (
+        support.rand_high_index(random.Random(149), 3, 3, dind=5),
+        DualMatrix.zeros(3, 1),
+    ),
+}
+
+IDENTITY_GUARDED_CALLS = (
+    "index_profile", "wddi", "ddi", "wdgi", "dgi", "solve_general", "solve_restricted"
+)
+
+
+def _is_identity(m):
+    return m.rows == m.cols > 0 and m == RealMatrix.identity(m.rows)
+
+
+@pytest.fixture
+def identity_factors(monkeypatch):
+    """Record the shapes of every RealMatrix product with an identity factor."""
+    seen = []
+    original = RealMatrix.__matmul__
+
+    def recording(left, right):
+        if _is_identity(left) or _is_identity(right):
+            seen.append((left.shape, right.shape))
+        return original(left, right)
+
+    monkeypatch.setattr(RealMatrix, "__matmul__", recording)
+    return seen
+
+
+@pytest.mark.parametrize("fixture", sorted(IDENTITY_BASIS))
+@pytest.mark.parametrize("call", IDENTITY_GUARDED_CALLS)
+def test_no_product_has_an_identity_factor(identity_factors, call, fixture):
+    a, b = IDENTITY_BASIS[fixture]
+    _call(call, DualMatrix(a.std, a.dual), b)
+    assert identity_factors == []
+
+
+def test_the_identity_guard_sees_the_padded_route(identity_factors):
+    # the padded conjugation kept for external forms does multiply by P^ = I
+    a, _ = IDENTITY_BASIS["invertible_3"]
+    d = block_decomposition.block_diagonalize_ind1(a)
+    assert d.phat == DualMatrix.identity(3)
+    block_decomposition.wddi_from_given_decomposition(d.phat, d.chat, d.nhat)
+    assert identity_factors
+
+
+def test_a_nilpotent_standard_part_takes_the_identity_basis_without_an_inverse(monkeypatch):
+    inverted = []
+    monkeypatch.setattr(real_inverses, "inverse", _recording(real_inverses.inverse, inverted))
+    for fixture in ("nilpotent_aind1", "nilpotent_aind3"):
+        m = IDENTITY_BASIS[fixture][0].std
+        cn = real_inverses.core_nilpotent(m)
+        assert cn.r == 0 and cn.n == m and cn.c.shape == (0, 0)
+        assert cn.p == cn.p_inv == RealMatrix.identity(m.rows)
+    assert inverted == []

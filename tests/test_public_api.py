@@ -1,12 +1,16 @@
 """The package's export list matches the names it binds, and each name
 loads on first use through the package's module __getattr__ (PEP 562)."""
 
+import ast
 import importlib
 import types
+from pathlib import Path
 
 import pytest
 
 import dualinv
+
+SOURCES = sorted(Path(dualinv.__file__).parent.glob("*.py"))
 
 # The exported names, sorted.  A change to the public API edits this list.
 PUBLIC_API = [
@@ -115,3 +119,31 @@ def test_star_import_binds_every_name():
     exec("from dualinv import *", namespace)
     assert sorted(set(dualinv.__all__) - set(namespace)) == []
     assert all(namespace[name] is getattr(dualinv, name) for name in dualinv.__all__)
+
+
+def _imported_and_used(tree: ast.Module) -> tuple[dict[str, int], set[str]]:
+    """(bound name -> line of its import, names the module reads), where a
+    name inside a string annotation counts as read."""
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = [getattr(node, "returns", None), getattr(node, "annotation", None)]
+        for annotation in filter(None, annotations):
+            for part in ast.walk(annotation):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    expr = ast.parse(part.value, mode="eval")
+                    used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return imported, used
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_module_imports_a_name_it_never_uses(path):
+    imported, used = _imported_and_used(ast.parse(path.read_text(), filename=str(path)))
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+    assert unused == [], f"{path.name} imports names it never uses: {unused}"
