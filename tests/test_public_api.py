@@ -1,5 +1,7 @@
 """The package's export list matches the names it binds, and each name
-loads on first use through the package's module __getattr__ (PEP 562)."""
+loads on first use through the package's module __getattr__ (PEP 562).  No
+module of the package imports a name it never uses, checked with the
+standard library's ast parser."""
 
 import ast
 import importlib
