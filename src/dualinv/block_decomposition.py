@@ -28,8 +28,9 @@ the obstruction invert no C^.  The module holds the analysis of the last
 dual matrix asked about and hands it out again only for that very object,
 never for an equal copy; analysing another object drops it, so at most one
 input is kept alive.  When M is invertible the rank of M gives aind = 1 with
-no power of M, and the form takes P^ = I and C^ = A^ (N^ is 0 x 0); when M is
-nilpotent it takes P^ = I and N^ = A^.  Nothing is multiplied by that I.
+no power of M, and the form takes P^ = I and C^ = A^ (N^ is 0 x 0).  Nothing
+is multiplied by that I: E, the form's products and its change of basis
+(_to_blocks, _from_blocks, which the solvers call) all skip it at r = n.
 """
 
 from __future__ import annotations
@@ -87,6 +88,14 @@ class DualBlockDecompositionInd1(_Value):
             out = out + p.submatrix(0, n, r, n) @ bottom @ q.submatrix(r, n, 0, n)
         return out
 
+    def _to_blocks(self, x: DualMatrix) -> DualMatrix:
+        """P^^(-1) x, which is x at r = n."""
+        return x if self.r == x.rows else self.phat_inv @ x
+
+    def _from_blocks(self, x: DualMatrix) -> DualMatrix:
+        """P^ x, which is x at r = n."""
+        return x if self.r == x.rows else self.phat @ x
+
     def assemble(self) -> DualMatrix:
         return self._conjugate(self.chat, self.nhat)
 
@@ -101,9 +110,9 @@ class DualBlockDecompositionInd1(_Value):
 
 def _e_nhat(a: DualMatrix, cn: CoreNilpotentDecomposition) -> tuple[RealMatrix, DualMatrix]:
     """(E, N^): E = P^(-1) M0 P and the bottom block N^ = N + eps*E22 of the
-    form, which needs neither C^^(-1) nor T; E = M0 where P = I."""
+    form, which needs neither C^^(-1) nor T; E = M0 at r = n, where P = I."""
     n, r = a.rows, cn.r
-    e = a.dual if r in (0, n) else cn.p_inv @ a.dual @ cn.p
+    e = a.dual if r == n else cn.p_inv @ a.dual @ cn.p
     return e, DualMatrix(cn.n, e.submatrix(r, n, r, n))
 
 
@@ -116,7 +125,7 @@ def _decompose(
     e, nhat = e_nhat
     chat = DualMatrix(cn.c, e.submatrix(0, r, 0, r))
     chat_inv = dual_inverse(chat)
-    if r in (0, n):  # P = I and T has no entries, so P^ = I
+    if r == n:  # P = I and T has no entries, so P^ = I
         eye = DualMatrix.identity(n)
         t12, t21 = RealMatrix.zeros(r, n - r), RealMatrix.zeros(n - r, r)
         return DualBlockDecompositionInd1(eye, chat, nhat, r, eye, chat_inv, t12, t21)
@@ -183,11 +192,9 @@ class _Analysis:
 
     @cached_property
     def obstruction(self) -> RealMatrix:
-        """The DDI obstruction P diag(0, K22) P^(-1), K22 itself at r = 0."""
+        """The DDI obstruction P diag(0, K22) P^(-1)."""
         cn, n = self.cn, self.a.rows
         k22 = self.bottom[0]
-        if cn.r == 0:
-            return k22
         return cn.p.submatrix(0, n, cn.r, n) @ k22 @ cn.p_inv.submatrix(cn.r, n, 0, n)
 
     @cached_property

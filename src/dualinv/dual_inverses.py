@@ -124,10 +124,9 @@ def dgi(a: DualMatrix) -> DualMatrix:
     if analysis.aind != 1:
         raise IndexTooLarge(f"dual group inverse needs aind 1, got {analysis.aind}")
     if analysis.bottom[1] != 1:
-        witness = a.dual
-        if not a.std.is_zero:  # both projectors are I at M = 0
-            mp, eye = moore_penrose(a.std), RealMatrix.identity(a.rows)
-            witness = (eye - a.std @ mp) @ witness @ (eye - mp @ a.std)
+        mp = moore_penrose(a.std)
+        eye = RealMatrix.identity(a.rows)
+        witness = (eye - a.std @ mp) @ a.dual @ (eye - mp @ a.std)
         if witness.is_zero:
             raise InternalInvariantViolation("dind > 1 but the DGI witness vanishes")
         raise DoesNotExist("dual group inverse does not exist", witness)

@@ -18,7 +18,7 @@ residual is P^ (0; b2): (a) reads b2.std = 0, (b) then reads "b2.dual lies
 in the range of N", the restricted condition reads b2 = 0, and W b^ =
 P^ (C^^(-1) b1; 0).  The bottom block of the unrestricted particular
 solution is the appreciable N+ b2.dual: N+ b2 itself would be an
-eps-multiple, and eps*N kills those.  P^ = I at r = 0 and r = n.
+eps-multiple, and eps*N kills those.
 """
 
 from __future__ import annotations
@@ -49,13 +49,8 @@ def _split(a: DualMatrix, b: DualMatrix):
     after the first d.r rows."""
     _check_column(a, b)
     d = block_diagonalize_ind1(a)
-    pb = _times(d, d.phat_inv, b)
+    pb = d._to_blocks(b)
     return d, pb.submatrix(0, d.r, 0, 1), pb.submatrix(d.r, a.rows, 0, 1)
-
-
-def _times(d, basis: DualMatrix, x: DualMatrix) -> DualMatrix:
-    """basis @ x for basis P^ or P^^(-1) of d, which are I at r = 0 and r = n."""
-    return x if d.r in (0, x.rows) else basis @ x
 
 
 def solve_general(a: DualMatrix, b: DualMatrix) -> ParametricDualSolutions:
@@ -76,13 +71,13 @@ def solve_general(a: DualMatrix, b: DualMatrix) -> ParametricDualSolutions:
     n_pinv = moore_penrose(d.nblock)
     top = d.chat_inv @ b1
     bottom = DualMatrix.from_real(n_pinv @ b2.dual)
-    particular = _times(d, d.phat, dual_vstack(top, bottom))
+    particular = d._from_blocks(dual_vstack(top, bottom))
     generators = []
     if n > r:
         # P^ (0; X^) = P^[:, r:] X^, and P^ (0; eps*I) = eps*P[:, r:]
         p_right = d.phat.submatrix(0, n, r, n)
         projector = DualMatrix.from_real(RealMatrix.identity(n - r) - n_pinv @ d.nblock)
-        generators.append(projector if r == 0 else p_right @ projector)
+        generators.append(p_right @ projector)
         generators.append(DualMatrix.eps(p_right.std))
     return ParametricDualSolutions(particular, tuple(generators))
 
@@ -98,7 +93,7 @@ def solve_restricted(a: DualMatrix, b: DualMatrix) -> ParametricDualSolutions:
     if not b2.is_zero:
         raise Inconsistent("restricted system rejects this right-hand side")
     # W b^ = P^ (C^^(-1) b1; 0), and b2 is that zero block
-    particular = _times(d, d.phat, dual_vstack(d.chat_inv @ b1, b2))
+    particular = d._from_blocks(dual_vstack(d.chat_inv @ b1, b2))
     return ParametricDualSolutions(particular, (a - d.sharp(),))
 
 

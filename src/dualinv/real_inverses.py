@@ -47,8 +47,8 @@ class CoreNilpotentDecomposition(_Value):
 
     c is r x r invertible with r = rank(M^k); n is nilpotent (n^k = 0);
     k is the index of M.  p's first r columns span the column space of M^k,
-    the rest its null space; p_inv is its inverse.  When M is invertible
-    (c = M) or nilpotent (n = M), p = p_inv = I, with no product formed.
+    the rest its null space; p_inv is its inverse.  An invertible M takes
+    p = p_inv = I and c = M, as a nilpotent one takes p = I and n = M.
     """
 
     __slots__ = ("p", "p_inv", "c", "n", "r", "k")
@@ -80,10 +80,9 @@ def _core_nilpotent_at(
     size = m.rows
     reduced, pivots = echelon
     r = len(pivots)
-    if r in (0, size):  # M^k spans everything, or M^k = 0 and its null space does
-        eye, empty = RealMatrix.identity(size), RealMatrix.zeros(0, 0)
-        c, n = (m, empty) if r else (empty, m)
-        return CoreNilpotentDecomposition(eye, eye, c, n, r, k)
+    if r == size:
+        eye = RealMatrix.identity(size)
+        return CoreNilpotentDecomposition(eye, eye, m, RealMatrix.zeros(0, 0), r, k)
     p = hstack(mk.columns_at(pivots), _null_basis(reduced, pivots, size))
     p_inv = inverse(p)
     similar = p_inv @ m @ p

@@ -12,9 +12,8 @@ A sequence of calls on one object builds each part once.  A value-equal but
 distinct object gets an analysis of its own (nothing is keyed on value),
 analysing another object releases the first (memory stays bounded), and a
 part whose construction raised is built again on the next call.  An
-invertible standard part forms no power of M and no inverse of P.  The form
-of an invertible or a nilpotent standard part takes P = I, built with no
-inverse, and no call multiplies a RealMatrix by an identity factor there.
+invertible standard part forms no power of M and no inverse of P, and no
+call multiplies a RealMatrix by an identity factor there, where P = I.
 
 index_profile takes its two ranks from the bottom block N^ of the form, so
 the doubled matrix it reduces has n - r rows, not n, and the dual index is
@@ -353,11 +352,7 @@ def test_the_square_task_inverts_the_core_block_once(monkeypatch):
         assert [args[0] for args in inverted] == [form.chat]
 
 
-# Inputs whose form takes P = I: invertible standard parts (r = n) and
-# nilpotent ones (r = 0), at aind 1, where M = 0, and at aind 3.  The aind-1
-# right-hand side has a zero standard part and a dual part in the range of
-# the rank-2 M0, so solve_general returns a family with both generators.
-_M0_RANK2 = RealMatrix.from_rows([[1, 2, 0], [2, 4, 1], [3, 6, 1]])
+# Inputs whose form takes P = I: invertible standard parts (r = n).
 IDENTITY_BASIS = {
     "invertible_3": (
         support.rand_dual_invertible_std(random.Random(139), 3),
@@ -366,14 +361,6 @@ IDENTITY_BASIS = {
     "invertible_5": (
         support.rand_dual_invertible_std(random.Random(143), 5),
         support.rand_dual_parameter(random.Random(145), 5),
-    ),
-    "nilpotent_aind1": (
-        DualMatrix.eps(_M0_RANK2),
-        DualMatrix.eps(_M0_RANK2 @ RealMatrix.from_rows([[1], [-1], [2]])),
-    ),
-    "nilpotent_aind3": (
-        support.rand_high_index(random.Random(149), 3, 3, dind=5),
-        DualMatrix.zeros(3, 1),
     ),
 }
 
@@ -417,13 +404,3 @@ def test_the_identity_guard_sees_the_padded_route(identity_factors):
     block_decomposition.wddi_from_given_decomposition(d.phat, d.chat, d.nhat)
     assert identity_factors
 
-
-def test_a_nilpotent_standard_part_takes_the_identity_basis_without_an_inverse(monkeypatch):
-    inverted = []
-    monkeypatch.setattr(real_inverses, "inverse", _recording(real_inverses.inverse, inverted))
-    for fixture in ("nilpotent_aind1", "nilpotent_aind3"):
-        m = IDENTITY_BASIS[fixture][0].std
-        cn = real_inverses.core_nilpotent(m)
-        assert cn.r == 0 and cn.n == m and cn.c.shape == (0, 0)
-        assert cn.p == cn.p_inv == RealMatrix.identity(m.rows)
-    assert inverted == []
