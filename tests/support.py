@@ -18,7 +18,9 @@ inverse.  The doubled-system solver (``solve``, ``dual_solve``,
 ``in_range`` and ``DualAffineSet``) is the reference for the solution
 families and the range tests.
 The Fraction loops that the integer kernels of ``RealMatrix.__matmul__`` and
-``rref`` replaced are kept here as the references for those kernels.
+``rref`` replaced are kept here as the references for those kernels, and so
+are the routes that ``inverse`` and the index took when each reduced a whole
+matrix: the right block of ``rref([M | I])`` and the ``rref`` of every power.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from dualinv import (
     ExistenceProfile,
     Inconsistent,
     IndexTooLarge,
+    NotInvertible,
     ParametricDualSolutions,
     RealMatrix,
     column_space_contains,
@@ -94,6 +97,32 @@ def rref_reference(m: RealMatrix) -> tuple[RealMatrix, tuple[int, ...]]:
         pivots.append(pc)
         pr += 1
     return RealMatrix(m.rows, m.cols, tuple(tuple(r) for r in work)), tuple(pivots)
+
+
+def inverse_reference(m: RealMatrix) -> RealMatrix:
+    """The inverse as the right block of rref([M | I]); NotInvertible when a
+    pivot of the bordered matrix falls in its right block."""
+    n = m.rows
+    if n == 0:
+        return m
+    reduced, pivots = rref(hstack(m, RealMatrix.identity(n)))
+    m_rank = sum(1 for pc in pivots if pc < n)
+    if m_rank < n:
+        raise NotInvertible(f"matrix of rank {m_rank} is singular")
+    return reduced.submatrix(0, n, n, 2 * n)
+
+
+def index_power_reference(m: RealMatrix) -> tuple[int, RealMatrix, tuple]:
+    """(k, M^k, rref(M^k)) for the index k of square M, from the rref of
+    every power M, M^2, ..., M^(k+1)."""
+    power, reduced = m, rref(m)
+    for k in range(1, m.rows + 2):
+        power_next = power @ m
+        reduced_next = rref(power_next)
+        if len(reduced_next[1]) == len(reduced[1]):
+            return k, power, reduced
+        power, reduced = power_next, reduced_next
+    raise AssertionError("rank sequence failed to stabilize")
 
 
 def rand_fraction(rng: random.Random, bound: int = 9) -> Fraction:

@@ -3,6 +3,9 @@ Fraction loops they replaced (``support.matmul_reference`` and
 ``support.rref_reference``), and ``rref``, ``rank``, ``nullspace``,
 ``inverse`` and ``moore_penrose`` against sympy as an independent oracle;
 ``drazin`` is checked against its defining equations in sympy arithmetic.
+``inverse`` is also checked against the right block of ``rref([M | I])``
+(``support.inverse_reference``), the route it took before it read the
+inverse off the back-substituted rows.
 
 Every kernel result must be in the canonical form that ``==`` and ``hash``
 rely on: ints over one positive denominator in lowest terms.  Dense p/q
@@ -154,6 +157,25 @@ def test_inverse_matches_sympy():
             assert inverse(m) == _from_sympy(s.inv()), m
     # both outcomes are exercised
     assert 0 < singular < 300
+
+
+def test_inverse_matches_the_right_block_of_the_reduced_bordered_matrix():
+    rng = random.Random(2036)
+    singular = 0
+    for n in range(9):
+        for _ in range(40):
+            m = _matrix(rng, n, n)
+            try:
+                expected = support.inverse_reference(m)
+            except NotInvertible as exc:
+                singular += 1
+                with pytest.raises(NotInvertible) as raised:
+                    inverse(m)
+                assert str(raised.value) == str(exc)
+            else:
+                assert inverse(m) == expected, m
+    # both outcomes are exercised
+    assert 0 < singular < 9 * 40
 
 
 def test_moore_penrose_matches_sympy():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dualinv import real_inverses
 from dualinv import (
     DimensionError,
     IndexTooLarge,
@@ -96,6 +97,29 @@ class TestMoorePenrose:
             assert all(_penrose_conditions(m, moore_penrose(m)))
             checked += 1
         assert checked == 500
+
+
+def _index_power_inputs():
+    rng = random.Random(47)
+    for n in range(6):
+        yield support.rand_invertible(rng, n)
+        yield RealMatrix.zeros(n, n)
+        yield support.rand_nilpotent(rng, n)
+        yield support.rand_aind1(rng, n).std
+    for aind in range(1, 6):
+        for dind in range(aind, 2 * aind + 1):
+            for n in (aind, aind + 2):
+                yield support.rand_high_index(rng, n, aind, dind=dind).std
+
+
+def test_index_power_matches_the_rref_of_every_power():
+    # the index, the power it stops at and that power's reduced form
+    seen = set()
+    for m in _index_power_inputs():
+        result = real_inverses._index_power(m)
+        assert result == support.index_power_reference(m), m
+        seen.add(result[0])
+    assert seen == {1, 2, 3, 4, 5}
 
 
 class TestCoreNilpotent:
