@@ -1,4 +1,11 @@
-"""Gauss-Jordan elimination over the rationals, run on integers.
+"""Gaussian elimination over the rationals, run on integers, in two passes.
+
+The forward pass clears below each pivot and leaves an echelon form; it is
+all that a rank or a range test reads.  The back pass clears above each
+pivot of that echelon form and runs only where a reduced form is read: in
+``rref`` (so in ``nullspace``), in ``inverse``, in ``moore_penrose`` below
+full column rank, and once in the index of a singular matrix (see
+``real_inverses``).
 
 Pivots are chosen as the first nonzero entry in column order.  Magnitude
 pivoting buys nothing in exact arithmetic and would cost determinism, which
@@ -22,12 +29,10 @@ from .exceptions import DimensionError, NotInvertible
 from .matrices import RealMatrix, _reduced, hstack
 
 
-def _eliminate(m: RealMatrix, above: bool = True) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan on the ints of m: rows whose first len(pivots) are
-    nonzero multiples of the reduced form's nonzero rows (the rest are
-    zero), and the pivot columns.  With ``above`` false only the rows below
-    each pivot are cleared, which leaves the pivot columns as they are and
-    is all a rank needs."""
+def _eliminate(m: RealMatrix) -> tuple[list[list[int]], list[int]]:
+    """The forward pass on the ints of m: an echelon form whose first
+    len(pivots) rows are the pivot rows (the rest are zero), and the pivot
+    columns."""
     work = [list(row) for row in m.nums]
     pivots: list[int] = []
     pr = 0
@@ -38,22 +43,42 @@ def _eliminate(m: RealMatrix, above: bool = True) -> tuple[list[list[int]], list
         if hit is None:
             continue
         work[pr], work[hit] = work[hit], work[pr]
-        row_pr = work[pr]
-        p = row_pr[pc]
-        for i in range(0 if above else pr + 1, m.rows):
+        p = work[pr][pc]
+        # the rows below the pivot are zero left of pc, and each is zero at pc
+        # once cleared, so only the tails right of pc are combined
+        head, pivot_tail = [0] * (pc + 1), work[pr][pc + 1:]
+        for i in range(pr + 1, m.rows):
             f = work[i][pc]
-            if i != pr and f:
-                row = [p * a - f * b for a, b in zip(work[i], row_pr)]
+            if f:
+                row = [p * a - f * b for a, b in zip(work[i][pc + 1:], pivot_tail)]
                 g = gcd(*row)
-                work[i] = [x // g for x in row] if g > 1 else row
+                work[i] = head + ([x // g for x in row] if g > 1 else row)
         pivots.append(pc)
         pr += 1
     return work, pivots
 
 
-def rref(m: RealMatrix) -> tuple[RealMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the tuple of pivot columns."""
-    work, pivots = _eliminate(m)
+def _back_substitute(work: list[list[int]], pivots: list[int]) -> None:
+    """The back pass on an echelon form from ``_eliminate``, in place: each
+    pivot row becomes a nonzero multiple of the reduced form's row."""
+    for t, pc in enumerate(pivots):
+        row_t = work[t]
+        p = row_t[pc]
+        for i in range(t):
+            f = work[i][pc]
+            if f:
+                row = [p * a - f * b for a, b in zip(work[i], row_t)]
+                g = gcd(*row)
+                work[i] = [x // g for x in row] if g > 1 else row
+
+
+def _reduce(
+    m: RealMatrix, echelon: tuple[list[list[int]], list[int]]
+) -> tuple[RealMatrix, tuple[int, ...]]:
+    """rref(m) from the echelon form of m that ``_eliminate`` returned,
+    which it reduces in place."""
+    work, pivots = echelon
+    _back_substitute(work, pivots)
     r = len(pivots)
     # each pivot row divided by its pivot, over the lcm of the pivots
     den = lcm(*(row[pc] for row, pc in zip(work, pivots)))
@@ -66,8 +91,13 @@ def rref(m: RealMatrix) -> tuple[RealMatrix, tuple[int, ...]]:
     return _reduced(m.rows, m.cols, tuple(nums), den), tuple(pivots)
 
 
+def rref(m: RealMatrix) -> tuple[RealMatrix, tuple[int, ...]]:
+    """Reduced row echelon form and the tuple of pivot columns."""
+    return _reduce(m, _eliminate(m))
+
+
 def rank(m: RealMatrix) -> int:
-    return len(_eliminate(m, above=False)[1])
+    return len(_eliminate(m)[1])
 
 
 def nullspace(m: RealMatrix) -> RealMatrix:
@@ -107,12 +137,17 @@ def inverse(m: RealMatrix) -> RealMatrix:
     n = m.rows
     if n == 0:
         return m
-    reduced, pivots = rref(hstack(m, RealMatrix.identity(n)))
-    # the left block of the reduced form is the reduced form of m
+    work, pivots = _eliminate(hstack(m, RealMatrix.identity(n)))
+    # the pivots in the left block are those of m's own echelon form
     m_rank = sum(1 for pc in pivots if pc < n)
     if m_rank < n:
         raise NotInvertible(f"matrix of rank {m_rank} is singular")
-    return reduced.submatrix(0, n, n, 2 * n)
+    _back_substitute(work, pivots)
+    # row i holds p_i times (e_i | row i of m^(-1)): the right block of each
+    # row over its pivot p_i, all over the lcm of the pivots
+    den = lcm(*(work[i][i] for i in range(n)))
+    nums = tuple(tuple(x * (den // row[i]) for x in row[n:]) for i, row in enumerate(work))
+    return _reduced(n, n, nums, den)
 
 
 def column_space_contains(span: RealMatrix, vectors: RealMatrix) -> bool:
@@ -121,5 +156,5 @@ def column_space_contains(span: RealMatrix, vectors: RealMatrix) -> bool:
         raise DimensionError("column space test needs equal row counts")
     # the pivots left of the vectors are those of span's own reduced form, so
     # the ranks agree exactly when no pivot falls among the vectors
-    pivots = _eliminate(hstack(span, vectors), above=False)[1]
+    pivots = _eliminate(hstack(span, vectors))[1]
     return all(pc < span.cols for pc in pivots)

@@ -76,7 +76,8 @@ class RealMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RealMatrix":
-        return _make(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
+        zeros = (0,) * (n - 1)
+        return _make(n, n, tuple(zeros[:i] + (1,) + zeros[i:] for i in range(n)), 1)
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -161,7 +162,10 @@ class RealMatrix:
         return _make(self.cols, self.rows, nums, self.den)
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "RealMatrix":
-        """Rows r0..r1-1 and columns c0..c1-1."""
+        """Rows r0..r1-1 and columns c0..c1-1; the matrix itself for the
+        whole range, which is safe as no matrix is ever changed."""
+        if r0 == c0 == 0 and r1 == self.rows and c1 == self.cols:
+            return self
         return _reduced(
             r1 - r0, c1 - c0, tuple(row[c0:c1] for row in self.nums[r0:r1]), self.den
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .exceptions import DimensionError, IndexTooLarge, InternalInvariantViolation
 from .matrices import RealMatrix, _Value, block_diag, hstack
-from .elimination import _null_basis, inverse, rank, rref
+from .elimination import _eliminate, _null_basis, _reduce, inverse, rank
 
 
 def index(m: RealMatrix) -> int:
@@ -26,19 +26,24 @@ def index(m: RealMatrix) -> int:
 def _index_power(m: RealMatrix) -> tuple[int, RealMatrix, tuple]:
     """(k, M^k, rref(M^k)) for the index k of square M.
 
-    The power and its reduced form are those the rank sequence stopped at,
-    so the core-nilpotent form needs neither product nor elimination again.
-    An invertible M stops at k = 1 without forming M^2.
+    Each rank of the sequence M, M^2, ..., M^(k+1) is read off a forward
+    pass alone, and the echelon form of each power is kept until the next
+    one's rank is known; one back pass then reduces that of M^k.  So the
+    core-nilpotent form needs neither product nor elimination again.  An
+    invertible M stops at k = 1 after one forward pass, with no power of M
+    and no back pass: its reduced form is I.
     """
-    power, reduced = m, rref(m)
-    if len(reduced[1]) == m.rows:
-        return 1, m, reduced
-    for k in range(1, m.rows + 1):
+    n = m.rows
+    echelon = _eliminate(m)
+    if len(echelon[1]) == n:
+        return 1, m, (RealMatrix.identity(n), tuple(range(n)))
+    power = m
+    for k in range(1, n + 1):
         power_next = power @ m
-        reduced_next = rref(power_next)
-        if len(reduced_next[1]) == len(reduced[1]):
-            return k, power, reduced
-        power, reduced = power_next, reduced_next
+        echelon_next = _eliminate(power_next)
+        if len(echelon_next[1]) == len(echelon[1]):
+            return k, power, _reduce(power, echelon)
+        power, echelon = power_next, echelon_next
     raise InternalInvariantViolation("rank sequence failed to stabilize by n")
 
 
@@ -62,9 +67,13 @@ class CoreNilpotentDecomposition(_Value):
         return self.p @ block_diag(self.c, self.n) @ self.p_inv
 
     def drazin(self) -> RealMatrix:
-        """M^D = p @ block_diag(c^(-1), 0) @ p_inv."""
-        zero = RealMatrix.zeros(self.n.rows, self.n.cols)
-        return self.p @ block_diag(inverse(self.c), zero) @ self.p_inv
+        """M^D = p diag(c^(-1), 0) p_inv, taken on the blocks that carry
+        data as p[:, :r] c^(-1) p_inv[:r, :]; c^(-1) itself when p = I."""
+        c_inv = inverse(self.c)
+        size, r = self.p.rows, self.r
+        if r == size and self.p == RealMatrix.identity(size):
+            return c_inv
+        return self.p.submatrix(0, size, 0, r) @ c_inv @ self.p_inv.submatrix(0, r, 0, size)
 
 
 def core_nilpotent(m: RealMatrix) -> CoreNilpotentDecomposition:
@@ -116,10 +125,16 @@ def moore_penrose(m: RealMatrix) -> RealMatrix:
     """Moore-Penrose inverse via a full-rank factorization M = F G.
 
     F collects the pivot columns of M, G the nonzero rows of its reduced
-    echelon form; then M+ = G^T (G G^T)^(-1) (F^T F)^(-1) F^T.
+    echelon form; then M+ = G^T (G G^T)^(-1) (F^T F)^(-1) F^T.  At full
+    column rank F = M and G = I, so M+ = (M^T M)^(-1) M^T, read with no
+    reduced form.
     """
-    reduced, pivots = rref(m)
-    r = len(pivots)
+    echelon = _eliminate(m)
+    r = len(echelon[1])
+    if r == m.cols:
+        mt = m.T
+        return inverse(mt @ m) @ mt
+    reduced, pivots = _reduce(m, echelon)
     f = m.columns_at(pivots)
     g = reduced.submatrix(0, r, 0, m.cols)
     return g.T @ inverse(g @ g.T) @ inverse(f.T @ f) @ f.T

@@ -13,7 +13,13 @@ distinct object gets an analysis of its own (nothing is keyed on value),
 analysing another object releases the first (memory stays bounded), and a
 part whose construction raised is built again on the next call.  An
 invertible standard part forms no power of M and no inverse of P, and no
-call multiplies a RealMatrix by an identity factor there, where P = I.
+call multiplies a RealMatrix by an identity factor there, where P = I; nor
+do the real drazin and group_inverse, nor moore_penrose at full column
+rank, where rref(M) = I.
+
+The index reads each rank off a forward elimination alone: on an invertible
+M it runs one forward pass, on M itself, and no back pass, and on a
+singular M exactly one back pass, on M^k.
 
 index_profile takes its two ranks from the bottom block N^ of the form, so
 the doubled matrix it reduces has n - r rows, not n, and the dual index is
@@ -37,10 +43,11 @@ from collections import Counter
 import pytest
 
 import dualinv
-from dualinv import DualMatrix, RealMatrix, ddi, solve_general, solve_restricted, wddi
+from dualinv import DualMatrix, RealMatrix, ddi, rank, solve_general, solve_restricted, wddi
 from dualinv import ddi_obstruction, dgi, existence_profile, index_profile
 from dualinv import solve_ind1_corollaries, verify, wdgi
-from dualinv import block_decomposition, dual_linear, indices, matrices, real_inverses
+from dualinv import block_decomposition, dual_linear, elimination, indices, matrices
+from dualinv import real_inverses
 
 import cases
 import support
@@ -123,7 +130,7 @@ def _fresh(fixture):
 
 def _call(name, a, b):
     try:
-        {**CALLS, **MORE_CALLS}[name](a, b)
+        {**CALLS, **MORE_CALLS, **REAL_CALLS}[name](a, b)
     except (dualinv.DoesNotExist, dualinv.IndexTooLarge, dualinv.Inconsistent):
         pass
 
@@ -267,10 +274,11 @@ def _recording(original, seen):
 
 
 def test_invertible_standard_part_skips_the_index(counts, monkeypatch):
-    # inside real_inverses, rref runs once on M itself (its rank ends the
-    # index at 1 with no power of M) and inverse, which only P needs, never
-    reduced, inverted = [], []
-    for name, seen in (("rref", reduced), ("inverse", inverted)):
+    # inside real_inverses one forward pass runs, on M itself (its rank ends
+    # the index at 1 with no power of M); no back pass runs there, and
+    # inverse, which only P needs, never
+    forward, reduced, inverted = [], [], []
+    for name, seen in (("_eliminate", forward), ("_reduce", reduced), ("inverse", inverted)):
         original = getattr(real_inverses, name)
         monkeypatch.setattr(real_inverses, name, _recording(original, seen))
     rng = random.Random(131)
@@ -285,11 +293,30 @@ def test_invertible_standard_part_skips_the_index(counts, monkeypatch):
         assert ddi_obstruction(a).is_zero
         form = block_decomposition.block_diagonalize_ind1(a)
         assert form.phat == DualMatrix.identity(n) and form.chat == a
-    assert len(reduced) == len(stds), len(reduced)
-    assert all(args[0] is m for args, m in zip(reduced, stds))
+    assert len(forward) == len(stds), len(forward)
+    assert all(args[0] is m for args, m in zip(forward, stds))
+    assert reduced == []
     assert inverted == []
     assert counts["index"] == counts["core_nilpotent"] == 3, dict(counts)
     assert counts["rank_profile"] == 3, dict(counts)
+
+
+def test_the_index_of_a_singular_matrix_runs_one_back_pass_on_its_power(monkeypatch):
+    back_passes, reduced = [], []
+    original = elimination._back_substitute
+    monkeypatch.setattr(elimination, "_back_substitute", _recording(original, back_passes))
+    original = real_inverses._reduce
+    monkeypatch.setattr(real_inverses, "_reduce", _recording(original, reduced))
+    rng = random.Random(133)
+    singular = [support.rand_aind1(rng, 4).std, support.rand_nilpotent(rng, 4)]
+    singular += [support.rand_high_index(rng, 6, aind, dind=aind).std for aind in (2, 3, 4)]
+    for m in singular:
+        back_passes.clear()
+        reduced.clear()
+        k, mk, echelon = real_inverses._index_power(m)
+        assert len(echelon[1]) < m.rows
+        assert len(back_passes) == 1
+        assert len(reduced) == 1 and reduced[0][0] is mk
 
 
 def _index_profile_inputs():
@@ -364,8 +391,15 @@ IDENTITY_BASIS = {
     ),
 }
 
+# the real inverses of the standard part, which the CLI's -real kinds reach
+REAL_CALLS = {
+    "drazin": lambda a, b: real_inverses.drazin(a.std),
+    "group_inverse": lambda a, b: real_inverses.group_inverse(a.std),
+}
+
 IDENTITY_GUARDED_CALLS = (
-    "index_profile", "wddi", "ddi", "wdgi", "dgi", "solve_general", "solve_restricted"
+    "index_profile", "wddi", "ddi", "wdgi", "dgi", "solve_general", "solve_restricted",
+    *REAL_CALLS,
 )
 
 
@@ -404,3 +438,32 @@ def test_the_identity_guard_sees_the_padded_route(identity_factors):
     block_decomposition.wddi_from_given_decomposition(d.phat, d.chat, d.nhat)
     assert identity_factors
 
+
+
+def test_moore_penrose_at_full_column_rank_multiplies_by_no_identity(
+    identity_factors, monkeypatch
+):
+    # G = rref(M) = I there, so M+ = (M^T M)^(-1) M^T
+    rng = random.Random(147)
+    for rows, cols in ((3, 3), (5, 3), (4, 1)):
+        m = support.rand_int_matrix(rng, rows, cols, bound=4)
+        assert rank(m) == cols
+        real_inverses.moore_penrose(m)
+    assert identity_factors == []
+    # solve_general takes N+ of the bottom block N^ = eps*M0 of eps*M0; the
+    # form itself still multiplies by its P = I at r = 0, so only the
+    # products made inside moore_penrose are counted
+    inside = []
+    original = real_inverses.moore_penrose
+
+    def watched(m):
+        before = len(identity_factors)
+        out = original(m)
+        inside.extend(identity_factors[before:])
+        return out
+
+    _patch_everywhere(monkeypatch, original, watched)
+    m0 = support.rand_invertible(rng, 3)
+    x = solve_general(DualMatrix.eps(m0), DualMatrix.eps(support.rand_int_matrix(rng, 3, 1)))
+    assert x.generators
+    assert inside == []
