@@ -58,9 +58,10 @@ def _eliminate(m: RealMatrix) -> tuple[list[list[int]], list[int]]:
     return work, pivots
 
 
-def _back_substitute(work: list[list[int]], pivots: list[int]) -> None:
-    """The back pass on an echelon form from ``_eliminate``, in place: each
-    pivot row becomes a nonzero multiple of the reduced form's row."""
+def _back_substitute(work: list[list[int]], pivots: list[int], start: int = 0) -> tuple:
+    """The back pass on an echelon form from ``_eliminate``, which it
+    changes in place: the nonzero rows of the reduced form from column
+    ``start`` on, as ints over one denominator, and that denominator."""
     for t, pc in enumerate(pivots):
         row_t = work[t]
         p = row_t[pc]
@@ -70,25 +71,17 @@ def _back_substitute(work: list[list[int]], pivots: list[int]) -> None:
                 row = [p * a - f * b for a, b in zip(work[i], row_t)]
                 g = gcd(*row)
                 work[i] = [x // g for x in row] if g > 1 else row
-
-
-def _reduce(
-    m: RealMatrix, echelon: tuple[list[list[int]], list[int]]
-) -> tuple[RealMatrix, tuple[int, ...]]:
-    """rref(m) from the echelon form of m that ``_eliminate`` returned,
-    which it reduces in place."""
-    work, pivots = echelon
-    _back_substitute(work, pivots)
-    r = len(pivots)
     # each pivot row divided by its pivot, over the lcm of the pivots
     den = lcm(*(row[pc] for row, pc in zip(work, pivots)))
-    nums = []
-    for row, pc in zip(work, pivots):
-        scale = den // row[pc]
-        nums.append(tuple(x * scale for x in row))
-    if m.rows > r:
-        nums += ((0,) * m.cols,) * (m.rows - r)
-    return _reduced(m.rows, m.cols, tuple(nums), den), tuple(pivots)
+    return [tuple(x * (den // row[pc]) for x in row[start:]) for row, pc in zip(work, pivots)], den
+
+
+def _reduce(m: RealMatrix, echelon: tuple) -> tuple[RealMatrix, tuple[int, ...]]:
+    """rref(m) from the echelon form of m that ``_eliminate`` returned."""
+    nums, den = _back_substitute(*echelon)
+    if m.rows > len(nums):
+        nums += ((0,) * m.cols,) * (m.rows - len(nums))
+    return _reduced(m.rows, m.cols, tuple(nums), den), tuple(echelon[1])
 
 
 def rref(m: RealMatrix) -> tuple[RealMatrix, tuple[int, ...]]:
@@ -142,12 +135,9 @@ def inverse(m: RealMatrix) -> RealMatrix:
     m_rank = sum(1 for pc in pivots if pc < n)
     if m_rank < n:
         raise NotInvertible(f"matrix of rank {m_rank} is singular")
-    _back_substitute(work, pivots)
-    # row i holds p_i times (e_i | row i of m^(-1)): the right block of each
-    # row over its pivot p_i, all over the lcm of the pivots
-    den = lcm(*(work[i][i] for i in range(n)))
-    nums = tuple(tuple(x * (den // row[i]) for x in row[n:]) for i, row in enumerate(work))
-    return _reduced(n, n, nums, den)
+    # the reduced form of [M | I] is [I | M^(-1)]
+    nums, den = _back_substitute(work, pivots, n)
+    return _reduced(n, n, tuple(nums), den)
 
 
 def column_space_contains(span: RealMatrix, vectors: RealMatrix) -> bool:
