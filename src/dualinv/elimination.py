@@ -3,9 +3,8 @@
 The forward pass clears below each pivot and leaves an echelon form; it is
 all that a rank or a range test reads.  The back pass clears above each
 pivot of that echelon form and runs only where a reduced form is read: in
-``rref`` (so in ``nullspace``), in ``inverse``, in ``moore_penrose`` below
-full column rank, and once in the index of a singular matrix (see
-``real_inverses``).
+``rref`` (so in ``nullspace`` and ``moore_penrose``), in ``inverse``, and
+once in the index of a singular matrix (see ``real_inverses``).
 
 Pivots are chosen as the first nonzero entry in column order.  Magnitude
 pivoting buys nothing in exact arithmetic and would cost determinism, which

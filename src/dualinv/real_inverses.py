@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .exceptions import DimensionError, IndexTooLarge, InternalInvariantViolation
 from .matrices import RealMatrix, _Value, block_diag, hstack
-from .elimination import _eliminate, _null_basis, _reduce, inverse, rank
+from .elimination import _eliminate, _null_basis, _reduce, inverse, rank, rref
 
 
 def index(m: RealMatrix) -> int:
@@ -68,11 +68,9 @@ class CoreNilpotentDecomposition(_Value):
 
     def drazin(self) -> RealMatrix:
         """M^D = p diag(c^(-1), 0) p_inv, taken on the blocks that carry
-        data as p[:, :r] c^(-1) p_inv[:r, :]; c^(-1) itself when p = I."""
-        c_inv = inverse(self.c)
+        data as p[:, :r] c^(-1) p_inv[:r, :]."""
         size, r = self.p.rows, self.r
-        if r == size and self.p == RealMatrix.identity(size):
-            return c_inv
+        c_inv = inverse(self.c)
         return self.p.submatrix(0, size, 0, r) @ c_inv @ self.p_inv.submatrix(0, r, 0, size)
 
 
@@ -90,8 +88,8 @@ def _core_nilpotent_at(
     reduced, pivots = echelon
     r = len(pivots)
     if r == size:
-        eye = RealMatrix.identity(size)
-        return CoreNilpotentDecomposition(eye, eye, m, RealMatrix.zeros(0, 0), r, k)
+        # the reduced form of an invertible M is I, which is also P
+        return CoreNilpotentDecomposition(reduced, reduced, m, RealMatrix.zeros(0, 0), r, k)
     p = hstack(mk.columns_at(pivots), _null_basis(reduced, pivots, size))
     p_inv = inverse(p)
     similar = p_inv @ m @ p
@@ -125,16 +123,10 @@ def moore_penrose(m: RealMatrix) -> RealMatrix:
     """Moore-Penrose inverse via a full-rank factorization M = F G.
 
     F collects the pivot columns of M, G the nonzero rows of its reduced
-    echelon form; then M+ = G^T (G G^T)^(-1) (F^T F)^(-1) F^T.  At full
-    column rank F = M and G = I, so M+ = (M^T M)^(-1) M^T, read with no
-    reduced form.
+    echelon form; then M+ = G^T (G G^T)^(-1) (F^T F)^(-1) F^T.
     """
-    echelon = _eliminate(m)
-    r = len(echelon[1])
-    if r == m.cols:
-        mt = m.T
-        return inverse(mt @ m) @ mt
-    reduced, pivots = _reduce(m, echelon)
+    reduced, pivots = rref(m)
+    r = len(pivots)
     f = m.columns_at(pivots)
     g = reduced.submatrix(0, r, 0, m.cols)
     return g.T @ inverse(g @ g.T) @ inverse(f.T @ f) @ f.T

@@ -13,9 +13,7 @@ distinct object gets an analysis of its own (nothing is keyed on value),
 analysing another object releases the first (memory stays bounded), and a
 part whose construction raised is built again on the next call.  An
 invertible standard part forms no power of M and no inverse of P, and no
-call multiplies a RealMatrix by an identity factor there, where P = I; nor
-do the real drazin and group_inverse, nor moore_penrose at full column
-rank, where rref(M) = I.
+call multiplies a RealMatrix by an identity factor there, where P = I.
 
 The index reads each rank off a forward elimination alone: on an invertible
 M it runs one forward pass, on M itself, and no back pass, and on a
@@ -43,7 +41,7 @@ from collections import Counter
 import pytest
 
 import dualinv
-from dualinv import DualMatrix, RealMatrix, ddi, rank, solve_general, solve_restricted, wddi
+from dualinv import DualMatrix, RealMatrix, ddi, solve_general, solve_restricted, wddi
 from dualinv import ddi_obstruction, dgi, existence_profile, index_profile
 from dualinv import solve_ind1_corollaries, verify, wdgi
 from dualinv import block_decomposition, dual_linear, elimination, indices, matrices
@@ -130,7 +128,7 @@ def _fresh(fixture):
 
 def _call(name, a, b):
     try:
-        {**CALLS, **MORE_CALLS, **REAL_CALLS}[name](a, b)
+        {**CALLS, **MORE_CALLS}[name](a, b)
     except (dualinv.DoesNotExist, dualinv.IndexTooLarge, dualinv.Inconsistent):
         pass
 
@@ -391,15 +389,8 @@ IDENTITY_BASIS = {
     ),
 }
 
-# the real inverses of the standard part, which the CLI's -real kinds reach
-REAL_CALLS = {
-    "drazin": lambda a, b: real_inverses.drazin(a.std),
-    "group_inverse": lambda a, b: real_inverses.group_inverse(a.std),
-}
-
 IDENTITY_GUARDED_CALLS = (
-    "index_profile", "wddi", "ddi", "wdgi", "dgi", "solve_general", "solve_restricted",
-    *REAL_CALLS,
+    "index_profile", "wddi", "ddi", "wdgi", "dgi", "solve_general", "solve_restricted"
 )
 
 
@@ -438,32 +429,3 @@ def test_the_identity_guard_sees_the_padded_route(identity_factors):
     block_decomposition.wddi_from_given_decomposition(d.phat, d.chat, d.nhat)
     assert identity_factors
 
-
-def test_moore_penrose_at_full_column_rank_multiplies_by_no_identity(
-    identity_factors, monkeypatch
-):
-    # G = rref(M) = I there, so M+ = (M^T M)^(-1) M^T
-    rng = random.Random(147)
-    for rows, cols in ((3, 3), (5, 3), (4, 1)):
-        m = support.rand_int_matrix(rng, rows, cols, bound=4)
-        assert rank(m) == cols
-        real_inverses.moore_penrose(m)
-    assert identity_factors == []
-    # solve_general takes N+ of the bottom block N^ = eps*M0 of eps*M0; the
-    # form itself still multiplies by its P = I at r = 0, so only the
-    # products made inside moore_penrose are counted
-    inside, pseudo_inverted = [], []
-    original = real_inverses.moore_penrose
-
-    def watched(m):
-        before = len(identity_factors)
-        out = original(m)
-        inside.extend(identity_factors[before:])
-        pseudo_inverted.append(m)
-        return out
-
-    _patch_everywhere(monkeypatch, original, watched)
-    m0 = support.rand_invertible(rng, 3)
-    solve_general(DualMatrix.eps(m0), DualMatrix.eps(support.rand_int_matrix(rng, 3, 1)))
-    assert pseudo_inverted == [m0]
-    assert inside == []
