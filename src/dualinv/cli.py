@@ -10,7 +10,9 @@ Commands:
 
 Exit codes: 0 ok, 2 requested object does not exist, 3 inconsistent system,
 4 parse or usage error, 5 internal error (any other exception, a bug).
-Exactly one JSON result document goes to stdout.
+Exactly one JSON result document goes to stdout.  run alone picks the code
+and builds the document; the handlers return only the payload of success,
+and the refusals (2 and 3) go through the one table _REFUSALS.
 
 Each command imports the layers it computes with when it runs, so a process
 loads only those: info needs no dual inverse or solver, and the -real kinds
@@ -76,22 +78,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load(path: str) -> tuple[DualMatrix, dict]:
+def _load(path: str, inputs: list) -> DualMatrix:
+    """Parse the matrix at path and append its provenance to inputs."""
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
     except OSError as exc:
         raise ParseError(str(exc), path) from exc
-    return parse_matrix(raw), {
-        "path": path,
-        "sha256": hashlib.sha256(raw).hexdigest(),
-    }
+    matrix = parse_matrix(raw)
+    inputs.append({"path": path, "sha256": hashlib.sha256(raw).hexdigest()})
+    return matrix
 
 
-def _run_info(args) -> tuple[int, ResultDocument]:
+def _run_info(args, inputs: list) -> dict:
     from .indices import index_profile, rank_profile
 
-    a, provenance = _load(args.file)
+    a = _load(args.file, inputs)
     payload: dict = {"rows": a.rows, "cols": a.cols}
     if a.std.is_square:
         profile = index_profile(a)
@@ -104,44 +106,29 @@ def _run_info(args) -> tuple[int, ResultDocument]:
     else:
         arank, drank = rank_profile(a)
         payload.update(arank=arank, drank=drank)
-    return 0, ResultDocument("ok", "info", (provenance,), payload)
+    return payload
 
 
-def _run_compute(args) -> tuple[int, ResultDocument]:
-    operation = f"compute:{args.kind}"
-    a, provenance = _load(args.file)
-    inputs = (provenance,)
-    try:
-        if args.kind == "drazin-real":
-            from .real_inverses import drazin
+def _run_compute(args, inputs: list) -> dict:
+    a = _load(args.file, inputs)
+    if args.kind == "drazin-real":
+        from .real_inverses import drazin
 
-            payload = {"result": real_to_document(drazin(a.std))}
-        elif args.kind == "mp-real":
-            from .real_inverses import moore_penrose
+        return {"result": real_to_document(drazin(a.std))}
+    if args.kind == "mp-real":
+        from .real_inverses import moore_penrose
 
-            payload = {"result": real_to_document(moore_penrose(a.std))}
-        else:
-            from . import dual_inverses
+        return {"result": real_to_document(moore_penrose(a.std))}
+    from . import dual_inverses
 
-            fn = getattr(dual_inverses, args.kind)
-            payload = {"result": matrix_to_document(fn(a))}
-    except DoesNotExist as exc:
-        payload = {"reason": str(exc), "witness": real_to_document(exc.witness)}
-        return 2, ResultDocument("does-not-exist", operation, inputs, payload)
-    except IndexTooLarge as exc:
-        return 2, ResultDocument(
-            "does-not-exist", operation, inputs, {"reason": str(exc)}
-        )
-    return 0, ResultDocument("ok", operation, inputs, payload)
+    return {"result": matrix_to_document(getattr(dual_inverses, args.kind)(a))}
 
 
-def _run_verify(args) -> tuple[int, ResultDocument]:
+def _run_verify(args, inputs: list) -> dict:
     from .dual_inverses import verify
 
-    a, prov_a = _load(args.file)
-    x, prov_x = _load(args.xfile)
-    report = verify(a, x, args.kind)
-    payload = {
+    report = verify(_load(args.file, inputs), _load(args.xfile, inputs), args.kind)
+    return {
         "kind": report.kind,
         "exponent": report.exponent,
         "equations": [
@@ -149,40 +136,17 @@ def _run_verify(args) -> tuple[int, ResultDocument]:
         ],
         "all_hold": report.all_hold,
     }
-    return 0, ResultDocument("ok", f"verify:{args.kind}", (prov_a, prov_x), payload)
 
 
-def _run_solve(args) -> tuple[int, ResultDocument]:
+def _run_solve(args, inputs: list) -> dict:
     from .equation_solvers import solve_general, solve_restricted
 
-    mode = "restricted" if args.restricted else "general"
-    operation = f"solve:{mode}"
-    a, prov_a = _load(args.afile)
-    b, prov_b = _load(args.bfile)
-    inputs = (prov_a, prov_b)
-    try:
-        if args.restricted:
-            sols = solve_restricted(a, b)
-        else:
-            sols = solve_general(a, b)
-    except InconsistentStandardPart as exc:
-        payload = {"condition": "standard-part", "reason": str(exc)}
-        return 3, ResultDocument("inconsistent", operation, inputs, payload)
-    except InconsistentDualPart as exc:
-        payload = {"condition": "dual-range", "reason": str(exc)}
-        return 3, ResultDocument("inconsistent", operation, inputs, payload)
-    except Inconsistent as exc:
-        payload = {"condition": "residual", "reason": str(exc)}
-        return 3, ResultDocument("inconsistent", operation, inputs, payload)
-    except IndexTooLarge as exc:
-        return 2, ResultDocument(
-            "does-not-exist", operation, inputs, {"reason": str(exc)}
-        )
-    payload = {
+    solve = solve_restricted if args.restricted else solve_general
+    sols = solve(_load(args.afile, inputs), _load(args.bfile, inputs))
+    return {
         "particular": matrix_to_document(sols.particular),
         "generators": [matrix_to_document(g) for g in sols.generators],
     }
-    return 0, ResultDocument("ok", operation, inputs, payload)
 
 
 _DISPATCH = {
@@ -190,6 +154,16 @@ _DISPATCH = {
     "compute": _run_compute,
     "verify": _run_verify,
     "solve": _run_solve,
+}
+
+# The exit-code table of the refusals: exit code, status and the condition
+# (if any) reported for each family; a subclass takes its nearest entry.
+_REFUSALS = {
+    DoesNotExist: (2, "does-not-exist", None),
+    IndexTooLarge: (2, "does-not-exist", None),
+    InconsistentStandardPart: (3, "inconsistent", "standard-part"),
+    InconsistentDualPart: (3, "inconsistent", "dual-range"),
+    Inconsistent: (3, "inconsistent", "residual"),
 }
 
 
@@ -201,14 +175,30 @@ def run(argv) -> tuple[int, ResultDocument]:
     except _UsageError as exc:
         return 4, ResultDocument("error", "usage", (), {"message": str(exc)})
     operation = args.command
+    if args.command == "solve":
+        operation += ":restricted" if args.restricted else ":general"
+    elif args.command != "info":
+        operation += f":{args.kind}"
+    inputs: list[dict] = []
     try:
-        return _DISPATCH[args.command](args)
+        # nested, so that a refusal that cannot be reported is still exit 5
+        try:
+            code, status, payload = 0, "ok", _DISPATCH[args.command](args, inputs)
+        except (DoesNotExist, IndexTooLarge, Inconsistent) as exc:
+            code, status, condition = next(
+                _REFUSALS[cls] for cls in type(exc).__mro__ if cls in _REFUSALS
+            )
+            payload = {"reason": str(exc)}
+            if condition is not None:
+                payload["condition"] = condition
+            if isinstance(exc, DoesNotExist):
+                payload["witness"] = real_to_document(exc.witness)
     except (ParseError, DimensionError) as exc:
-        return 4, ResultDocument("error", operation, (), {"message": str(exc)})
+        return 4, ResultDocument("error", args.command, (), {"message": str(exc)})
     except Exception as exc:
         payload = {"message": str(exc), "type": type(exc).__name__}
-        return 5, ResultDocument("internal-error", operation, (), payload)
-
+        return 5, ResultDocument("internal-error", args.command, (), payload)
+    return code, ResultDocument(status, operation, tuple(inputs), payload)
 
 def main(argv=None) -> int:
     try:

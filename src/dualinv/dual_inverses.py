@@ -88,10 +88,14 @@ def wddi(a: DualMatrix) -> DualMatrix:
 
 
 def ddi(a: DualMatrix) -> DualMatrix:
-    """Dual Drazin inverse; DoesNotExist carries the obstruction witness."""
+    """Dual Drazin inverse; DoesNotExist carries the obstruction witness.
+
+    Existence is decided by K22 = 0; the obstruction is formed only as the
+    witness.
+    """
     _square(a)
     analysis = _analysis(a)
-    if not analysis.obstruction.is_zero:
+    if not analysis.bottom[0].is_zero:
         raise DoesNotExist("dual Drazin inverse does not exist", analysis.obstruction)
     return analysis.wddi
 

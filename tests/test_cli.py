@@ -1,6 +1,7 @@
 """Command line behaviour: dispatch, payloads, exit codes, stability."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from dualinv import (
+    DoesNotExist,
     DualMatrix,
     InternalInvariantViolation,
     drazin,
@@ -22,6 +24,8 @@ from dualinv.documents import MAX_SIDE, matrix_to_document, real_to_document
 import cases
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).parent / "golden" / "cli_outputs.json"
 
 ABSENT = str(FIXTURES / "ddi_absent_4x4.json")
 PRESENT = str(FIXTURES / "ddi_present_4x4.json")
@@ -289,6 +293,31 @@ def test_console_entry_point_subprocess():
     assert body["status"] == "ok"
 
 
+@pytest.mark.parametrize(
+    "code, command",
+    [
+        (0, "info ddi_absent_4x4.json"),
+        (2, "compute --kind ddi ddi_absent_4x4.json"),
+        (3, "solve dgi_absent_2x2.json rhs_std_2x1.json"),
+        (4, "compute --kind drazin-real rhs_5x1.json"),
+    ],
+)
+def test_process_exit_code_and_stdout_match_golden(code, command):
+    """One golden command per documented exit code, run as a real process."""
+    expected = json.loads(GOLDEN.read_text())[command]
+    assert expected["exit_code"] == code
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualinv.cli", *command.split()],
+        capture_output=True,
+        text=True,
+        cwd=FIXTURES,
+        env=env,
+    )
+    assert {"exit_code": proc.returncode, "stdout": proc.stdout} == expected
+
+
 def test_main_returns_exit_code(capsys):
     code = main(["info", ABSENT])
     assert code == 0
@@ -319,3 +348,16 @@ def test_unexpected_exception_is_an_internal_error_document(error, monkeypatch, 
     # main prints the same document, not a traceback
     assert main(["info", ABSENT]) == 5
     assert json.loads(capsys.readouterr().out) == json.loads(doc.to_json())
+
+
+def test_a_refusal_that_cannot_be_reported_is_an_internal_error(monkeypatch):
+    def no_witness(a):
+        raise DoesNotExist("dual Drazin inverse does not exist")
+
+    # compute looks the dual kinds up on dualinv.dual_inverses when it runs
+    monkeypatch.setattr("dualinv.dual_inverses.ddi", no_witness)
+    code, doc = run(["compute", "--kind", "ddi", ABSENT])
+    assert code == 5
+    assert doc.status == "internal-error"
+    assert doc.operation == "compute"
+    assert doc.payload["type"] == "AttributeError"

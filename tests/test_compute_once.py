@@ -6,7 +6,8 @@ A single call computes only what its formulas need: the WDDI and DDI
 compute no rank profile, and the solvers read their conditions off
 P^^(-1) b^ with no range test.  Only index_profile takes the two ranks of a
 dual matrix, once; existence_profile reads its rank equality off K22 and,
-like the inverses and solvers, forms no dual power.
+like the inverses and solvers, forms no dual power.  ddi decides existence
+off K22 as well and forms the obstruction only as its witness.
 
 A sequence of calls on one object builds each part once.  A value-equal but
 distinct object gets an analysis of its own (nothing is keyed on value),
@@ -375,6 +376,28 @@ def test_the_square_task_inverts_the_core_block_once(monkeypatch):
             _call(call, a, None)
         form = block_decomposition._analysis(a).form
         assert [args[0] for args in inverted] == [form.chat]
+
+
+def test_ddi_forms_the_obstruction_only_as_its_witness(monkeypatch):
+    # after index_profile and wddi, ddi multiplies only to form the witness
+    products = []
+    original = RealMatrix.__matmul__
+    monkeypatch.setattr(RealMatrix, "__matmul__", _recording(original, products))
+    rng = random.Random(149)
+    inputs = [(support.rand_dual_invertible_std(rng, n), True) for n in (3, 5)]
+    for aind, present in ((2, True), (3, True), (2, False), (3, False)):
+        inputs.append((support.rand_high_index(rng, aind + 3, aind, present), present))
+    for a, present in inputs:
+        index_profile(a)
+        wddi(a)
+        products.clear()
+        try:
+            ddi(a)
+        except dualinv.DoesNotExist:
+            assert not present
+        else:
+            assert present
+        assert len(products) == (0 if present else 2)
 
 
 # Inputs whose form takes P = I: invertible standard parts (r = n).
