@@ -200,6 +200,7 @@ def run(argv) -> tuple[int, ResultDocument]:
         return 5, ResultDocument("internal-error", args.command, (), payload)
     return code, ResultDocument(status, operation, tuple(inputs), payload)
 
+
 def main(argv=None) -> int:
     try:
         code, document = run(sys.argv[1:] if argv is None else argv)

@@ -281,18 +281,6 @@ def test_output_is_byte_stable():
     )
 
 
-def test_console_entry_point_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "dualinv.cli", "info", ABSENT],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    body = json.loads(proc.stdout)
-    assert body["payload"]["aind"] == 2
-    assert body["status"] == "ok"
-
-
 @pytest.mark.parametrize(
     "code, command",
     [
