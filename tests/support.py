@@ -18,7 +18,8 @@ inverse.  The doubled-system solver (``solve``, ``dual_solve``,
 ``in_range`` and ``DualAffineSet``) is the reference for the solution
 families and the range tests.
 The Fraction loops that the integer kernels of ``RealMatrix.__matmul__`` and
-``rref`` replaced are kept here as the references for those kernels, and so
+``rref`` replaced are kept here as the references for those kernels, the
+stacked product is the reference for the dual half of ``DualMatrix @``, and so
 are the routes that ``inverse`` and the index took when each reduced a whole
 matrix: the right block of ``rref([M | I])`` and the ``rref`` of every power.
 """
@@ -72,6 +73,12 @@ def matmul_reference(a: RealMatrix, b: RealMatrix) -> RealMatrix:
         for row in a.entries
     )
     return RealMatrix(a.rows, b.cols, out)
+
+
+def dual_matmul_stacked(a: DualMatrix, b: DualMatrix) -> DualMatrix:
+    """Dual product whose dual part M B0 + M0 B is one real product of the
+    stacked factors [M | M0] and [B0; B]."""
+    return DualMatrix(a.std @ b.std, hstack(a.std, a.dual) @ vstack(b.dual, b.std))
 
 
 def rref_reference(m: RealMatrix) -> tuple[RealMatrix, tuple[int, ...]]:

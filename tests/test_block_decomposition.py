@@ -56,6 +56,7 @@ class TestBlockDiagonalize:
             assert d.phat == d.phat_inv == DualMatrix.identity(n)
             assert d.chat == a and d.chat_inv == dual_inverse(a)
             assert d.nhat.shape == (0, 0)
+            assert d.t12.shape == (n, 0) and d.t21.shape == (0, n)
             cn = core_nilpotent(a.std)
             assert d == _decompose(a, cn, _e_nhat(a, cn))
 

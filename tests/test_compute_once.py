@@ -400,6 +400,27 @@ def test_ddi_forms_the_obstruction_only_as_its_witness(monkeypatch):
         assert len(products) == (0 if present else 2)
 
 
+def test_the_form_takes_four_products_per_horner_step(monkeypatch):
+    # at r < n: 4 per step of the two Horner sums (aind - 1 steps), 2 for T12
+    # and T21, 4 for P T and T P^(-1), 2 in dual_inverse(C^); at r = n only
+    # the last 2
+    products = []
+    original = RealMatrix.__matmul__
+    monkeypatch.setattr(RealMatrix, "__matmul__", _recording(original, products))
+    rng = random.Random(151)
+    inputs = [(support.rand_dual_invertible_std(rng, 4), 1)]
+    for aind in (1, 2, 3, 4):
+        for present in (True, False):
+            inputs.append((support.rand_high_index(rng, aind + 3, aind, present), aind))
+    for a, aind in inputs:
+        analysis = block_decomposition._analysis(a)
+        cn, e_nhat = analysis.cn, analysis.e_nhat
+        assert cn.k == aind
+        products.clear()
+        block_decomposition._decompose(a, cn, e_nhat)
+        assert len(products) == (2 if cn.r == a.rows else 4 * aind + 4)
+
+
 # Inputs whose form takes P = I: invertible standard parts (r = n).
 IDENTITY_BASIS = {
     "invertible_3": (

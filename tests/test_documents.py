@@ -43,6 +43,8 @@ def test_fixture_files_round_trip():
     for path in sorted(FIXTURES.glob("*.json")):
         m = parse_matrix(path.read_text())
         assert parse_matrix(print_matrix(m)) == m
+        # the fixtures are printed documents, so the layout is pinned too
+        assert print_matrix(m) == path.read_text()
 
 
 def test_print_then_parse_on_random_matrices():
@@ -98,6 +100,7 @@ def _zeros_document(rows, cols):
 
 @pytest.mark.parametrize("label", ["rows", "cols"])
 def test_each_side_is_bounded(label):
+    assert MAX_SIDE == 4096  # the limit README states
     def shape(side):
         return (side, 0) if label == "rows" else (0, side)
 

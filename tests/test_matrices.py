@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,66 @@ class TestDualMatrix:
         assert (a @ b) @ c == a @ (b @ c)
         assert a @ (b + c) == a @ b + a @ c
         assert (a + b) @ c == a @ c + b @ c
+
+
+def _part(rng, rows: int, cols: int, style: str) -> RealMatrix:
+    """A random real matrix: zero, small p/q, ints, or large p/q entries
+    whose denominators share nothing with those of another part."""
+    if style == "zero":
+        return RealMatrix.zeros(rows, cols)
+    if style == "large":
+        def entry():
+            return Fraction(rng.randint(-10**20, 10**20), rng.randint(1, 10**15))
+    elif style == "int":
+        def entry():
+            return Fraction(rng.randint(-4, 4))
+    else:
+        def entry():
+            return support.rand_fraction(rng)
+    return RealMatrix(rows, cols, tuple(tuple(entry() for _ in range(cols)) for _ in range(rows)))
+
+
+def _rand_dual_part_styles(rng, rows: int, cols: int) -> DualMatrix:
+    styles = ("zero", "small", "int", "large")
+    return DualMatrix(
+        _part(rng, rows, cols, rng.choice(styles)), _part(rng, rows, cols, rng.choice(styles))
+    )
+
+
+def _canonical(m: RealMatrix) -> bool:
+    """Ints over one positive denominator in lowest terms."""
+    return m.den > 0 and gcd(m.den, *chain.from_iterable(m.nums)) == 1
+
+
+class TestDualProduct:
+    # the dual half M B0 + M0 B against the product of the stacked factors
+    def test_matches_the_stacked_product(self):
+        rng = random.Random(2027)
+        for _ in range(800):
+            rows, inner, cols = (rng.randint(0, 5) for _ in range(3))
+            a = _rand_dual_part_styles(rng, rows, inner)
+            b = _rand_dual_part_styles(rng, inner, cols)
+            product = a @ b
+            assert product == support.dual_matmul_stacked(a, b), (a, b)
+            assert _canonical(product.std) and _canonical(product.dual)
+
+    def test_inner_dimension_zero(self):
+        for rows, cols in ((0, 0), (3, 0), (0, 2), (3, 2)):
+            product = DualMatrix.zeros(rows, 0) @ DualMatrix.zeros(0, cols)
+            assert product == DualMatrix.zeros(rows, cols)
+            assert product == support.dual_matmul_stacked(
+                DualMatrix.zeros(rows, 0), DualMatrix.zeros(0, cols)
+            )
+
+    def test_zero_parts(self):
+        rng = random.Random(2028)
+        m, m0 = _part(rng, 3, 4, "large"), _part(rng, 4, 2, "large")
+        # eps * eps = 0, and a real factor passes the other's dual part through
+        assert (DualMatrix.eps(m) @ DualMatrix.eps(m0)).is_zero
+        assert DualMatrix.from_real(m) @ DualMatrix.eps(m0) == DualMatrix.eps(m @ m0)
+        assert DualMatrix.eps(m) @ DualMatrix.from_real(m0) == DualMatrix.eps(m @ m0)
+        product = DualMatrix.from_real(m) @ DualMatrix.from_real(m0)
+        assert product.dual == RealMatrix.zeros(3, 2) and product.dual.den == 1
 
 
 class TestDualPower:
