@@ -38,8 +38,10 @@ def _eliminate(m: RealMatrix) -> tuple[list[list[int]], list[int]]:
     for pc in range(m.cols):
         if pr == m.rows:
             break
-        hit = next((i for i in range(pr, m.rows) if work[i][pc]), None)
-        if hit is None:
+        for hit in range(pr, m.rows):
+            if work[hit][pc]:
+                break
+        else:
             continue
         work[pr], work[hit] = work[hit], work[pr]
         p = work[pr][pc]

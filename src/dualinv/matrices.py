@@ -11,9 +11,12 @@ denominator, always in lowest terms: entry (i, j) is nums[i][j] / den and
 gcd(den, every num) == 1, so the zero matrix has den 1 and two matrices are
 equal exactly when their shapes, ints and denominators are.  Every kernel
 runs on the ints and reduces its result by one gcd pass over the whole
-matrix, not one per entry.  Fraction appears only at the edges: the
-constructors accept Fraction grids, and ``entries`` and ``m[i, j]`` give
-Fraction values.
+matrix, not one per entry.  A dual product takes AB by the real product
+and sums each entry of A*B0 + A0*B on the four parts' own ints, as
+u*sum(A B0) + v*sum(A0 B) over lcm(den(A) den(B0), den(A0) den(B)) with u
+and v the two cofactors, then reduces once; nothing is stacked or rescaled
+first.  Fraction appears only at the edges: the constructors accept
+Fraction grids, and ``entries`` and ``m[i, j]`` give Fraction values.
 """
 
 from __future__ import annotations
@@ -48,9 +51,11 @@ class RealMatrix:
         # each ratio is in lowest terms, so over the lcm of the denominators
         # the whole grid is too
         ratios = [[x.as_integer_ratio() for x in row] for row in entries]
-        den = lcm(*(q for row in ratios for _, q in row))
+        dens = {q for row in ratios for _, q in row}
+        den = lcm(*dens)
+        scale = {q: den // q for q in dens}
         self.rows, self.cols, self.den = rows, cols, den
-        self.nums = tuple(tuple(p * (den // q) for p, q in row) for row in ratios)
+        self.nums = tuple([tuple([p * scale[q] for p, q in row]) for row in ratios])
 
     @classmethod
     def from_rows(cls, rows_data, cols: int | None = None) -> "RealMatrix":
@@ -129,7 +134,7 @@ class RealMatrix:
 
     def __neg__(self) -> "RealMatrix":
         return _make(
-            self.rows, self.cols, tuple(tuple(-x for x in row) for row in self.nums), self.den
+            self.rows, self.cols, tuple([tuple([-x for x in row]) for row in self.nums]), self.den
         )
 
     def __matmul__(self, other: "RealMatrix") -> "RealMatrix":
@@ -138,10 +143,8 @@ class RealMatrix:
         # inner dimension 0 leaves other without rows to take columns from
         if self.cols == 0:
             return RealMatrix.zeros(self.rows, other.cols)
-        columns = tuple(zip(*other.nums))
-        nums = tuple(
-            tuple(sum(map(mul, row, col)) for col in columns) for row in self.nums
-        )
+        columns = list(zip(*other.nums))
+        nums = tuple([tuple([sum(map(mul, row, col)) for col in columns]) for row in self.nums])
         return _reduced(self.rows, other.cols, nums, self.den * other.den)
 
     def __pow__(self, k: int) -> "RealMatrix":
@@ -167,7 +170,7 @@ class RealMatrix:
         if r0 == c0 == 0 and r1 == self.rows and c1 == self.cols:
             return self
         return _reduced(
-            r1 - r0, c1 - c0, tuple(row[c0:c1] for row in self.nums[r0:r1]), self.den
+            r1 - r0, c1 - c0, tuple([row[c0:c1] for row in self.nums[r0:r1]]), self.den
         )
 
     def columns_at(self, indices) -> "RealMatrix":
@@ -197,7 +200,7 @@ def _reduced(rows: int, cols: int, nums, den: int) -> RealMatrix:
             break
         g = gcd(g, *row)
     if g != 1:
-        nums = tuple(tuple(x // g for x in row) for row in nums)
+        nums = tuple([tuple([x // g for x in row]) for row in nums])
         den //= g
     return _make(rows, cols, nums, den)
 
@@ -205,7 +208,7 @@ def _reduced(rows: int, cols: int, nums, den: int) -> RealMatrix:
 def _combine(a: RealMatrix, b: RealMatrix, op) -> RealMatrix:
     """Entry-wise a op b over the lcm of the two denominators."""
     den, (na, nb) = _over((a, b))
-    nums = tuple(tuple(map(op, ra, rb)) for ra, rb in zip(na, nb))
+    nums = tuple([tuple(map(op, ra, rb)) for ra, rb in zip(na, nb)])
     return _reduced(a.rows, a.cols, nums, den)
 
 
@@ -216,10 +219,11 @@ def _over(mats) -> tuple[int, list]:
     fully divides some matrix's denominator, and that matrix has an int the
     prime does not divide."""
     den = lcm(*(m.den for m in mats))
-    return den, [
-        m.nums if m.den == den else tuple(tuple(x * (den // m.den) for x in row) for row in m.nums)
-        for m in mats
-    ]
+    grids = []
+    for m in mats:
+        f = den // m.den
+        grids.append(m.nums if f == 1 else tuple([tuple([x * f for x in row]) for row in m.nums]))
+    return den, grids
 
 
 def hstack(*mats: RealMatrix) -> RealMatrix:
@@ -229,7 +233,10 @@ def hstack(*mats: RealMatrix) -> RealMatrix:
     if any(m.rows != rows for m in mats):
         raise DimensionError("hstack row mismatch")
     den, grids = _over(mats)
-    nums = tuple(tuple(chain.from_iterable(parts)) for parts in zip(*grids))
+    if len(grids) == 2:
+        nums = tuple([ra + rb for ra, rb in zip(*grids)])
+    else:
+        nums = tuple([tuple(chain.from_iterable(parts)) for parts in zip(*grids)])
     return _make(rows, sum(m.cols for m in mats), nums, den)
 
 
@@ -340,11 +347,20 @@ class DualMatrix(_Value):
         return DualMatrix(-self.std, -self.dual)
 
     def __matmul__(self, other: "DualMatrix") -> "DualMatrix":
-        # std@dual + dual@std as one product of the stacked factors
-        return DualMatrix(
-            self.std @ other.std,
-            hstack(self.std, self.dual) @ vstack(other.dual, other.std),
-        )
+        a, a0, b, b0 = self.std, self.dual, other.std, other.dual
+        std = a @ b
+        if a.cols == 0:
+            return DualMatrix(std, std)
+        # A B0 + A0 B entry by entry on each part's own ints, the two sums
+        # brought to the lcm of their denominators by the cofactors u and v
+        den = lcm(a.den * b0.den, a0.den * b.den)
+        u, v = den // (a.den * b0.den), den // (a0.den * b.den)
+        columns = list(zip(zip(*b0.nums), zip(*b.nums)))
+        nums = tuple([
+            tuple([u * sum(map(mul, r, c0)) + v * sum(map(mul, r0, c)) for c0, c in columns])
+            for r, r0 in zip(a.nums, a0.nums)
+        ])
+        return DualMatrix(std, _reduced(a.rows, b.cols, nums, den))
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "DualMatrix":
         return DualMatrix(
