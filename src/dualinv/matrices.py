@@ -233,10 +233,7 @@ def hstack(*mats: RealMatrix) -> RealMatrix:
     if any(m.rows != rows for m in mats):
         raise DimensionError("hstack row mismatch")
     den, grids = _over(mats)
-    if len(grids) == 2:
-        nums = tuple([ra + rb for ra, rb in zip(*grids)])
-    else:
-        nums = tuple([tuple(chain.from_iterable(parts)) for parts in zip(*grids)])
+    nums = tuple([sum(parts, ()) for parts in zip(*grids)])
     return _make(rows, sum(m.cols for m in mats), nums, den)
 
 

@@ -84,6 +84,8 @@ class TestRealMatrix:
         b = RealMatrix.from_rows([[3, 4]])
         assert vstack(a, b) == RealMatrix.from_rows([[1, 2], [3, 4]])
         assert hstack(a.T, b.T) == RealMatrix.from_rows([[1, 3], [2, 4]])
+        c = RealMatrix.from_rows([[Fraction(3, 2)], [2]])
+        assert hstack(a.T, c, a.T) == RealMatrix.from_rows([[1, Fraction(3, 2), 1], [2, 2, 2]])
         assert block_diag(a, b).shape == (2, 4)
         assert block2x2(
             RealMatrix.identity(1),
