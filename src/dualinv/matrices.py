@@ -14,9 +14,9 @@ runs on the ints and reduces its result by one gcd pass over the whole
 matrix, not one per entry.  A dual product takes AB by the real product
 and sums each entry of A*B0 + A0*B on the four parts' own ints, as
 u*sum(A B0) + v*sum(A0 B) over lcm(den(A) den(B0), den(A0) den(B)) with u
-and v the two cofactors, then reduces once; nothing is stacked or rescaled
-first.  Fraction appears only at the edges: the constructors accept
-Fraction grids, and ``entries`` and ``m[i, j]`` give Fraction values.
+and v the two cofactors, then reduces once.  Fraction appears only at the
+edges: the constructors accept Fraction grids, and ``entries`` and
+``m[i, j]`` give Fraction values.
 """
 
 from __future__ import annotations
@@ -348,8 +348,7 @@ class DualMatrix(_Value):
         std = a @ b
         if a.cols == 0:
             return DualMatrix(std, std)
-        # A B0 + A0 B entry by entry on each part's own ints, the two sums
-        # brought to the lcm of their denominators by the cofactors u and v
+        # the dual part A B0 + A0 B; see the module docstring
         den = lcm(a.den * b0.den, a0.den * b.den)
         u, v = den // (a.den * b0.den), den // (a0.den * b.den)
         columns = list(zip(zip(*b0.nums), zip(*b.nums)))

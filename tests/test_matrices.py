@@ -183,15 +183,11 @@ def _part(rng, rows: int, cols: int, style: str) -> RealMatrix:
     whose denominators share nothing with those of another part."""
     if style == "zero":
         return RealMatrix.zeros(rows, cols)
-    if style == "large":
-        def entry():
-            return Fraction(rng.randint(-10**20, 10**20), rng.randint(1, 10**15))
-    elif style == "int":
-        def entry():
-            return Fraction(rng.randint(-4, 4))
-    else:
-        def entry():
-            return support.rand_fraction(rng)
+    entry = {
+        "large": lambda: Fraction(rng.randint(-10**20, 10**20), rng.randint(1, 10**15)),
+        "int": lambda: Fraction(rng.randint(-4, 4)),
+        "small": lambda: support.rand_fraction(rng),
+    }[style]
     return RealMatrix(rows, cols, tuple(tuple(entry() for _ in range(cols)) for _ in range(rows)))
 
 
