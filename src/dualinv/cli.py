@@ -78,6 +78,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _parse(argv):
+    """The parsed command line: attributes command and those of its command."""
+    return _build_parser().parse_args(argv)
+
+
 def _load(path: str, inputs: list) -> DualMatrix:
     """Parse the matrix at path and append its provenance to inputs."""
     try:
@@ -169,9 +174,8 @@ _REFUSALS = {
 
 def run(argv) -> tuple[int, ResultDocument]:
     """Execute one command line; returns (exit code, result document)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except _UsageError as exc:
         return 4, ResultDocument("error", "usage", (), {"message": str(exc)})
     operation = args.command

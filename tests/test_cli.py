@@ -1,5 +1,7 @@
 """Command line behaviour: dispatch, payloads, exit codes, stability."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from dualinv import (
     DoesNotExist,
@@ -18,8 +22,9 @@ from dualinv import (
     print_matrix,
     wddi,
 )
-from dualinv.cli import main, run
+from dualinv.cli import COMPUTE_KINDS, _build_parser, _parse, _UsageError, main, run
 from dualinv.documents import MAX_SIDE, matrix_to_document, real_to_document
+from dualinv.matrices import VERIFY_KINDS
 
 import cases
 
@@ -349,3 +354,83 @@ def test_a_refusal_that_cannot_be_reported_is_an_internal_error(monkeypatch):
     assert doc.status == "internal-error"
     assert doc.operation == "compute"
     assert doc.payload["type"] == "AttributeError"
+
+
+# --- the command-line parser -------------------------------------------------
+
+_TOKENS = (
+    "info", "compute", "verify", "solve", "frobnicate",
+    "--kind", "--kind=wddi", "--k", "--restricted",
+    *COMPUTE_KINDS, *VERIFY_KINDS, "nonsense",
+    "-h", "--help", "-", "--", "",
+    ABSENT, PRESENT, "-dash.json",
+)
+_COMMANDS = ("info", "compute", "verify", "solve")
+_SHAPES = (
+    ("info", ABSENT),
+    ("compute", "--kind", "wddi", ABSENT),
+    ("verify", "--kind", "wdgi", ABSENT, PRESENT),
+    ("solve", "--restricted", ABSENT, PRESENT),
+    ("solve", ABSENT, PRESENT),
+)
+_token = st.sampled_from(_TOKENS)
+
+
+def _near(drawn):
+    """A well-formed command line with at most one token redrawn and at
+    most one more token at the end."""
+    shape, at, token, extra = drawn
+    argv = list(shape)
+    if at < len(argv):
+        argv[at] = token
+    return argv + extra
+
+
+def _parsed(parse, argv):
+    """What parse makes of argv: its attributes, the usage error's text, or
+    the exit code and text of a help exit."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            return "args", vars(parse(argv))
+    except _UsageError as exc:
+        return "usage", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+@given(
+    st.one_of(
+        st.lists(_token, max_size=6),
+        # a command first, so that most draws reach a subparser
+        st.tuples(st.sampled_from(_COMMANDS), st.lists(_token, max_size=5)).map(
+            lambda drawn: [drawn[0], *drawn[1]]
+        ),
+        st.tuples(
+            st.sampled_from(_SHAPES),
+            st.integers(0, 5),
+            _token,
+            st.lists(_token, max_size=1),
+        ).map(_near),
+    )
+)
+@example(["info", "--restricted"])
+@example(["solve", ABSENT, "--restricted", PRESENT])
+@example(["compute", ABSENT, "--kind", "wddi"])
+@example(["verify", "--kind", "wdgi", ABSENT])
+@example(["info", ABSENT])
+@example(["compute", "--kind", "wddi", ABSENT])
+@example(["verify", "--kind", "wdgi", ABSENT, PRESENT])
+@example(["solve", "--restricted", ABSENT, PRESENT])
+@example(["solve", ABSENT, PRESENT])
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+def test_parse_agrees_with_argparse(argv):
+    reference = _parsed(lambda a: _build_parser().parse_args(a), argv)
+    assert _parsed(_parse, argv) == reference
+    event(reference[0])
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([cmd, "-h"] for cmd in _COMMANDS)])
+def test_help_is_the_one_output_that_is_not_a_result_document(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: dualinv")

@@ -2,9 +2,12 @@
 
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualinv import (
     DualMatrix,
@@ -116,6 +119,49 @@ def test_literal_past_the_int_digit_limit_rejected():
     with pytest.raises(ParseError) as info:
         parse_matrix(_doc(dual=[["1" * 5000]]))
     assert info.value.location == "dual[0][0]"
+
+
+def test_denominator_past_the_int_digit_limit_rejected_like_a_numerator():
+    # both literals have 5002 characters, so the messages match in full
+    refusals = []
+    for literal in ("9" * 5002, "1/" + "9" * 5000):
+        with pytest.raises(ParseError) as info:
+            parse_matrix(_doc(dual=[[literal]]))
+        refusals.append((info.value.location, str(info.value)))
+    assert refusals[0] == refusals[1]
+    assert refusals[0][0] == "dual[0][0]"
+
+
+# the literal grammar -?[0-9]+(/[1-9][0-9]*)?, with leading zeros, and sides
+# of just under the 4300 digits Python parses an int from
+_numerators = st.one_of(
+    st.text("0123456789", min_size=1, max_size=30),
+    st.integers(10**4289, 10**4300 - 1).map(str),
+)
+_denominators = st.one_of(
+    st.integers(1, 10**30).map(str),
+    st.integers(10**4289, 10**4300 - 1).map(str),
+)
+_literals = st.builds(
+    lambda sign, num, den: sign + num + ("" if den is None else "/" + den),
+    st.sampled_from(["", "-"]),
+    _numerators,
+    st.none() | _denominators,
+)
+
+
+@given(st.lists(_literals, min_size=1, max_size=3))
+@example(["-0", "0/7", "6/4"])
+@example(["007", "-00/3", "-12/8"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+def test_parsed_entries_equal_fraction_of_the_literal(literals):
+    m = parse_matrix(
+        json.dumps(
+            {"rows": 1, "cols": len(literals), "std": [literals], "dual": [literals[::-1]]}
+        )
+    )
+    assert m.std.entries == (tuple(Fraction(x) for x in literals),)
+    assert m.dual.entries == (tuple(Fraction(x) for x in reversed(literals)),)
 
 
 def test_json_integer_past_the_int_digit_limit_rejected():
