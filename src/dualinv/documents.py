@@ -7,8 +7,9 @@ string, never as a number, so exactness survives any JSON parser:
      "std":  [["1", "1/2"], ["0", "-3"]],
      "dual": [["0", "0"],   ["2/7", "1"]]}
 
-Strings must match -?[0-9]+(/[1-9][0-9]*)?; a zero denominator therefore
-fails at the syntax level, and rows and cols are each at most MAX_SIDE.
+Strings must match -?[0-9]+(/[1-9][0-9]*)?, read as int() of each side of
+the / and reduced by their gcd; a zero denominator therefore fails at the
+syntax level, and rows and cols are each at most MAX_SIDE.
 Output documents always print each entry in lowest terms (reduced from the
 matrix's ints over its one denominator at print time), row-major, with
 sorted keys, so identical inputs give byte-identical output.
@@ -18,11 +19,10 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from math import gcd
 
 from .exceptions import ParseError
-from .matrices import DualMatrix, RealMatrix, _Value
+from .matrices import DualMatrix, RealMatrix, _make, _over_common_denominator, _Value
 
 RATIONAL_PATTERN = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
@@ -34,13 +34,15 @@ DOCUMENT_KEYS = ("rows", "cols", "std", "dual")
 MAX_SIDE = 4096
 
 
-def _parse_rational(value, location: str) -> Fraction:
+def _parse_rational(value, location: str) -> tuple[int, int]:
+    """The literal's value as (p, q) in lowest terms, q > 0."""
     if not isinstance(value, str):
         raise ParseError("rational entries must be strings", location)
     if not RATIONAL_PATTERN.fullmatch(value):
         raise ParseError(f"not a rational literal: {value!r}", location)
+    numerator, _, denominator = value.partition("/")
     try:
-        return Fraction(value)
+        p, q = int(numerator), int(denominator or "1")
     except ValueError as exc:
         # the literal is well formed, so only Python's limit on the digits of
         # an int parsed from a string can refuse it
@@ -48,22 +50,22 @@ def _parse_rational(value, location: str) -> Fraction:
             f"rational literal of {len(value)} characters exceeds the digit limit",
             location,
         ) from exc
+    g = gcd(p, q)
+    return p // g, q // g
 
 
 def _parse_grid(value, rows: int, cols: int, name: str) -> RealMatrix:
     if not isinstance(value, list) or len(value) != rows:
         raise ParseError(f"expected {rows} rows", name)
-    entries = []
+    ratios = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"expected {cols} entries", f"{name}[{i}]")
-        entries.append(
-            tuple(
-                _parse_rational(cell, f"{name}[{i}][{j}]")
-                for j, cell in enumerate(row)
-            )
+        ratios.append(
+            [_parse_rational(cell, f"{name}[{i}][{j}]") for j, cell in enumerate(row)]
         )
-    return RealMatrix(rows, cols, tuple(entries))
+    den, nums = _over_common_denominator(ratios)
+    return _make(rows, cols, nums, den)
 
 
 def parse_matrix(text: bytes | str) -> DualMatrix:

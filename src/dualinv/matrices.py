@@ -16,12 +16,14 @@ and sums each entry of A*B0 + A0*B on the four parts' own ints, as
 u*sum(A B0) + v*sum(A0 B) over lcm(den(A) den(B0), den(A0) den(B)) with u
 and v the two cofactors, then reduces once.  Fraction appears only at the
 edges: the constructors accept Fraction grids, and ``entries`` and
-``m[i, j]`` give Fraction values.
+``m[i, j]`` give Fraction values.  ``fractions`` is imported only inside
+``from_rows``, ``entries`` and ``__getitem__``, so a process that only reads,
+computes and prints documents never loads it (nor the ``decimal`` and
+``numbers`` it brings).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import add, mul, sub
@@ -48,17 +50,15 @@ class RealMatrix:
             raise DimensionError("row count does not match entry grid")
         if any(len(row) != cols for row in entries):
             raise DimensionError("ragged entry grid")
-        # each ratio is in lowest terms, so over the lcm of the denominators
-        # the whole grid is too
-        ratios = [[x.as_integer_ratio() for x in row] for row in entries]
-        dens = {q for row in ratios for _, q in row}
-        den = lcm(*dens)
-        scale = {q: den // q for q in dens}
-        self.rows, self.cols, self.den = rows, cols, den
-        self.nums = tuple([tuple([p * scale[q] for p, q in row]) for row in ratios])
+        self.rows, self.cols = rows, cols
+        self.den, self.nums = _over_common_denominator(
+            [[x.as_integer_ratio() for x in row] for row in entries]
+        )
 
     @classmethod
     def from_rows(cls, rows_data, cols: int | None = None) -> "RealMatrix":
+        from fractions import Fraction
+
         entries = tuple(
             tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row)
             for row in rows_data
@@ -90,6 +90,8 @@ class RealMatrix:
         try:
             return self._entries
         except AttributeError:
+            from fractions import Fraction
+
             den = self.den
             self._entries = grid = tuple(
                 tuple(Fraction(x, den) for x in row) for row in self.nums
@@ -109,6 +111,8 @@ class RealMatrix:
         return not any(map(any, self.nums))
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
+        from fractions import Fraction
+
         i, j = key
         return Fraction(self.nums[i][j], self.den)
 
@@ -182,6 +186,17 @@ class RealMatrix:
     def __repr__(self) -> str:
         body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.entries)
         return f"RealMatrix([{body}])"
+
+
+def _over_common_denominator(ratios) -> tuple[int, tuple]:
+    """(den, nums) of a grid given as rows of (p, q) pairs, each in lowest
+    terms with q > 0.  Over the lcm of the qs the whole grid is in lowest
+    terms too: each prime power dividing den fully divides some q, and its
+    p is prime to it."""
+    dens = {q for row in ratios for _, q in row}
+    den = lcm(*dens)
+    scale = {q: den // q for q in dens}
+    return den, tuple([tuple([p * scale[q] for p, q in row]) for row in ratios])
 
 
 def _make(rows: int, cols: int, nums, den: int) -> RealMatrix:
