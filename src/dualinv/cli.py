@@ -21,9 +21,8 @@ of compute no dual layer at all.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import sys
+from types import SimpleNamespace
 
 from .exceptions import (
     DimensionError,
@@ -42,6 +41,16 @@ from .documents import (
     real_to_document,
 )
 
+# The interpreter's built-in SHA-256 (_sha2 from 3.12, _sha256 before); it
+# gives hashlib.sha256's digests without hashlib's load of OpenSSL.
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 COMPUTE_KINDS = ("drazin-real", "mp-real", "ddi", "wddi", "dgi", "wdgi")
 
 
@@ -49,12 +58,13 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
+def _build_parser():
+    import argparse
 
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
 
-def _build_parser() -> _Parser:
     parser = _Parser(prog="dualinv", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -78,9 +88,51 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# the file operands of each command, in order
+_OPERANDS = {
+    "info": ("file",),
+    "compute": ("file",),
+    "verify": ("file", "xfile"),
+    "solve": ("afile", "bfile"),
+}
+_KINDS = {"compute": COMPUTE_KINDS, "verify": VERIFY_KINDS}
+
+
 def _parse(argv):
-    """The parsed command line: attributes command and those of its command."""
-    return _build_parser().parse_args(argv)
+    """The parsed command line: attributes command and those of its command.
+
+    The four well-formed shapes are read here by hand, since importing
+    argparse and building the parser cost a few milliseconds of a process
+    that runs one command: info F, compute --kind K F, verify --kind K F X
+    (K one of the command's kinds) and solve [--restricted] A B.  A flag
+    counts only at exactly that position, and no other token may start with
+    "-".  Any other command line, --help and every usage error included,
+    goes to argparse, so its attributes, usage errors and help texts are
+    argparse's own.
+    """
+    fields = _hand_parsed(argv)
+    if fields is None:
+        return _build_parser().parse_args(argv)
+    return SimpleNamespace(**fields)
+
+
+def _hand_parsed(argv) -> dict | None:
+    """The attributes of a well-formed command line (see _parse), else None."""
+    command, *rest = argv or ("",)
+    fields = {"command": command}
+    if command == "solve":
+        fields["restricted"] = rest[:1] == ["--restricted"]
+        if fields["restricted"]:
+            rest = rest[1:]
+    elif command in _KINDS:
+        if len(rest) < 2 or rest[0] != "--kind" or rest[1] not in _KINDS[command]:
+            return None
+        fields["kind"], rest = rest[1], rest[2:]
+    names = _OPERANDS.get(command, ())
+    if not names or len(rest) != len(names) or any(t.startswith("-") for t in rest):
+        return None
+    fields.update(zip(names, rest))
+    return fields
 
 
 def _load(path: str, inputs: list) -> DualMatrix:
@@ -91,7 +143,7 @@ def _load(path: str, inputs: list) -> DualMatrix:
     except OSError as exc:
         raise ParseError(str(exc), path) from exc
     matrix = parse_matrix(raw)
-    inputs.append({"path": path, "sha256": hashlib.sha256(raw).hexdigest()})
+    inputs.append({"path": path, "sha256": _sha256(raw).hexdigest()})
     return matrix
 
 

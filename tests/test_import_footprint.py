@@ -4,7 +4,10 @@ Every dualinv command is a process of its own, so what it imports is part
 of its cost.  No module of the package imports dataclasses (or inspect,
 which dataclasses pulls in), ``import dualinv`` loads no submodule, and each
 command loads only the layers it computes with: info needs no dual inverse
-and no solver, and the -real kinds of compute no dual layer at all.
+and no solver, and the -real kinds of compute no dual layer at all.  A
+well-formed command loads none of fractions (with decimal and numbers),
+argparse and hashlib (with OpenSSL's _hashlib); argparse comes in only for a
+command line that is not well formed.
 
 Each check starts a fresh interpreter, imports the named modules and runs
 one command line in process, then reports which modules that added to
@@ -21,7 +24,8 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-FIXTURE = Path(__file__).resolve().parent / "fixtures" / "ddi_absent_4x4.json"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+FIXTURE = FIXTURES / "ddi_absent_4x4.json"
 
 MODULES = (
     "exceptions",
@@ -43,28 +47,32 @@ DUAL_LAYERS = {
     "dualinv.dual_inverses",
     "dualinv.equation_solvers",
 }
+# what a well-formed command does without
+STARTUP_WEIGHT = {"fractions", "decimal", "numbers", "argparse", "hashlib", "_hashlib"}
 
-# argv: the modules to import, comma-separated, then a command line to run
+# argv: the modules to import, comma-separated, the command's expected exit
+# code, then a command line to run
 PROBE = """
 import importlib, json, sys
 before = set(sys.modules)
 for name in sys.argv[1].split(","):
     importlib.import_module(name)
-if sys.argv[2:]:
+if sys.argv[3:]:
     from dualinv.cli import run
-    code, document = run(sys.argv[2:])
-    assert code == 0, document.to_json()
+    code, document = run(sys.argv[3:])
+    assert code == int(sys.argv[2]), document.to_json()
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
-def _added(modules: list[str], *argv: str) -> set[str]:
+def _added(modules: list[str], *argv: str, code: int = 0) -> set[str]:
     """The modules that importing ``modules`` and then running the command
-    line ``argv`` add to a fresh interpreter."""
+    line ``argv``, which must exit with ``code``, add to a fresh
+    interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, ",".join(modules), *argv],
+        [sys.executable, "-c", PROBE, ",".join(modules), str(code), *argv],
         env=env,
         capture_output=True,
         text=True,
@@ -101,6 +109,26 @@ def test_the_real_kinds_of_compute_load_no_dual_layer():
         added = _added(["dualinv.cli"], "compute", "--kind", kind, str(FIXTURE))
         assert "dualinv.real_inverses" in added
         assert sorted(added & DUAL_LAYERS) == [], kind
+
+
+def test_a_well_formed_command_loads_no_fractions_argparse_or_hashlib():
+    a, x = str(FIXTURE), str(FIXTURES / "ddi_present_4x4.json")
+    system = str(FIXTURES / "dgi_present_2x2.json"), str(FIXTURES / "rhs_mixed_2x1.json")
+    for argv in (
+        ["info", a],
+        ["compute", "--kind", "wddi", a],
+        ["compute", "--kind", "mp-real", a],
+        ["verify", "--kind", "wddi-t", a, x],
+        ["solve", *system],
+        ["solve", "--restricted", *system],
+    ):
+        added = _added(["dualinv.cli"], *argv)
+        assert sorted(added & STARTUP_WEIGHT) == [], argv
+
+
+def test_a_malformed_command_falls_back_to_argparse():
+    added = _added(["dualinv.cli"], "compute", "--kind", "nonsense", str(FIXTURE), code=4)
+    assert "argparse" in added
 
 
 if __name__ == "__main__":
