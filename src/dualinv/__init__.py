@@ -26,14 +26,12 @@ _EXPORTS = {
         "InternalInvariantViolation",
         "NotInvertible",
         "ParseError",
-        "PreconditionViolated",
     ),
     "matrices": (
         "DualMatrix",
         "RealMatrix",
         "block2x2",
         "block_diag",
-        "dual_block_diag",
         "dual_power",
         "dual_vstack",
         "hstack",
@@ -64,11 +62,8 @@ _EXPORTS = {
     "block_decomposition": (
         "DualBlockDecompositionInd1",
         "block_diagonalize_ind1",
-        "is_dual_nilpotent",
-        "sharp_of_weak_group",
-        "wddi_from_given_decomposition",
     ),
-    "equation_solvers": ("solve_general", "solve_ind1_corollaries", "solve_restricted"),
+    "equation_solvers": ("solve_general", "solve_restricted"),
     "documents": ("ResultDocument", "matrix_to_document", "parse_matrix", "print_matrix"),
 }
 

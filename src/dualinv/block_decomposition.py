@@ -37,27 +37,22 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .exceptions import (
-    DimensionError,
-    IndexTooLarge,
-    NotInvertible,
-    PreconditionViolated,
-)
-from .matrices import DualMatrix, RealMatrix, dual_block_diag
+from .exceptions import DimensionError, IndexTooLarge
+from .matrices import DualMatrix, RealMatrix
 from .matrices import _Value, hstack, vstack
 from .real_inverses import CoreNilpotentDecomposition, _core_nilpotent_at, _index_power
 from .dual_linear import dual_inverse
 
 
 class DualBlockDecompositionInd1(_Value):
-    """A^ = phat @ dual_block_diag(chat, nhat) @ phat_inv, phat = P (I + eps*T).
+    """A^ = phat diag(chat, nhat) phat_inv, phat = P (I + eps*T).
 
     chat is r x r with invertible standard part; nhat = N + eps*nblock is
     dual-nilpotent, and eps*nblock at aind 1.  phat_inv and chat_inv are the
-    dual inverses of phat and chat; t12 and t21 are the blocks of T.
+    dual inverses of phat and chat.
     """
 
-    __slots__ = ("phat", "chat", "nhat", "r", "phat_inv", "chat_inv", "t12", "t21")
+    __slots__ = ("phat", "chat", "nhat", "r", "phat_inv", "chat_inv")
 
     def __init__(
         self,
@@ -67,11 +62,9 @@ class DualBlockDecompositionInd1(_Value):
         r: int,
         phat_inv: DualMatrix,
         chat_inv: DualMatrix,
-        t12: RealMatrix,
-        t21: RealMatrix,
     ):
         self.phat, self.chat, self.nhat, self.r = phat, chat, nhat, r
-        self.phat_inv, self.chat_inv, self.t12, self.t21 = phat_inv, chat_inv, t12, t21
+        self.phat_inv, self.chat_inv = phat_inv, chat_inv
 
     @property
     def nblock(self) -> RealMatrix:
@@ -127,8 +120,7 @@ def _decompose(
     chat_inv = dual_inverse(chat)
     if r == n:  # P = I and T has no entries, so P^ = I
         eye = DualMatrix.identity(n)
-        t12, t21 = RealMatrix.zeros(r, n - r), RealMatrix.zeros(n - r, r)
-        return DualBlockDecompositionInd1(eye, chat, nhat, r, eye, chat_inv, t12, t21)
+        return DualBlockDecompositionInd1(eye, chat, nhat, r, eye, chat_inv)
     e12, e21 = e.submatrix(0, r, r, n), e.submatrix(r, n, 0, r)
     c_inv = chat_inv.std
     # both sums by Horner's rule: x = sum_{j<k} C^(-j) E12 N^j, y likewise
@@ -143,7 +135,7 @@ def _decompose(
     phat = DualMatrix(cn.p, hstack(p_right @ t21, p_left @ t12))
     # (P (I + eps*T))^(-1) = (I - eps*T) P^(-1)
     phat_inv = DualMatrix(cn.p_inv, -vstack(t12 @ q_bottom, t21 @ q_top))
-    return DualBlockDecompositionInd1(phat, chat, nhat, r, phat_inv, chat_inv, t12, t21)
+    return DualBlockDecompositionInd1(phat, chat, nhat, r, phat_inv, chat_inv)
 
 
 def _bottom_block_powers(nhat: DualMatrix, k: int) -> tuple[RealMatrix, int]:
@@ -228,57 +220,3 @@ def block_diagonalize_ind1(a: DualMatrix) -> DualBlockDecompositionInd1:
     if analysis.aind != 1:
         raise IndexTooLarge(f"block diagonalization needs aind 1, got {analysis.aind}")
     return analysis.form
-
-
-def sharp_of_weak_group(a: DualMatrix) -> DualMatrix:
-    """Group inverse of the WDGI of A^, i.e. P^ diag(C^, 0) P^^(-1).
-
-    A^ minus this matrix is P^ diag(0, eps*nblock) P^^(-1), which generates
-    the homogeneous solutions of the restricted equation.
-    """
-    return block_diagonalize_ind1(a).sharp()
-
-
-def is_dual_nilpotent(a: DualMatrix) -> bool:
-    """True when some power of A^ is exactly zero.
-
-    A dual matrix is nilpotent precisely when its standard part is, and then
-    A^^(2d) = 0 for d = dimension: the standard part of the 2d-th power is
-    M^(2d) = 0, and each dual-part term M^(2d-i) M0 M^(i-1) carries at least
-    d factors of the nilpotent M on one side (i <= d or i-1 >= d).  The
-    power 2d is genuinely needed: eps*[[1]] squares to zero but is not zero
-    at power 1 = dimension.
-    """
-    if not a.std.is_square:
-        raise DimensionError("nilpotency of a non-square dual matrix")
-    d = a.rows
-    if d == 0:
-        return True
-    return (a.std**d).is_zero
-
-
-def wddi_from_given_decomposition(
-    phat: DualMatrix, chat: DualMatrix, nhat: DualMatrix
-) -> DualMatrix:
-    """Weak dual Drazin inverse of A^ = phat diag(chat, nhat) phat^(-1).
-
-    This consumes an externally supplied block form (any appreciable index)
-    and returns phat diag(chat^(-1), 0) phat^(-1), which equals the WDDI of
-    the assembled matrix.  Preconditions: phat and chat have invertible
-    standard parts (NotInvertible otherwise) and nhat is dual-nilpotent
-    (PreconditionViolated otherwise).
-    """
-    for part, label in ((phat, "phat"), (chat, "chat"), (nhat, "nhat")):
-        if not part.std.is_square:
-            raise DimensionError(f"{label} must be square")
-    if chat.rows + nhat.rows != phat.rows:
-        raise DimensionError("block sizes do not fill the similarity matrix")
-    try:
-        phat_inv = dual_inverse(phat)
-        chat_inv = dual_inverse(chat)
-    except NotInvertible as exc:
-        raise NotInvertible(f"decomposition blocks must be invertible: {exc}") from exc
-    if not is_dual_nilpotent(nhat):
-        raise PreconditionViolated("bottom block is not dual-nilpotent")
-    zero = DualMatrix.zeros(nhat.rows, nhat.rows)
-    return phat @ dual_block_diag(chat_inv, zero) @ phat_inv

@@ -140,7 +140,7 @@ def _load(path: str, inputs: list) -> DualMatrix:
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ParseError(str(exc), path) from exc
     matrix = parse_matrix(raw)
     inputs.append({"path": path, "sha256": _sha256(raw).hexdigest()})

@@ -28,13 +28,12 @@ from .exceptions import (
     Inconsistent,
     InconsistentDualPart,
     InconsistentStandardPart,
-    IndexTooLarge,
 )
 from .matrices import DualMatrix, RealMatrix, dual_vstack
 from .real_inverses import moore_penrose
 from .elimination import column_space_contains
 from .dual_linear import ParametricDualSolutions
-from .block_decomposition import _analysis, block_diagonalize_ind1
+from .block_decomposition import block_diagonalize_ind1
 
 
 def _check_column(a: DualMatrix, b: DualMatrix) -> None:
@@ -95,26 +94,3 @@ def solve_restricted(a: DualMatrix, b: DualMatrix) -> ParametricDualSolutions:
     # W b^ = P^ (C^^(-1) b1; 0), and b2 is that zero block
     particular = d._from_blocks(dual_vstack(d.chat_inv @ b1, b2))
     return ParametricDualSolutions(particular, (a - d.sharp(),))
-
-
-def solve_ind1_corollaries(
-    a: DualMatrix, b: DualMatrix, restricted: bool
-) -> ParametricDualSolutions:
-    """Specialized solver for dind(A^) = 1, where the group-type dual
-    inverse G of A^ exists outright.
-
-    Unrestricted: particular G b^ with the single generator I - G A^.
-    Restricted: the unique solution G b^ with no generators.  The test suite
-    checks both outcomes against the general solvers.  Raises IndexTooLarge
-    when dind > 1 and Inconsistent when (I - G A^) b^ != 0.
-    """
-    _check_column(a, b)
-    analysis = _analysis(a)
-    dind = analysis.bottom[1]
-    if dind != 1:
-        raise IndexTooLarge(f"corollary solver needs dind 1, got {dind}")
-    g = analysis.wddi
-    projector = DualMatrix.identity(a.rows) - g @ a
-    if not (projector @ b).is_zero:
-        raise Inconsistent("system rejects this right-hand side")
-    return ParametricDualSolutions(g @ b, () if restricted else (projector,))

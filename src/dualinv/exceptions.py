@@ -37,10 +37,6 @@ class InconsistentDualPart(Inconsistent):
     """Range-membership part of the consistency condition fails."""
 
 
-class PreconditionViolated(ValueError):
-    """Structured input violates a documented precondition."""
-
-
 class InternalInvariantViolation(RuntimeError):
     """A mathematically guaranteed invariant failed; indicates a bug."""
 

@@ -383,10 +383,6 @@ def dual_vstack(*mats: DualMatrix) -> DualMatrix:
     return DualMatrix(vstack(*(m.std for m in mats)), vstack(*(m.dual for m in mats)))
 
 
-def dual_block_diag(a: DualMatrix, b: DualMatrix) -> DualMatrix:
-    return DualMatrix(block_diag(a.std, b.std), block_diag(a.dual, b.dual))
-
-
 # the equation sets that dual_inverses.verify checks, named here so that the
 # command line can offer them without loading the dual layers
 VERIFY_KINDS = ("group", "drazin-k", "wddi-t", "wdgi")

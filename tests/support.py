@@ -14,7 +14,11 @@ bordered ranks of A^^t, the existence profile from those two and the
 bordered ranks of A^^aind, the WDDI and the dual index from the Drazin
 inverse and the index of the doubled matrix, the residual form of the
 solver conditions and the witness-first existence test of the dual group
-inverse.  The doubled-system solver (``solve``, ``dual_solve``,
+inverse.  The padded conjugation of a block form the caller supplies
+(``wddi_from_given_decomposition``, with ``is_dual_nilpotent``) is the
+reference for the block products of the form, and the corollary solver for
+dind = 1 (``solve_ind1_corollaries``) for the index-1 solvers.  The
+doubled-system solver (``solve``, ``dual_solve``,
 ``in_range`` and ``DualAffineSet``) is the reference for the solution
 families and the range tests.
 The Fraction loops that the integer kernels of ``RealMatrix.__matmul__`` and
@@ -39,24 +43,27 @@ from dualinv import (
     NotInvertible,
     ParametricDualSolutions,
     RealMatrix,
+    block_diag,
     column_space_contains,
     dgi,
     doubled,
     drazin,
-    dual_block_diag,
     dual_inverse,
     dual_power,
     group_inverse,
     hstack,
     index,
+    index_profile,
     inverse,
     moore_penrose,
     rank,
     rank_profile,
     rref,
     vstack,
+    wddi,
 )
 from dualinv.elimination import _null_basis
+from dualinv.equation_solvers import _check_column
 from dualinv.matrices import _reduced, _Value
 
 
@@ -509,10 +516,85 @@ def rand_aind1_with_dgi(rng, n: int) -> DualMatrix:
     return DualMatrix(p @ core @ p_inv, p @ e @ p_inv)
 
 
+def dual_block_diag(a: DualMatrix, b: DualMatrix) -> DualMatrix:
+    return DualMatrix(block_diag(a.std, b.std), block_diag(a.dual, b.dual))
+
+
 def assemble_decomposition(
     phat: DualMatrix, chat: DualMatrix, nhat: DualMatrix
 ) -> DualMatrix:
     return phat @ dual_block_diag(chat, nhat) @ dual_inverse(phat)
+
+
+class PreconditionViolated(ValueError):
+    """Structured input violates a documented precondition."""
+
+
+def is_dual_nilpotent(a: DualMatrix) -> bool:
+    """True when some power of A^ is exactly zero.
+
+    A dual matrix is nilpotent precisely when its standard part is, and then
+    A^^(2d) = 0 for d = dimension: the standard part of the 2d-th power is
+    M^(2d) = 0, and each dual-part term M^(2d-i) M0 M^(i-1) carries at least
+    d factors of the nilpotent M on one side (i <= d or i-1 >= d).  The
+    power 2d is genuinely needed: eps*[[1]] squares to zero but is not zero
+    at power 1 = dimension.
+    """
+    if not a.std.is_square:
+        raise DimensionError("nilpotency of a non-square dual matrix")
+    d = a.rows
+    if d == 0:
+        return True
+    return (a.std**d).is_zero
+
+
+def wddi_from_given_decomposition(
+    phat: DualMatrix, chat: DualMatrix, nhat: DualMatrix
+) -> DualMatrix:
+    """Weak dual Drazin inverse of A^ = phat diag(chat, nhat) phat^(-1).
+
+    This consumes a block form that the caller supplies (any appreciable
+    index) and returns the padded n x n conjugation
+    phat diag(chat^(-1), 0) phat^(-1), which equals the WDDI of the
+    assembled matrix.  Preconditions: phat and chat have invertible
+    standard parts (NotInvertible otherwise) and nhat is dual-nilpotent
+    (PreconditionViolated otherwise).
+    """
+    for part, label in ((phat, "phat"), (chat, "chat"), (nhat, "nhat")):
+        if not part.std.is_square:
+            raise DimensionError(f"{label} must be square")
+    if chat.rows + nhat.rows != phat.rows:
+        raise DimensionError("block sizes do not fill the similarity matrix")
+    try:
+        phat_inv = dual_inverse(phat)
+        chat_inv = dual_inverse(chat)
+    except NotInvertible as exc:
+        raise NotInvertible(f"decomposition blocks must be invertible: {exc}") from exc
+    if not is_dual_nilpotent(nhat):
+        raise PreconditionViolated("bottom block is not dual-nilpotent")
+    zero = DualMatrix.zeros(nhat.rows, nhat.rows)
+    return phat @ dual_block_diag(chat_inv, zero) @ phat_inv
+
+
+def solve_ind1_corollaries(
+    a: DualMatrix, b: DualMatrix, restricted: bool
+) -> ParametricDualSolutions:
+    """Solver for dind(A^) = 1, where the group-type dual inverse G of A^
+    exists outright: G is the WDDI, and dind comes from index_profile.
+
+    Unrestricted: particular G b^ with the single generator I - G A^.
+    Restricted: the unique solution G b^ with no generators.  Raises
+    IndexTooLarge when dind > 1 and Inconsistent when (I - G A^) b^ != 0.
+    """
+    _check_column(a, b)
+    dind = index_profile(a).dind
+    if dind != 1:
+        raise IndexTooLarge(f"corollary solver needs dind 1, got {dind}")
+    g = wddi(a)
+    projector = DualMatrix.identity(a.rows) - g @ a
+    if not (projector @ b).is_zero:
+        raise Inconsistent("system rejects this right-hand side")
+    return ParametricDualSolutions(g @ b, () if restricted else (projector,))
 
 
 # The doubled-system solver: the full solution set of A^ x^ = b^ and range

@@ -23,14 +23,13 @@ from dualinv import (
     index_profile,
     rank_profile,
     solve_general,
-    solve_ind1_corollaries,
     solve_restricted,
     verify,
     wddi,
-    wddi_from_given_decomposition,
     wdgi,
 )
 from support import DualAffineSet, dual_solve, in_range
+from support import solve_ind1_corollaries, wddi_from_given_decomposition
 from support import weak_drazin_dual_part_horner as _weak_drazin_dual_part
 
 import cases

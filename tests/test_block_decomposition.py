@@ -9,23 +9,32 @@ from dualinv import (
     DualMatrix,
     IndexTooLarge,
     NotInvertible,
-    PreconditionViolated,
     RealMatrix,
     block2x2,
     block_diagonalize_ind1,
     core_nilpotent,
-    dual_block_diag,
     dual_inverse,
-    is_dual_nilpotent,
-    sharp_of_weak_group,
     wddi,
-    wddi_from_given_decomposition,
     wdgi,
 )
 from dualinv.block_decomposition import _decompose, _e_nhat
+from support import (
+    PreconditionViolated,
+    dual_block_diag,
+    is_dual_nilpotent,
+    wddi_from_given_decomposition,
+)
 
 import cases
 import support
+
+
+def _t_blocks(d, cn):
+    """The blocks T12 = T[:r, r:] and T21 = T[r:, :r] of T, read off the form
+    as P^(-1) times the dual part of P^ = P (I + eps*T)."""
+    t = cn.p_inv @ d.phat.dual
+    n, r = t.rows, d.r
+    return t.submatrix(0, r, r, n), t.submatrix(r, n, 0, r)
 
 
 class TestBlockDiagonalize:
@@ -56,8 +65,9 @@ class TestBlockDiagonalize:
             assert d.phat == d.phat_inv == DualMatrix.identity(n)
             assert d.chat == a and d.chat_inv == dual_inverse(a)
             assert d.nhat.shape == (0, 0)
-            assert d.t12.shape == (n, 0) and d.t21.shape == (0, n)
             cn = core_nilpotent(a.std)
+            t12, t21 = _t_blocks(d, cn)
+            assert t12.shape == (n, 0) and t21.shape == (0, n)
             assert d == _decompose(a, cn, _e_nhat(a, cn))
 
     def test_pure_eps_matrix(self):
@@ -112,10 +122,11 @@ class TestAnyIndex:
             d = _decompose(a, cn, _e_nhat(a, cn))
             n, r = a.rows, cn.r
             e = cn.p_inv @ a.dual @ cn.p
-            assert cn.c @ d.t12 - d.t12 @ cn.n == -e.submatrix(0, r, r, n)
-            assert cn.n @ d.t21 - d.t21 @ cn.c == -e.submatrix(r, n, 0, r)
+            t12, t21 = _t_blocks(d, cn)
+            assert cn.c @ t12 - t12 @ cn.n == -e.submatrix(0, r, r, n)
+            assert cn.n @ t21 - t21 @ cn.c == -e.submatrix(r, n, 0, r)
             assert d.phat.dual == cn.p @ block2x2(
-                RealMatrix.zeros(r, r), d.t12, d.t21, RealMatrix.zeros(n - r, n - r)
+                RealMatrix.zeros(r, r), t12, t21, RealMatrix.zeros(n - r, n - r)
             )
 
     def test_weak_drazin_inverse_matches_the_consumed_decomposition(self):
@@ -155,15 +166,17 @@ class TestWdgiViaDecomposition:
 
 
 class TestSharpOfWeakGroup:
+    """The sharp of the index-1 form, block_diagonalize_ind1(a).sharp()."""
+
     def test_fixture_with_generator(self):
-        sharp = sharp_of_weak_group(cases.DGI_ABSENT)
+        sharp = block_diagonalize_ind1(cases.DGI_ABSENT).sharp()
         assert sharp == DualMatrix.of([[1, 0], [0, 0]], [[0, 0], [1, 0]])
         assert cases.DGI_ABSENT - sharp == DualMatrix.of([[0, 0], [0, 0]], [[0, 0], [0, 1]])
 
     def test_identity_and_pure_eps(self):
-        assert sharp_of_weak_group(DualMatrix.identity(2)) == DualMatrix.identity(2)
+        assert block_diagonalize_ind1(DualMatrix.identity(2)).sharp() == DualMatrix.identity(2)
         m0 = RealMatrix.from_rows([[5]])
-        assert sharp_of_weak_group(DualMatrix.eps(m0)) == DualMatrix.zeros(1, 1)
+        assert block_diagonalize_ind1(DualMatrix.eps(m0)).sharp() == DualMatrix.zeros(1, 1)
 
     def test_group_equations_against_weak_inverse(self):
         # oracle: the returned matrix must be the group inverse of the weak
@@ -173,7 +186,7 @@ class TestSharpOfWeakGroup:
             n = rng.randint(1, 4)
             a = support.rand_aind1(rng, n)
             w = wdgi(a)
-            sharp = sharp_of_weak_group(a)
+            sharp = block_diagonalize_ind1(a).sharp()
             assert w @ sharp @ w == w
             assert sharp @ w @ sharp == sharp
             assert w @ sharp == sharp @ w
@@ -276,7 +289,7 @@ ORACLE_PAIRS = [(aind, dind) for aind in range(1, 6) for dind in range(aind, 2 *
 class TestBlockProductsAgainstPaddedConjugation:
     """The WDDI, the sharp and the reassembly of the form against the padded
     n x n conjugation P^ diag(U^, V^) P^^(-1), the route that
-    wddi_from_given_decomposition keeps for external forms: at r = 0, at
+    support.wddi_from_given_decomposition takes: at r = 0, at
     r = n, and at every (aind, dind) with aind from 1 to 5."""
 
     CASES = ["r=0", "r=n", *ORACLE_PAIRS]

@@ -200,6 +200,18 @@ def test_missing_file_is_a_parse_error():
     assert doc.status == "error"
 
 
+@pytest.mark.parametrize(
+    "argv", [["info", "a\x00b"], ["solve", GROUP_ABSENT, "b\x00.json"]], ids=["info", "solve"]
+)
+def test_a_path_with_a_nul_byte_is_a_parse_error(argv):
+    # open() refuses such a path with ValueError, not OSError; process argv
+    # cannot carry NUL, so only callers of run and main(argv) reach this
+    code, doc = run(argv)
+    assert code == 4
+    assert doc.status == "error"
+    assert doc.payload == {"message": f"{argv[-1]}: embedded null byte"}
+
+
 def test_malformed_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"rows": 1, "cols": 1, "std": [["1/0"]], "dual": [["0"]]}')

@@ -44,7 +44,7 @@ import pytest
 import dualinv
 from dualinv import DualMatrix, RealMatrix, ddi, solve_general, solve_restricted, wddi
 from dualinv import ddi_obstruction, dgi, existence_profile, index_profile
-from dualinv import solve_ind1_corollaries, verify, wdgi
+from dualinv import verify, wdgi
 from dualinv import block_decomposition, dual_linear, elimination, indices, matrices
 from dualinv import real_inverses
 
@@ -80,7 +80,6 @@ MORE_CALLS = {
     "existence_profile": lambda a, b: existence_profile(a),
     "ddi_obstruction": lambda a, b: ddi_obstruction(a),
     "verify_wddi_t": lambda a, b: verify(a, a, "wddi-t"),
-    "solve_ind1_corollaries": lambda a, b: solve_ind1_corollaries(a, b, False),
     "wdgi": lambda a, b: wdgi(a),
     "dgi": lambda a, b: dgi(a),
 }
@@ -173,7 +172,7 @@ def test_rank_profile_only_where_the_ranks_are_asked_for(counts, call, fixture):
     "call",
     sorted(
         set(CALLS)
-        | {"ddi_obstruction", "dgi", "existence_profile", "solve_ind1_corollaries", "wdgi"}
+        | {"ddi_obstruction", "dgi", "existence_profile", "wdgi"}
     ),
 )
 def test_inverses_and_solvers_form_no_dual_power(counts, call, fixture):
@@ -466,10 +465,10 @@ def test_no_product_has_an_identity_factor(identity_factors, call, fixture):
 
 
 def test_the_identity_guard_sees_the_padded_route(identity_factors):
-    # the padded conjugation kept for external forms does multiply by P^ = I
+    # the padded conjugation of the support route does multiply by P^ = I
     a, _ = IDENTITY_BASIS["invertible_3"]
     d = block_decomposition.block_diagonalize_ind1(a)
     assert d.phat == DualMatrix.identity(3)
-    block_decomposition.wddi_from_given_decomposition(d.phat, d.chat, d.nhat)
+    support.wddi_from_given_decomposition(d.phat, d.chat, d.nhat)
     assert identity_factors
 

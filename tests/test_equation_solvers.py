@@ -21,10 +21,9 @@ from dualinv import (
     index_profile,
     inverse,
     solve_general,
-    solve_ind1_corollaries,
     solve_restricted,
 )
-from support import DualAffineSet, dual_solve, in_range
+from support import DualAffineSet, dual_solve, in_range, solve_ind1_corollaries
 
 import cases
 import support

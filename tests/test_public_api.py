@@ -31,7 +31,6 @@ PUBLIC_API = [
     "NotInvertible",
     "ParametricDualSolutions",
     "ParseError",
-    "PreconditionViolated",
     "RealMatrix",
     "ResultDocument",
     "VerificationReport",
@@ -45,7 +44,6 @@ PUBLIC_API = [
     "dgi",
     "doubled",
     "drazin",
-    "dual_block_diag",
     "dual_inverse",
     "dual_power",
     "dual_vstack",
@@ -55,7 +53,6 @@ PUBLIC_API = [
     "index",
     "index_profile",
     "inverse",
-    "is_dual_nilpotent",
     "matrix_to_document",
     "moore_penrose",
     "nullspace",
@@ -64,14 +61,11 @@ PUBLIC_API = [
     "rank",
     "rank_profile",
     "rref",
-    "sharp_of_weak_group",
     "solve_general",
-    "solve_ind1_corollaries",
     "solve_restricted",
     "verify",
     "vstack",
     "wddi",
-    "wddi_from_given_decomposition",
     "wdgi",
 ]
 

@@ -9,6 +9,7 @@ from dualinv import real_inverses
 from dualinv import (
     DimensionError,
     IndexTooLarge,
+    InternalInvariantViolation,
     RealMatrix,
     core_nilpotent,
     drazin,
@@ -17,6 +18,7 @@ from dualinv import (
     inverse,
     moore_penrose,
     rank,
+    rref,
 )
 
 import cases
@@ -154,6 +156,33 @@ class TestCoreNilpotent:
     def test_deterministic(self):
         m = cases.DDI_ABSENT.std
         assert core_nilpotent(m) == core_nilpotent(m)
+
+    # (m, k, M^k) triples that do not belong together, each failing one guard
+    GUARD_CASES = {
+        "upper-block-nonzero": (
+            [[1, 1], [0, 0]],
+            [[1, 0], [1, 0]],
+            "similarity transform is not block diagonal",
+        ),
+        "lower-block-nonzero": (
+            [[0, 0], [1, 0]],
+            [[1, 0], [0, 0]],
+            "similarity transform is not block diagonal",
+        ),
+        "singular-core": ([[1, 0], [0, 0]], [[0, 0], [0, 1]], "core block is singular"),
+        "nilpotent-survives": (
+            [[1, 0, 0], [0, 0, 1], [0, 0, 0]],
+            [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+            "nilpotent block survives power k",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GUARD_CASES))
+    def test_each_invariant_guard_fires_on_a_mismatched_power(self, case):
+        rows, power_rows, message = self.GUARD_CASES[case]
+        m, mk = RealMatrix.from_rows(rows), RealMatrix.from_rows(power_rows)
+        with pytest.raises(InternalInvariantViolation, match=f"^{message}$"):
+            real_inverses._core_nilpotent_at(m, 1, mk, rref(mk))
 
 
 class TestDrazin:

@@ -32,7 +32,7 @@ A = DualMatrix.of([[1, 2], [0, 0]], [[0, 1], [1, 0]])
 B = DualMatrix.of([[1, 2], [0, 0]], [[0, 1], [1, 1]])
 I2 = RealMatrix.identity(2)
 FORM = block_diagonalize_ind1(A)
-FORM_FIELDS = ("phat", "chat", "nhat", "r", "phat_inv", "chat_inv", "t12", "t21")
+FORM_FIELDS = ("phat", "chat", "nhat", "r", "phat_inv", "chat_inv")
 
 # class -> (field values in order, one field name and a different value for it)
 CASES = {
