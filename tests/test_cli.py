@@ -201,15 +201,34 @@ def test_missing_file_is_a_parse_error():
 
 
 @pytest.mark.parametrize(
-    "argv", [["info", "a\x00b"], ["solve", GROUP_ABSENT, "b\x00.json"]], ids=["info", "solve"]
+    "argv",
+    [
+        ["info", "a\x00b"],
+        ["solve", GROUP_ABSENT, "b\x00.json"],
+        ["compute", "--kind", "wddi", "a\x00b"],
+        ["verify", "--kind", "wddi-t", "a\x00b", ABSENT],
+        ["verify", "--kind", "wddi-t", ABSENT, "x\x00.json"],
+        ["solve", "a\x00b", RHS],
+        ["solve", "--restricted", GROUP_ABSENT, "b\x00.json"],
+    ],
+    ids=[
+        "info",
+        "solve",
+        "compute",
+        "verify-first",
+        "verify-second",
+        "solve-first",
+        "solve-restricted",
+    ],
 )
 def test_a_path_with_a_nul_byte_is_a_parse_error(argv):
     # open() refuses such a path with ValueError, not OSError; process argv
     # cannot carry NUL, so only callers of run and main(argv) reach this
+    (path,) = [token for token in argv if "\x00" in token]
     code, doc = run(argv)
     assert code == 4
     assert doc.status == "error"
-    assert doc.payload == {"message": f"{argv[-1]}: embedded null byte"}
+    assert doc.payload == {"message": f"{path}: embedded null byte"}
 
 
 def test_malformed_file(tmp_path):

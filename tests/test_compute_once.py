@@ -182,6 +182,22 @@ def test_inverses_and_solvers_form_no_dual_power(counts, call, fixture):
 
 
 @pytest.mark.parametrize("fixture", sorted(FIXTURES))
+def test_the_support_corollary_solver_shares_the_analysis(counts, fixture):
+    # the second route reads dind off index_profile (its one rank profile)
+    # and G off wddi, both on the same object, so it forms the analysis once
+    a, b = _fresh(fixture)
+    try:
+        support.solve_ind1_corollaries(a, b, False)
+    except (dualinv.IndexTooLarge, dualinv.Inconsistent):
+        pass
+    assert counts["index"] == 1, dict(counts)
+    assert counts["core_nilpotent"] == 1, dict(counts)
+    assert counts["rank_profile"] == 1, dict(counts)
+    assert counts["dual_power"] == 0, dict(counts)
+    assert counts["in_range"] == 0, dict(counts)
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES))
 @pytest.mark.parametrize("sequence", sorted(SEQUENCES))
 def test_a_sequence_on_one_object_analyses_it_once(counts, sequence, fixture):
     a, b = _fresh(fixture)

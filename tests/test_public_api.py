@@ -12,6 +12,8 @@ import pytest
 
 import dualinv
 
+import support
+
 SOURCES = sorted(Path(dualinv.__file__).parent.glob("*.py"))
 
 # The exported names, sorted.  A change to the public API edits this list.
@@ -96,6 +98,31 @@ def test_each_name_resolves_through_the_lazy_getattr(name):
     # the resolved name is kept in the package namespace
     assert vars(dualinv)[name] is value
     assert getattr(dualinv, name) is value
+
+
+# Names the package no longer binds: test-only second routes now kept in
+# tests/support.py, and sharp_of_weak_group, which was
+# block_diagonalize_ind1(a).sharp() under another name.
+MOVED_TO_SUPPORT = [
+    "PreconditionViolated",
+    "dual_block_diag",
+    "is_dual_nilpotent",
+    "solve_ind1_corollaries",
+    "wddi_from_given_decomposition",
+]
+REMOVED = sorted(MOVED_TO_SUPPORT + ["sharp_of_weak_group"])
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_a_removed_name_is_bound_nowhere_in_the_package(name):
+    assert name not in dualinv.__all__
+    assert name not in dualinv._MODULE_OF
+    assert not hasattr(dualinv, name)
+    for path in SOURCES:
+        if path.stem != "__init__":
+            module = importlib.import_module(f"dualinv.{path.stem}")
+            assert not hasattr(module, name), path.name
+    assert hasattr(support, name) == (name in MOVED_TO_SUPPORT)
 
 
 def test_dir_covers_every_exported_name():
