@@ -21,6 +21,9 @@ dind = 1 (``solve_ind1_corollaries``) for the index-1 solvers.  The
 doubled-system solver (``solve``, ``dual_solve``,
 ``in_range`` and ``DualAffineSet``) is the reference for the solution
 families and the range tests.
+The command grammar written out one subcommand at a time
+(``reference_parser``) is the reference for both parsers of ``dualinv.cli``,
+which read the grammar from its command table.
 The Fraction loops that the integer kernels of ``RealMatrix.__matmul__`` and
 ``rref`` replaced are kept here as the references for those kernels, the
 stacked product is the reference for the dual half of ``DualMatrix @``, and so
@@ -62,9 +65,10 @@ from dualinv import (
     vstack,
     wddi,
 )
+from dualinv import cli
 from dualinv.elimination import _null_basis
 from dualinv.equation_solvers import _check_column
-from dualinv.matrices import _reduced, _Value
+from dualinv.matrices import VERIFY_KINDS, _reduced, _Value
 
 
 def matmul_reference(a: RealMatrix, b: RealMatrix) -> RealMatrix:
@@ -738,3 +742,39 @@ def size_mix(rng, count: int, small=(1, 2, 3, 4), large=(5, 6), large_every: int
             yield rng.choice(large)
         else:
             yield rng.choice(small)
+
+
+def reference_parser():
+    """The dualinv argument parser, each subcommand spelled out by hand.
+
+    Usage errors raise ``cli._UsageError``, as those of the CLI's own parser
+    do, and the description is the CLI's docstring, so help texts compare
+    byte for byte.
+    """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise cli._UsageError(message)
+
+    parser = _Parser(prog="dualinv", description=cli.__doc__, add_help=True)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_info = sub.add_parser("info", help="rank and index invariants")
+    p_info.add_argument("file")
+
+    p_compute = sub.add_parser("compute", help="compute a generalized inverse")
+    p_compute.add_argument("--kind", required=True, choices=cli.COMPUTE_KINDS)
+    p_compute.add_argument("file")
+
+    p_verify = sub.add_parser("verify", help="check defining equations")
+    p_verify.add_argument("--kind", required=True, choices=VERIFY_KINDS)
+    p_verify.add_argument("file")
+    p_verify.add_argument("xfile")
+
+    p_solve = sub.add_parser("solve", help="solve A x = b")
+    p_solve.add_argument("--restricted", action="store_true")
+    p_solve.add_argument("afile")
+    p_solve.add_argument("bfile")
+
+    return parser
