@@ -67,35 +67,15 @@ def _build_parser():
 
     parser = _Parser(prog="dualinv", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_info = sub.add_parser("info", help="rank and index invariants")
-    p_info.add_argument("file")
-
-    p_compute = sub.add_parser("compute", help="compute a generalized inverse")
-    p_compute.add_argument("--kind", required=True, choices=COMPUTE_KINDS)
-    p_compute.add_argument("file")
-
-    p_verify = sub.add_parser("verify", help="check defining equations")
-    p_verify.add_argument("--kind", required=True, choices=VERIFY_KINDS)
-    p_verify.add_argument("file")
-    p_verify.add_argument("xfile")
-
-    p_solve = sub.add_parser("solve", help="solve A x = b")
-    p_solve.add_argument("--restricted", action="store_true")
-    p_solve.add_argument("afile")
-    p_solve.add_argument("bfile")
-
+    for command, (_, help_line, kinds, operands) in _COMMANDS.items():
+        p_command = sub.add_parser(command, help=help_line)
+        if kinds:
+            p_command.add_argument("--kind", required=True, choices=kinds)
+        if command == "solve":
+            p_command.add_argument("--restricted", action="store_true")
+        for name in operands:
+            p_command.add_argument(name)
     return parser
-
-
-# the file operands of each command, in order
-_OPERANDS = {
-    "info": ("file",),
-    "compute": ("file",),
-    "verify": ("file", "xfile"),
-    "solve": ("afile", "bfile"),
-}
-_KINDS = {"compute": COMPUTE_KINDS, "verify": VERIFY_KINDS}
 
 
 def _parse(argv):
@@ -119,17 +99,19 @@ def _parse(argv):
 def _hand_parsed(argv) -> dict | None:
     """The attributes of a well-formed command line (see _parse), else None."""
     command, *rest = argv or ("",)
+    if command not in _COMMANDS:
+        return None
+    _, _, kinds, names = _COMMANDS[command]
     fields = {"command": command}
+    if kinds:
+        if len(rest) < 2 or rest[0] != "--kind" or rest[1] not in kinds:
+            return None
+        fields["kind"], rest = rest[1], rest[2:]
     if command == "solve":
         fields["restricted"] = rest[:1] == ["--restricted"]
         if fields["restricted"]:
             rest = rest[1:]
-    elif command in _KINDS:
-        if len(rest) < 2 or rest[0] != "--kind" or rest[1] not in _KINDS[command]:
-            return None
-        fields["kind"], rest = rest[1], rest[2:]
-    names = _OPERANDS.get(command, ())
-    if not names or len(rest) != len(names) or any(t.startswith("-") for t in rest):
+    if len(rest) != len(names) or any(t.startswith("-") for t in rest):
         return None
     fields.update(zip(names, rest))
     return fields
@@ -147,10 +129,9 @@ def _load(path: str, inputs: list) -> DualMatrix:
     return matrix
 
 
-def _run_info(args, inputs: list) -> dict:
+def _run_info(args, a: DualMatrix) -> dict:
     from .indices import index_profile, rank_profile
 
-    a = _load(args.file, inputs)
     payload: dict = {"rows": a.rows, "cols": a.cols}
     if a.std.is_square:
         profile = index_profile(a)
@@ -166,8 +147,7 @@ def _run_info(args, inputs: list) -> dict:
     return payload
 
 
-def _run_compute(args, inputs: list) -> dict:
-    a = _load(args.file, inputs)
+def _run_compute(args, a: DualMatrix) -> dict:
     if args.kind == "drazin-real":
         from .real_inverses import drazin
 
@@ -181,10 +161,10 @@ def _run_compute(args, inputs: list) -> dict:
     return {"result": matrix_to_document(getattr(dual_inverses, args.kind)(a))}
 
 
-def _run_verify(args, inputs: list) -> dict:
+def _run_verify(args, a: DualMatrix, x: DualMatrix) -> dict:
     from .dual_inverses import verify
 
-    report = verify(_load(args.file, inputs), _load(args.xfile, inputs), args.kind)
+    report = verify(a, x, args.kind)
     return {
         "kind": report.kind,
         "exponent": report.exponent,
@@ -195,22 +175,25 @@ def _run_verify(args, inputs: list) -> dict:
     }
 
 
-def _run_solve(args, inputs: list) -> dict:
+def _run_solve(args, a: DualMatrix, b: DualMatrix) -> dict:
     from .equation_solvers import solve_general, solve_restricted
 
-    solve = solve_restricted if args.restricted else solve_general
-    sols = solve(_load(args.afile, inputs), _load(args.bfile, inputs))
+    sols = (solve_restricted if args.restricted else solve_general)(a, b)
     return {
         "particular": matrix_to_document(sols.particular),
         "generators": [matrix_to_document(g) for g in sols.generators],
     }
 
 
-_DISPATCH = {
-    "info": _run_info,
-    "compute": _run_compute,
-    "verify": _run_verify,
-    "solve": _run_solve,
+# The command grammar: each command's handler, help line, --kind choices
+# (None: no --kind) and file operands, in order.  Both parsers read it, with
+# solve's --restricted before its operands as the one flag not listed; run
+# loads the operands in this order and calls handler(args, *matrices).
+_COMMANDS = {
+    "info": (_run_info, "rank and index invariants", None, ("file",)),
+    "compute": (_run_compute, "compute a generalized inverse", COMPUTE_KINDS, ("file",)),
+    "verify": (_run_verify, "check defining equations", VERIFY_KINDS, ("file", "xfile")),
+    "solve": (_run_solve, "solve A x = b", None, ("afile", "bfile")),
 }
 
 # The exit-code table of the refusals: exit code, status and the condition
@@ -235,11 +218,13 @@ def run(argv) -> tuple[int, ResultDocument]:
         operation += ":restricted" if args.restricted else ":general"
     elif args.command != "info":
         operation += f":{args.kind}"
+    handler, _, _, operands = _COMMANDS[args.command]
     inputs: list[dict] = []
     try:
         # nested, so that a refusal that cannot be reported is still exit 5
         try:
-            code, status, payload = 0, "ok", _DISPATCH[args.command](args, inputs)
+            matrices = [_load(getattr(args, name), inputs) for name in operands]
+            code, status, payload = 0, "ok", handler(args, *matrices)
         except (DoesNotExist, IndexTooLarge, Inconsistent) as exc:
             code, status, condition = next(
                 _REFUSALS[cls] for cls in type(exc).__mro__ if cls in _REFUSALS
