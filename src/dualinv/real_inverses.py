@@ -123,10 +123,11 @@ def moore_penrose(m: RealMatrix) -> RealMatrix:
     """Moore-Penrose inverse via a full-rank factorization M = F G.
 
     F collects the pivot columns of M, G the nonzero rows of its reduced
-    echelon form; then M+ = G^T (G G^T)^(-1) (F^T F)^(-1) F^T.
+    echelon form; then M+ = G^T (F^T M G^T)^(-1) F^T (MacDuffee), since
+    F^T M G^T = (F^T F)(G G^T) is a product of two invertible r x r blocks.
     """
     reduced, pivots = rref(m)
     r = len(pivots)
     f = m.columns_at(pivots)
     g = reduced.submatrix(0, r, 0, m.cols)
-    return g.T @ inverse(g @ g.T) @ inverse(f.T @ f) @ f.T
+    return g.T @ inverse(f.T @ m @ g.T) @ f.T

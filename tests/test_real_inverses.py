@@ -83,6 +83,18 @@ class TestMoorePenrose:
     def test_zero_matrix(self):
         assert moore_penrose(RealMatrix.zeros(2, 3)) == RealMatrix.zeros(3, 2)
 
+    def test_one_inverse_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return inverse(m)
+
+        monkeypatch.setattr(real_inverses, "inverse", counted)
+        m = RealMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+        assert all(_penrose_conditions(m, moore_penrose(m)))
+        assert calls == [(2, 2)]
+
     def test_penrose_conditions_hold_on_random_matrices(self):
         rng = random.Random(23)
         checked = 0
