@@ -103,14 +103,14 @@ def _hand_parsed(argv) -> dict | None:
         return None
     _, _, kinds, names = _COMMANDS[command]
     fields = {"command": command}
-    if kinds:
-        if len(rest) < 2 or rest[0] != "--kind" or rest[1] not in kinds:
-            return None
-        fields["kind"], rest = rest[1], rest[2:]
     if command == "solve":
         fields["restricted"] = rest[:1] == ["--restricted"]
         if fields["restricted"]:
             rest = rest[1:]
+    elif kinds:
+        if len(rest) < 2 or rest[0] != "--kind" or rest[1] not in kinds:
+            return None
+        fields["kind"], rest = rest[1], rest[2:]
     if len(rest) != len(names) or any(t.startswith("-") for t in rest):
         return None
     fields.update(zip(names, rest))
@@ -186,9 +186,9 @@ def _run_solve(args, a: DualMatrix, b: DualMatrix) -> dict:
 
 
 # The command grammar: each command's handler, help line, --kind choices
-# (None: no --kind) and file operands, in order.  Both parsers read it, with
-# solve's --restricted before its operands as the one flag not listed; run
-# loads the operands in this order and calls handler(args, *matrices).
+# (None: no --kind) and file operands, in order.  Both parsers read it; the
+# one flag it leaves out is solve's --restricted, taken before the operands.
+# run loads the operands in order and calls handler(args, *matrices).
 _COMMANDS = {
     "info": (_run_info, "rank and index invariants", None, ("file",)),
     "compute": (_run_compute, "compute a generalized inverse", COMPUTE_KINDS, ("file",)),
