@@ -16,9 +16,9 @@ P^ keeps both ranks of A^^t, C^^t is invertible and N^^t = eps*K22(t) for
 t >= k, where K22(t+1) = K22(t) N.  For the same reason both ranks of A^
 exceed those of N^ by r: rank(M) = r + rank(N) and rank(doubled(A^)) =
 2r + rank(doubled(N^)), as the doubling map is multiplicative.  K22, dind
-and the two ranks all come from the form's N^.  Each P^ diag(U^, V^) P^^(-1)
-is taken on the blocks that carry data, P^[:, :r] U^ P^^(-1)[:r, :] +
-P^[:, r:] V^ P^^(-1)[r:, :]: the WDDI needs r columns of P^ and r rows of P^^(-1).
+and the two ranks all come from the form's N^.  Each P^ diag(U^, V^) P^^(-1),
+and the obstruction, is taken by real_inverses._conjugate on the blocks that
+carry data: the WDDI needs r columns of P^ and r rows of P^^(-1).
 
 Each public function reads these objects off one _Analysis of its input,
 whose parts (the index of M, the core-nilpotent form, E and N^, the dual
@@ -40,7 +40,7 @@ from functools import cached_property
 from .exceptions import DimensionError, IndexTooLarge
 from .matrices import DualMatrix, RealMatrix
 from .matrices import _Value, hstack, vstack
-from .real_inverses import CoreNilpotentDecomposition, _core_nilpotent_at, _index_power
+from .real_inverses import CoreNilpotentDecomposition, _conjugate, _core_nilpotent_at, _index_power
 from .dual_linear import dual_inverse
 
 
@@ -70,17 +70,6 @@ class DualBlockDecompositionInd1(_Value):
     def nblock(self) -> RealMatrix:
         return self.nhat.dual
 
-    def _conjugate(self, top: DualMatrix, bottom: DualMatrix | None = None) -> DualMatrix:
-        """P^ diag(U^, V^) P^^(-1) from the column blocks of P^ and the row
-        blocks of P^^(-1), with V^ = 0 when bottom is None; U^ at r = n."""
-        p, q, r, n = self.phat, self.phat_inv, self.r, self.phat.rows
-        if r == n:
-            return top
-        out = p.submatrix(0, n, 0, r) @ top @ q.submatrix(0, r, 0, n)
-        if bottom is not None:
-            out = out + p.submatrix(0, n, r, n) @ bottom @ q.submatrix(r, n, 0, n)
-        return out
-
     def _to_blocks(self, x: DualMatrix) -> DualMatrix:
         """P^^(-1) x, which is x at r = n."""
         return x if self.r == x.rows else self.phat_inv @ x
@@ -90,15 +79,15 @@ class DualBlockDecompositionInd1(_Value):
         return x if self.r == x.rows else self.phat @ x
 
     def assemble(self) -> DualMatrix:
-        return self._conjugate(self.chat, self.nhat)
+        return _conjugate(self.phat, self.phat_inv, self.r, self.chat, self.nhat)
 
     def weak_drazin_inverse(self) -> DualMatrix:
         """P^ diag(C^^(-1), 0) P^^(-1), the WDDI of A^ (the WDGI at aind 1)."""
-        return self._conjugate(self.chat_inv)
+        return _conjugate(self.phat, self.phat_inv, self.r, self.chat_inv)
 
     def sharp(self) -> DualMatrix:
         """P^ diag(C^, 0) P^^(-1), the group inverse of the WDGI."""
-        return self._conjugate(self.chat)
+        return _conjugate(self.phat, self.phat_inv, self.r, self.chat)
 
 
 def _e_nhat(a: DualMatrix, cn: CoreNilpotentDecomposition) -> tuple[RealMatrix, DualMatrix]:
@@ -185,9 +174,7 @@ class _Analysis:
     @cached_property
     def obstruction(self) -> RealMatrix:
         """The DDI obstruction P diag(0, K22) P^(-1)."""
-        cn, n = self.cn, self.a.rows
-        k22 = self.bottom[0]
-        return cn.p.submatrix(0, n, cn.r, n) @ k22 @ cn.p_inv.submatrix(cn.r, n, 0, n)
+        return _conjugate(self.cn.p, self.cn.p_inv, self.cn.r, bottom=self.bottom[0])
 
     @cached_property
     def form(self) -> DualBlockDecompositionInd1:

@@ -13,7 +13,8 @@ and reported through distinct errors.
 
 None of W, the residual or that range is formed.  With P^^(-1) b^ split
 into (b1; b2) after the first r rows, I - W A^ = P^ diag(0, I) P^^(-1) and
-A^ - A_sharp = P^ diag(0, eps*N) P^^(-1) (block_decomposition), so the
+A^ - A_sharp = P^ diag(0, eps*N) P^^(-1), the restricted generator, which
+real_inverses._conjugate forms from the bottom blocks alone.  So the
 residual is P^ (0; b2): (a) reads b2.std = 0, (b) then reads "b2.dual lies
 in the range of N", the restricted condition reads b2 = 0, and W b^ =
 P^ (C^^(-1) b1; 0).  The bottom block of the unrestricted particular
@@ -30,7 +31,7 @@ from .exceptions import (
     InconsistentStandardPart,
 )
 from .matrices import DualMatrix, RealMatrix, dual_vstack
-from .real_inverses import moore_penrose
+from .real_inverses import _conjugate, moore_penrose
 from .elimination import column_space_contains
 from .dual_linear import ParametricDualSolutions
 from .block_decomposition import block_diagonalize_ind1
@@ -67,18 +68,17 @@ def solve_general(a: DualMatrix, b: DualMatrix) -> ParametricDualSolutions:
         raise InconsistentStandardPart("standard part of the residual is nonzero")
     if not column_space_contains(d.nblock, b2.dual):
         raise InconsistentDualPart("residual lies outside the reachable dual range")
-    n_pinv = moore_penrose(d.nblock)
     top = d.chat_inv @ b1
+    if n == r:  # P^ = I and the bottom block is empty: the solution is unique
+        return ParametricDualSolutions(top, ())
+    n_pinv = moore_penrose(d.nblock)
     bottom = DualMatrix.from_real(n_pinv @ b2.dual)
     particular = d._from_blocks(dual_vstack(top, bottom))
-    generators = []
-    if n > r:
-        # P^ (0; X^) = P^[:, r:] X^, and P^ (0; eps*I) = eps*P[:, r:]
-        p_right = d.phat.submatrix(0, n, r, n)
-        projector = DualMatrix.from_real(RealMatrix.identity(n - r) - n_pinv @ d.nblock)
-        generators.append(p_right @ projector)
-        generators.append(DualMatrix.eps(p_right.std))
-    return ParametricDualSolutions(particular, tuple(generators))
+    # P^ (0; X^) = P^[:, r:] X^, and P^ (0; eps*I) = eps*P[:, r:]
+    p_right = d.phat.submatrix(0, n, r, n)
+    projector = DualMatrix.from_real(RealMatrix.identity(n - r) - n_pinv @ d.nblock)
+    generators = (p_right @ projector, DualMatrix.eps(p_right.std))
+    return ParametricDualSolutions(particular, generators)
 
 
 def solve_restricted(a: DualMatrix, b: DualMatrix) -> ParametricDualSolutions:
@@ -93,4 +93,5 @@ def solve_restricted(a: DualMatrix, b: DualMatrix) -> ParametricDualSolutions:
         raise Inconsistent("restricted system rejects this right-hand side")
     # W b^ = P^ (C^^(-1) b1; 0), and b2 is that zero block
     particular = d._from_blocks(dual_vstack(d.chat_inv @ b1, b2))
-    return ParametricDualSolutions(particular, (a - d.sharp(),))
+    generator = _conjugate(d.phat, d.phat_inv, d.r, bottom=d.nhat)
+    return ParametricDualSolutions(particular, (generator,))

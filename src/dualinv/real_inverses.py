@@ -9,7 +9,7 @@ a full-rank factorization.
 from __future__ import annotations
 
 from .exceptions import DimensionError, IndexTooLarge, InternalInvariantViolation
-from .matrices import RealMatrix, _Value, block_diag, hstack
+from .matrices import RealMatrix, _Value, hstack
 from .elimination import _eliminate, _null_basis, _reduce, inverse, rank, rref
 
 
@@ -48,7 +48,7 @@ def _index_power(m: RealMatrix) -> tuple[int, RealMatrix, tuple]:
 
 
 class CoreNilpotentDecomposition(_Value):
-    """M = p @ block_diag(c, n) @ p_inv.
+    """M = p diag(c, n) p_inv.
 
     c is r x r invertible with r = rank(M^k); n is nilpotent (n^k = 0);
     k is the index of M.  p's first r columns span the column space of M^k,
@@ -64,14 +64,11 @@ class CoreNilpotentDecomposition(_Value):
         self.p, self.p_inv, self.c, self.n, self.r, self.k = p, p_inv, c, n, r, k
 
     def assemble(self) -> RealMatrix:
-        return self.p @ block_diag(self.c, self.n) @ self.p_inv
+        return _conjugate(self.p, self.p_inv, self.r, self.c, self.n)
 
     def drazin(self) -> RealMatrix:
-        """M^D = p diag(c^(-1), 0) p_inv, taken on the blocks that carry
-        data as p[:, :r] c^(-1) p_inv[:r, :]."""
-        size, r = self.p.rows, self.r
-        c_inv = inverse(self.c)
-        return self.p.submatrix(0, size, 0, r) @ c_inv @ self.p_inv.submatrix(0, r, 0, size)
+        """M^D = p diag(c^(-1), 0) p_inv."""
+        return _conjugate(self.p, self.p_inv, self.r, inverse(self.c))
 
 
 def core_nilpotent(m: RealMatrix) -> CoreNilpotentDecomposition:
@@ -104,6 +101,20 @@ def _core_nilpotent_at(
     if not (n**k).is_zero:
         raise InternalInvariantViolation("nilpotent block survives power k")
     return CoreNilpotentDecomposition(p, p_inv, c, n, r, k)
+
+
+def _conjugate(p, q, r: int, top=None, bottom=None):
+    """p diag(top, bottom) q, q = p^(-1) and a None block zero, formed as
+    p[:, :r] top q[:r, :] + p[:, r:] bottom q[r:, :] for RealMatrix or
+    DualMatrix p and q; at r = n, where both forms take p = q = I, top."""
+    n = p.rows
+    if r == n:
+        return type(p).zeros(n, n) if top is None else top
+    upper = None if top is None else p.submatrix(0, n, 0, r) @ top @ q.submatrix(0, r, 0, n)
+    if bottom is None:
+        return upper
+    lower = p.submatrix(0, n, r, n) @ bottom @ q.submatrix(r, n, 0, n)
+    return lower if upper is None else upper + lower
 
 
 def drazin(m: RealMatrix) -> RealMatrix:

@@ -14,7 +14,8 @@ distinct object gets an analysis of its own (nothing is keyed on value),
 analysing another object releases the first (memory stays bounded), and a
 part whose construction raised is built again on the next call.  An
 invertible standard part forms no power of M and no inverse of P, and no
-call multiplies a RealMatrix by an identity factor there, where P = I.
+call, the real drazin and group_inverse included, multiplies a RealMatrix
+by an identity factor there, where P = I, or by an empty block of P.
 
 The index reads each rank off a forward elimination alone: on an invertible
 M it runs one forward pass, on M itself, and no back pass, and on a
@@ -126,9 +127,16 @@ def _fresh(fixture):
     return DualMatrix(a.std, a.dual), b
 
 
+# the real inverses of the standard part, which take no analysis
+REAL_CALLS = {
+    "drazin": lambda a, b: real_inverses.drazin(a.std),
+    "group_inverse": lambda a, b: real_inverses.group_inverse(a.std),
+}
+
+
 def _call(name, a, b):
     try:
-        {**CALLS, **MORE_CALLS}[name](a, b)
+        {**CALLS, **MORE_CALLS, **REAL_CALLS}[name](a, b)
     except (dualinv.DoesNotExist, dualinv.IndexTooLarge, dualinv.Inconsistent):
         pass
 
@@ -449,7 +457,8 @@ IDENTITY_BASIS = {
 }
 
 IDENTITY_GUARDED_CALLS = (
-    "index_profile", "wddi", "ddi", "wdgi", "dgi", "solve_general", "solve_restricted"
+    "index_profile", "wddi", "ddi", "wdgi", "dgi", "solve_general", "solve_restricted",
+    "existence_profile", "ddi_obstruction", "drazin", "group_inverse",
 )
 
 
@@ -458,14 +467,18 @@ def _is_identity(m):
 
 
 @pytest.fixture
-def identity_factors(monkeypatch):
-    """Record the shapes of every RealMatrix product with an identity factor."""
-    seen = []
+def trivial_factors(monkeypatch):
+    """Record the shapes of every RealMatrix product with an identity factor
+    and, apart, of every one with an empty factor (a dimension 0), such as
+    the column block P[:, r:] of P at r = n."""
+    seen = {"identity": [], "empty": []}
     original = RealMatrix.__matmul__
 
     def recording(left, right):
         if _is_identity(left) or _is_identity(right):
-            seen.append((left.shape, right.shape))
+            seen["identity"].append((left.shape, right.shape))
+        if 0 in left.shape or 0 in right.shape:
+            seen["empty"].append((left.shape, right.shape))
         return original(left, right)
 
     monkeypatch.setattr(RealMatrix, "__matmul__", recording)
@@ -474,17 +487,32 @@ def identity_factors(monkeypatch):
 
 @pytest.mark.parametrize("fixture", sorted(IDENTITY_BASIS))
 @pytest.mark.parametrize("call", IDENTITY_GUARDED_CALLS)
-def test_no_product_has_an_identity_factor(identity_factors, call, fixture):
+def test_no_product_has_an_identity_factor(trivial_factors, call, fixture):
     a, b = IDENTITY_BASIS[fixture]
     _call(call, DualMatrix(a.std, a.dual), b)
-    assert identity_factors == []
+    assert trivial_factors["identity"] == []
 
 
-def test_the_identity_guard_sees_the_padded_route(identity_factors):
+@pytest.mark.parametrize("fixture", sorted(IDENTITY_BASIS))
+@pytest.mark.parametrize("call", IDENTITY_GUARDED_CALLS)
+def test_no_product_has_an_empty_factor(trivial_factors, call, fixture):
+    a, b = IDENTITY_BASIS[fixture]
+    _call(call, DualMatrix(a.std, a.dual), b)
+    assert trivial_factors["empty"] == []
+
+
+def test_the_identity_guard_sees_the_padded_route(trivial_factors):
     # the padded conjugation of the support route does multiply by P^ = I
     a, _ = IDENTITY_BASIS["invertible_3"]
     d = block_decomposition.block_diagonalize_ind1(a)
     assert d.phat == DualMatrix.identity(3)
     support.wddi_from_given_decomposition(d.phat, d.chat, d.nhat)
-    assert identity_factors
+    assert trivial_factors["identity"]
 
+
+def test_the_empty_factor_guard_sees_an_empty_block(trivial_factors):
+    # the bottom-block product of P^ diag(0, N^) P^^(-1) at r = n, written out
+    a, _ = IDENTITY_BASIS["invertible_3"]
+    d = block_decomposition.block_diagonalize_ind1(a)
+    d.phat.submatrix(0, 3, 3, 3) @ d.nhat @ d.phat_inv.submatrix(3, 3, 0, 3)
+    assert trivial_factors["empty"] == [((3, 0), (0, 0)), ((3, 0), (0, 3))]

@@ -226,6 +226,32 @@ class TestSolveRestricted:
             assert meet is not None
             assert restricted.same_set(meet)
 
+    @staticmethod
+    def _assert_generator_is_a_minus_sharp(a):
+        # oracle: the generator A^ - A_sharp through the sharp of the form
+        zero = DualMatrix.zeros(a.rows, 1)
+        try:
+            expected = a - block_diagonalize_ind1(a).sharp()
+        except IndexTooLarge:
+            with pytest.raises(IndexTooLarge):
+                solve_restricted(a, zero)
+            return None
+        assert solve_restricted(a, zero).generators == (expected,)
+        return block_diagonalize_ind1(a).r
+
+    @pytest.mark.parametrize("name", ["DDI_ABSENT", "DDI_PRESENT", "DGI_ABSENT", "DGI_PRESENT"])
+    def test_generator_is_a_minus_sharp_on_fixtures(self, name):
+        self._assert_generator_is_a_minus_sharp(getattr(cases, name))
+
+    def test_generator_is_a_minus_sharp_on_random_input(self):
+        rng = random.Random(163)
+        inputs = [support.rand_aind1(rng, rng.randint(1, 5)) for _ in range(20)]
+        inputs += [support.rand_dual_invertible_std(rng, n) for n in (1, 3, 5)]
+        inputs += [DualMatrix.eps(support.rand_int_matrix(rng, n, n)) for n in (1, 3)]
+        ranks = [(a.rows, self._assert_generator_is_a_minus_sharp(a)) for a in inputs]
+        kinds = {"r = 0" if r == 0 else "r = n" if r == n else "0 < r < n" for n, r in ranks}
+        assert kinds == {"r = 0", "0 < r < n", "r = n"}
+
 
 class TestCorollaries:
     def test_restricted_unique_solution(self):

@@ -16,9 +16,11 @@ from dualinv import (
     RealMatrix,
     block2x2,
     block_diag,
+    block_diagonalize_ind1,
     dual_inverse,
     dual_power,
     hstack,
+    solve_restricted,
     vstack,
 )
 
@@ -38,6 +40,50 @@ def square_dual_triple(draw, max_n=3):
         return [[draw(fractions_st) for _ in range(n)] for _ in range(n)]
 
     return tuple(DualMatrix.of(grid(), grid()) for _ in range(3))
+
+
+_I2 = RealMatrix.identity(2)
+_WIDE = RealMatrix.zeros(2, 3)
+
+# Branches of the public surface that no other test runs: each call and
+# the exception it raises, or the value it returns.
+EDGE_BRANCHES = {
+    "constructor with a negative dimension": (lambda: RealMatrix(-1, 0, ()), DimensionError),
+    "constructor with a wrong row count": (lambda: RealMatrix(2, 1, [[1]]), DimensionError),
+    "constructor given a ragged grid": (lambda: RealMatrix(2, 2, [[1, 2], [3]]), DimensionError),
+    "from_rows of no rows and no cols": (lambda: RealMatrix.from_rows([]), RealMatrix.zeros(0, 0)),
+    "from_rows with a wrong cols": (
+        lambda: RealMatrix.from_rows([[1, 2]], cols=3), DimensionError
+    ),
+    "zeros with a negative dimension": (lambda: RealMatrix.zeros(2, -1), DimensionError),
+    "== against a non-matrix": (lambda: _I2.__eq__([[1, 0], [0, 1]]), NotImplemented),
+    "+ of mismatched shapes": (lambda: _I2 + _WIDE, DimensionError),
+    "- of mismatched shapes": (lambda: _I2 - _WIDE, DimensionError),
+    "** of a non-square matrix": (lambda: _WIDE**2, DimensionError),
+    "hstack of nothing": (lambda: hstack(), DimensionError),
+    "vstack of nothing": (lambda: vstack(), DimensionError),
+    "hstack of mismatched rows": (lambda: hstack(_I2, _WIDE.T), DimensionError),
+    "vstack of mismatched cols": (lambda: vstack(_I2, _WIDE), DimensionError),
+    "dual negation": (
+        lambda: -DualMatrix.of([[1, -2]], [[0, 3]]), DualMatrix.of([[-1, 2]], [[0, -3]])
+    ),
+    "block_diagonalize_ind1 of a non-square matrix": (
+        lambda: block_diagonalize_ind1(DualMatrix.zeros(2, 3)), DimensionError
+    ),
+    "member with the wrong number of parameters": (
+        lambda: solve_restricted(cases.DGI_ABSENT, cases.RHS_MIXED).member(()), DimensionError
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_BRANCHES))
+def test_edge_branch_of_the_public_surface(case):
+    call, expected = EDGE_BRANCHES[case]
+    if isinstance(expected, type) and issubclass(expected, Exception):
+        with pytest.raises(expected):
+            call()
+    else:
+        assert call() == expected
 
 
 class TestRealMatrix:
