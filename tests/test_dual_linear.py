@@ -9,6 +9,7 @@ from dualinv import (
     DualMatrix,
     Inconsistent,
     NotInvertible,
+    ParametricDualSolutions,
     RealMatrix,
     doubled,
     dual_inverse,
@@ -50,6 +51,20 @@ class TestDualInverse:
             dual_inverse(DualMatrix.of([[0]], [[1]]))
         with pytest.raises(DimensionError):
             dual_inverse(DualMatrix.zeros(2, 3))
+
+
+class TestParametricDualSolutions:
+    def test_member_adds_each_generator_times_its_parameter(self):
+        rng = random.Random(67)
+        n = 3
+        particular = support.rand_dual_parameter(rng, n)
+        generators = tuple(
+            DualMatrix(support.rand_int_matrix(rng, n, w), support.rand_int_matrix(rng, n, w))
+            for w in (1, 2)
+        )
+        ys = tuple(support.rand_dual_parameter(rng, g.cols) for g in generators)
+        expected = particular + generators[0] @ ys[0] + generators[1] @ ys[1]
+        assert ParametricDualSolutions(particular, generators).member(ys) == expected
 
 
 class TestDualSolve:

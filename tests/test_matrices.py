@@ -97,6 +97,11 @@ class TestRealMatrix:
         with pytest.raises(DimensionError):
             RealMatrix.from_rows([[1, 2], [3]])
 
+    def test_a_negative_dimension_is_named(self):
+        for rows, cols in ((-1, 2), (2, -1)):
+            with pytest.raises(DimensionError, match="^negative matrix dimension$"):
+                RealMatrix(rows, cols, ())
+
     def test_zero_dimension_matrices(self):
         empty = RealMatrix.zeros(0, 3)
         assert empty.shape == (0, 3)
@@ -133,6 +138,7 @@ class TestRealMatrix:
         c = RealMatrix.from_rows([[Fraction(3, 2)], [2]])
         assert hstack(a.T, c, a.T) == RealMatrix.from_rows([[1, Fraction(3, 2), 1], [2, 2, 2]])
         assert block_diag(a, b).shape == (2, 4)
+        assert hstack(c) == c and vstack(a) == a
         assert block2x2(
             RealMatrix.identity(1),
             RealMatrix.zeros(1, 1),

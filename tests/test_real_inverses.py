@@ -196,6 +196,15 @@ class TestCoreNilpotent:
         with pytest.raises(InternalInvariantViolation, match=f"^{message}$"):
             real_inverses._core_nilpotent_at(m, 1, mk, rref(mk))
 
+    def test_the_upper_guard_reads_row_0_of_the_upper_block(self):
+        # P = I here, so the similar matrix is M itself: its one nonzero
+        # off-diagonal entry, (0, 2), is in row 0 of the upper block
+        m = RealMatrix.from_rows([[1, 0, 1], [0, 1, 0], [0, 0, 0]])
+        mk = RealMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+        message = "^similarity transform is not block diagonal$"
+        with pytest.raises(InternalInvariantViolation, match=message):
+            real_inverses._core_nilpotent_at(m, 1, mk, rref(mk))
+
 
 class TestDrazin:
     def test_known_values(self):
