@@ -31,7 +31,6 @@ _EXPORTS = {
         "DualMatrix",
         "RealMatrix",
         "block2x2",
-        "block_diag",
         "dual_power",
         "dual_vstack",
         "hstack",

@@ -189,20 +189,21 @@ _last: _Analysis | None = None
 
 
 def _analysis(a: DualMatrix) -> _Analysis:
-    """The analysis of square a: the kept one when a is the very object
-    analysed last, else a fresh one that replaces it."""
+    """The analysis of a: the kept one when a is the very object analysed
+    last, else a fresh one that replaces it.  This is the one square-input
+    check of every entry point that analyses a dual matrix."""
     global _last
     last = _last
     if last is not None and last.a is a:
         return last
+    if not a.std.is_square:
+        raise DimensionError("operation needs a square dual matrix")
     _last = last = _Analysis(a)
     return last
 
 
 def block_diagonalize_ind1(a: DualMatrix) -> DualBlockDecompositionInd1:
     """Decompose a square dual matrix with aind = 1; IndexTooLarge otherwise."""
-    if not a.std.is_square:
-        raise DimensionError("decomposition of a non-square dual matrix")
     analysis = _analysis(a)
     if analysis.aind != 1:
         raise IndexTooLarge(f"block diagonalization needs aind 1, got {analysis.aind}")

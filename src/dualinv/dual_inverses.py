@@ -57,19 +57,12 @@ class ExistenceProfile(_Value):
         self.rank_equality, self.obstruction = rank_equality, obstruction
 
 
-def _square(a: DualMatrix) -> None:
-    if not a.std.is_square:
-        raise DimensionError("operation needs a square dual matrix")
-
-
 def ddi_obstruction(a: DualMatrix) -> RealMatrix:
     """(I - M M^D) K (I - M M^D) with K the dual part of A^^aind."""
-    _square(a)
     return _analysis(a).obstruction
 
 
 def existence_profile(a: DualMatrix) -> ExistenceProfile:
-    _square(a)
     analysis = _analysis(a)
     obstruction = analysis.obstruction
     k22, dind = analysis.bottom
@@ -83,7 +76,6 @@ def existence_profile(a: DualMatrix) -> ExistenceProfile:
 
 def wddi(a: DualMatrix) -> DualMatrix:
     """Weak dual Drazin inverse; always exists for square input."""
-    _square(a)
     return _analysis(a).wddi
 
 
@@ -93,7 +85,6 @@ def ddi(a: DualMatrix) -> DualMatrix:
     Existence is decided by K22 = 0; the obstruction is formed only as the
     witness.
     """
-    _square(a)
     analysis = _analysis(a)
     if not analysis.bottom[0].is_zero:
         raise DoesNotExist("dual Drazin inverse does not exist", analysis.obstruction)
@@ -106,7 +97,6 @@ def wdgi(a: DualMatrix) -> DualMatrix:
     Dual part: (M#)^2 M0 (I - M M#) + (I - M M#) M0 (M#)^2 - M# M0 M#; it is
     computed as P^ diag(C^^(-1), 0) P^^(-1) from the block diagonalization.
     """
-    _square(a)
     analysis = _analysis(a)
     if analysis.aind != 1:
         raise IndexTooLarge(
@@ -123,7 +113,6 @@ def dgi(a: DualMatrix) -> DualMatrix:
     form; the witness is formed only then.  When it exists it coincides
     with the WDGI.
     """
-    _square(a)
     analysis = _analysis(a)
     if analysis.aind != 1:
         raise IndexTooLarge(f"dual group inverse needs aind 1, got {analysis.aind}")
@@ -160,15 +149,15 @@ def verify(a: DualMatrix, x: DualMatrix, kind: str) -> VerificationReport:
     All equations are tested exactly; nothing is assumed about where X came
     from.
     """
-    _square(a)
+    analysis = _analysis(a)
     if x.shape != a.shape:
         raise DimensionError("candidate inverse has the wrong shape")
     if kind not in VERIFY_KINDS:
         raise ValueError(f"unknown verification kind {kind!r}")
     if kind == "wddi-t":
-        e = _analysis(a).bottom[1]
+        e = analysis.bottom[1]
     elif kind == "drazin-k":
-        e = _analysis(a).aind
+        e = analysis.aind
     else:
         e = 1 if kind == "group" else 2
     a_e = dual_power(a, e)

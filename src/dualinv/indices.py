@@ -23,7 +23,7 @@ the same N^: the first t >= aind with N^^t = 0.
 
 from __future__ import annotations
 
-from .exceptions import DimensionError, InternalInvariantViolation
+from .exceptions import InternalInvariantViolation
 from .matrices import DualMatrix, _Value
 from .elimination import rank
 from .dual_linear import doubled
@@ -52,8 +52,6 @@ class DualIndexProfile(_Value):
 
 def index_profile(a: DualMatrix) -> DualIndexProfile:
     """All four invariants of a square dual matrix."""
-    if not a.std.is_square:
-        raise DimensionError("index of a non-square dual matrix")
     analysis = _analysis(a)
     r = analysis.cn.r
     arank, drank = rank_profile(analysis.e_nhat[1])

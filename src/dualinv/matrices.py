@@ -268,12 +268,6 @@ def block2x2(a: RealMatrix, b: RealMatrix, c: RealMatrix, d: RealMatrix) -> Real
     return vstack(hstack(a, b), hstack(c, d))
 
 
-def block_diag(a: RealMatrix, b: RealMatrix) -> RealMatrix:
-    return block2x2(
-        a, RealMatrix.zeros(a.rows, b.cols), RealMatrix.zeros(b.rows, a.cols), b
-    )
-
-
 class _Value:
     """Base of the package's value classes.
 

@@ -2,14 +2,22 @@
 
 The Drazin inverse is computed through the core-nilpotent decomposition
 M = P diag(C, N) P^(-1) with C invertible (rank r = rank of M^k) and N
-nilpotent, where k is the index of M.  The Moore-Penrose inverse comes from
-a full-rank factorization.
+nilpotent, where k is the index of M.  P = [F | Z] comes from the full-rank
+factorization M^k = F G: F is the pivot columns of M^k, G the nonzero rows
+of its reduced echelon form and Z the null basis read off G.  Since G Z = 0
+and the free rows of Z are I,
+
+    P^(-1) = [(G F)^(-1) G ; S - F_free (G F)^(-1) G]
+
+with S and F_free the free rows of I and of F, so the form inverts the
+r x r block G F and not P.  The Moore-Penrose inverse comes from the
+full-rank factorization of M itself.
 """
 
 from __future__ import annotations
 
 from .exceptions import DimensionError, IndexTooLarge, InternalInvariantViolation
-from .matrices import RealMatrix, _Value, hstack
+from .matrices import RealMatrix, _Value, hstack, vstack
 from .elimination import _eliminate, _null_basis, _reduce, inverse, rank, rref
 
 
@@ -87,8 +95,15 @@ def _core_nilpotent_at(
     if r == size:
         # the reduced form of an invertible M is I, which is also P
         return CoreNilpotentDecomposition(reduced, reduced, m, RealMatrix.zeros(0, 0), r, k)
-    p = hstack(mk.columns_at(pivots), _null_basis(reduced, pivots, size))
-    p_inv = inverse(p)
+    f = mk.columns_at(pivots)
+    g = reduced.submatrix(0, r, 0, size)
+    p = hstack(f, _null_basis(reduced, pivots, size))
+    # G Z = 0 and the free rows of Z are I (see the module docstring); G F is
+    # invertible exactly when P is, and at r = 0 both factors are empty
+    top = inverse(g @ f) @ g
+    free = [j for j in range(size) if j not in pivots]
+    s = RealMatrix.identity(size).columns_at(free).T
+    p_inv = vstack(top, s - f.T.columns_at(free).T @ top)
     similar = p_inv @ m @ p
     c = similar.submatrix(0, r, 0, r)
     n = similar.submatrix(r, size, r, size)

@@ -46,7 +46,7 @@ from dualinv import (
     NotInvertible,
     ParametricDualSolutions,
     RealMatrix,
-    block_diag,
+    block2x2,
     column_space_contains,
     dgi,
     doubled,
@@ -518,6 +518,10 @@ def rand_aind1_with_dgi(rng, n: int) -> DualMatrix:
     )
     p_inv = inverse(p)
     return DualMatrix(p @ core @ p_inv, p @ e @ p_inv)
+
+
+def block_diag(a: RealMatrix, b: RealMatrix) -> RealMatrix:
+    return block2x2(a, RealMatrix.zeros(a.rows, b.cols), RealMatrix.zeros(b.rows, a.cols), b)
 
 
 def dual_block_diag(a: DualMatrix, b: DualMatrix) -> DualMatrix:

@@ -12,8 +12,9 @@ off K22 as well and forms the obstruction only as its witness.
 A sequence of calls on one object builds each part once.  A value-equal but
 distinct object gets an analysis of its own (nothing is keyed on value),
 analysing another object releases the first (memory stays bounded), and a
-part whose construction raised is built again on the next call.  An
-invertible standard part forms no power of M and no inverse of P, and no
+part whose construction raised is built again on the next call.  No form
+inverts the n x n P: it reads P^(-1) off M^k = F G and inverts the r x r
+G F.  An invertible standard part forms no power of M and no G F, and no
 call, the real drazin and group_inverse included, multiplies a RealMatrix
 by an identity factor there, where P = I, or by an empty block of P.
 
@@ -298,7 +299,7 @@ def _recording(original, seen):
 def test_invertible_standard_part_skips_the_index(counts, monkeypatch):
     # inside real_inverses one forward pass runs, on M itself (its rank ends
     # the index at 1 with no power of M); no back pass runs there, and
-    # inverse, which only P needs, never
+    # inverse, which only G F needs below r = n, never
     forward, reduced, inverted = [], [], []
     for name, seen in (("_eliminate", forward), ("_reduce", reduced), ("inverse", inverted)):
         original = getattr(real_inverses, name)
@@ -339,6 +340,29 @@ def test_the_index_of_a_singular_matrix_runs_one_back_pass_on_its_power(monkeypa
         assert len(echelon[1]) < m.rows
         assert len(back_passes) == 1
         assert len(reduced) == 1 and reduced[0][0] is mk
+
+
+def test_the_form_inverts_only_the_r_x_r_block(monkeypatch):
+    # P^(-1) is read off M^k = F G, so inverse sees G F and then C, both
+    # r x r, and never P; at r = 0 both are empty
+    inverted = []
+    original = real_inverses.inverse
+    monkeypatch.setattr(real_inverses, "inverse", _recording(original, inverted))
+    rng = random.Random(151)
+    singular = [support.rand_high_index(rng, 6, aind, dind=aind).std for aind in (1, 2, 3)]
+    singular += [support.rand_low_rank(rng, n, n - 2) for n in (3, 5, 7)]
+    singular += [support.rand_nilpotent(rng, n) for n in (1, 3, 5)]
+    singular += [RealMatrix.zeros(n, n) for n in (1, 4)]
+    empty = 0
+    for m in singular:
+        inverted.clear()
+        r = real_inverses.core_nilpotent(m).r
+        assert r < m.rows
+        real_inverses.drazin(m)
+        # G F of each of the two forms, then C for the Drazin inverse
+        assert [args[0].shape for args in inverted] == [(r, r)] * 3
+        empty += r == 0
+    assert empty >= 5
 
 
 def _index_profile_inputs():

@@ -11,6 +11,7 @@ from dualinv import (
     DualMatrix,
     IndexTooLarge,
     RealMatrix,
+    block_diagonalize_ind1,
     ddi,
     ddi_obstruction,
     dgi,
@@ -27,6 +28,27 @@ from support import weak_drazin_dual_part_horner as _weak_drazin_dual_part
 
 import cases
 import support
+
+
+# every entry point that analyses a dual matrix; each is refused by the one
+# square-input gate of that analysis, with one message
+ANALYSING = {
+    "index_profile": index_profile,
+    "ddi_obstruction": ddi_obstruction,
+    "existence_profile": existence_profile,
+    "wddi": wddi,
+    "ddi": ddi,
+    "wdgi": wdgi,
+    "dgi": dgi,
+    "verify": lambda a: verify(a, a, "group"),
+    "block_diagonalize_ind1": block_diagonalize_ind1,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYSING))
+def test_every_entry_point_refuses_a_non_square_matrix(name):
+    with pytest.raises(DimensionError, match="^operation needs a square dual matrix$"):
+        ANALYSING[name](DualMatrix.zeros(2, 3))
 
 
 class TestExistenceProfile:

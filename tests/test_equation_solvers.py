@@ -13,7 +13,6 @@ from dualinv import (
     IndexTooLarge,
     RealMatrix,
     block2x2,
-    block_diag,
     block_diagonalize_ind1,
     column_space_contains,
     dual_power,
@@ -23,7 +22,7 @@ from dualinv import (
     solve_general,
     solve_restricted,
 )
-from support import DualAffineSet, dual_solve, in_range, solve_ind1_corollaries
+from support import DualAffineSet, block_diag, dual_solve, in_range, solve_ind1_corollaries
 
 import cases
 import support

@@ -15,7 +15,6 @@ from dualinv import (
     NotInvertible,
     RealMatrix,
     block2x2,
-    block_diag,
     block_diagonalize_ind1,
     dual_inverse,
     dual_power,
@@ -26,6 +25,7 @@ from dualinv import (
 
 import cases
 import support
+from support import block_diag
 
 fractions_st = st.builds(
     Fraction, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=4)

@@ -37,7 +37,6 @@ PUBLIC_API = [
     "ResultDocument",
     "VerificationReport",
     "block2x2",
-    "block_diag",
     "block_diagonalize_ind1",
     "column_space_contains",
     "core_nilpotent",
@@ -105,6 +104,7 @@ def test_each_name_resolves_through_the_lazy_getattr(name):
 # block_diagonalize_ind1(a).sharp() under another name.
 MOVED_TO_SUPPORT = [
     "PreconditionViolated",
+    "block_diag",
     "dual_block_diag",
     "is_dual_nilpotent",
     "solve_ind1_corollaries",

@@ -10,6 +10,7 @@ from dualinv import (
     DimensionError,
     IndexTooLarge,
     InternalInvariantViolation,
+    NotInvertible,
     RealMatrix,
     core_nilpotent,
     drazin,
@@ -204,6 +205,13 @@ class TestCoreNilpotent:
         message = "^similarity transform is not block diagonal$"
         with pytest.raises(InternalInvariantViolation, match=message):
             real_inverses._core_nilpotent_at(m, 1, mk, rref(mk))
+
+    def test_a_power_below_the_index_leaves_p_singular(self):
+        # M^1 = M has index 2: its column space lies in its null space, so
+        # P = [F | Z] is singular, and so is G F = [0]
+        m = RealMatrix.from_rows([[0, 1], [0, 0]])
+        with pytest.raises(NotInvertible, match="^matrix of rank 0 is singular$"):
+            real_inverses._core_nilpotent_at(m, 1, m, rref(m))
 
 
 class TestDrazin:
