@@ -177,6 +177,13 @@ class TestCoreNilpotent:
             [[1, 0], [1, 0]],
             "similarity transform is not block diagonal",
         ),
+        # P = I, so the similar matrix is M: its one nonzero off-diagonal
+        # entry, (0, 2), is in row 0 of the upper block
+        "upper-block-row-0": (
+            [[1, 0, 1], [0, 1, 0], [0, 0, 0]],
+            [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+            "similarity transform is not block diagonal",
+        ),
         "lower-block-nonzero": (
             [[0, 0], [1, 0]],
             [[1, 0], [0, 0]],
@@ -195,15 +202,6 @@ class TestCoreNilpotent:
         rows, power_rows, message = self.GUARD_CASES[case]
         m, mk = RealMatrix.from_rows(rows), RealMatrix.from_rows(power_rows)
         with pytest.raises(InternalInvariantViolation, match=f"^{message}$"):
-            real_inverses._core_nilpotent_at(m, 1, mk, rref(mk))
-
-    def test_the_upper_guard_reads_row_0_of_the_upper_block(self):
-        # P = I here, so the similar matrix is M itself: its one nonzero
-        # off-diagonal entry, (0, 2), is in row 0 of the upper block
-        m = RealMatrix.from_rows([[1, 0, 1], [0, 1, 0], [0, 0, 0]])
-        mk = RealMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
-        message = "^similarity transform is not block diagonal$"
-        with pytest.raises(InternalInvariantViolation, match=message):
             real_inverses._core_nilpotent_at(m, 1, mk, rref(mk))
 
     def test_a_power_below_the_index_leaves_p_singular(self):
