@@ -1,18 +1,10 @@
 """Command line front-end.
 
-Commands:
-    info FILE                      rank and index invariants of a matrix
-    compute --kind K FILE          K in {drazin-real, mp-real, ddi, wddi,
-                                   dgi, wdgi}; the -real kinds act on the
-                                   standard part only
-    verify --kind K FILE XFILE     K in {group, drazin-k, wddi-t, wdgi}
-    solve [--restricted] A B       solution family of A x = b
-
-Exit codes: 0 ok, 2 requested object does not exist, 3 inconsistent system,
-4 parse or usage error, 5 internal error (any other exception, a bug).
+The commands and exit codes are those of _USAGE, which --help shows.
 Exactly one JSON result document goes to stdout.  run alone picks the code
 and builds the document; the handlers return only the payload of success,
-and the refusals (2 and 3) go through the one table _REFUSALS.
+and the refusals (2 and 3) go through the one table _REFUSALS.  A document
+that stdout cannot take is lost, and main returns 5.
 
 Each command imports the layers it computes with when it runs, so a process
 loads only those: info needs no dual inverse or solver, and the -real kinds
@@ -53,6 +45,20 @@ except ImportError:
 
 COMPUTE_KINDS = ("drazin-real", "mp-real", "ddi", "wddi", "dgi", "wdgi")
 
+# the description --help shows, laid out as written
+_USAGE = """\
+Commands:
+    info FILE                      rank and index invariants of a matrix
+    compute --kind K FILE          K in {drazin-real, mp-real, ddi, wddi,
+                                   dgi, wdgi}; the -real kinds act on the
+                                   standard part only
+    verify --kind K FILE XFILE     K in {group, drazin-k, wddi-t, wdgi}
+    solve [--restricted] A B       solution family of A x = b
+
+Exit codes: 0 ok, 2 requested object does not exist, 3 inconsistent system,
+4 parse or usage error, 5 internal error (any other exception, a bug).
+"""
+
 
 class _UsageError(Exception):
     pass
@@ -65,7 +71,9 @@ def _build_parser():
         def error(self, message):
             raise _UsageError(message)
 
-    parser = _Parser(prog="dualinv", description=__doc__, add_help=True)
+    parser = _Parser(
+        prog="dualinv", description=_USAGE, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_line, kinds, operands) in _COMMANDS.items():
         p_command = sub.add_parser(command, help=help_line)
@@ -248,7 +256,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits directly for --help; keep its code
         return int(exc.code or 0)
-    sys.stdout.write(document.to_json())
+    text = document.to_json()
+    try:  # an AttributeError here means fd 1 was closed, so sys.stdout is None
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except (OSError, AttributeError):
+        import os
+
+        # the interpreter's own flush at exit would fail again and say so on stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return 5
     return code
 
 

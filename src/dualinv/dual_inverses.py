@@ -161,9 +161,10 @@ def verify(a: DualMatrix, x: DualMatrix, kind: str) -> VerificationReport:
     else:
         e = 1 if kind == "group" else 2
     a_e = dual_power(a, e)
+    ax, xa = a @ x, x @ a
     checks = (
-        (f"A X A^{e} = A^{e}", a @ x @ a_e == a_e),
-        ("X A X = X", x @ a @ x == x),
-        ("A X = X A", a @ x == x @ a),
+        (f"A X A^{e} = A^{e}", ax @ a_e == a_e),
+        ("X A X = X", xa @ x == x),
+        ("A X = X A", ax == xa),
     )
     return VerificationReport(kind, e, checks, all(ok for _, ok in checks))

@@ -19,7 +19,8 @@ residual is P^ (0; b2): (a) reads b2.std = 0, (b) then reads "b2.dual lies
 in the range of N", the restricted condition reads b2 = 0, and W b^ =
 P^ (C^^(-1) b1; 0).  The bottom block of the unrestricted particular
 solution is the appreciable N+ b2.dual: N+ b2 itself would be an
-eps-multiple, and eps*N kills those.
+eps-multiple, and eps*N kills those.  As N N+ projects onto the range of N,
+(b) is read off that same block as N (N+ b2.dual) = b2.dual.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .exceptions import (
 )
 from .matrices import DualMatrix, RealMatrix, dual_vstack
 from .real_inverses import _conjugate, moore_penrose
-from .elimination import column_space_contains
 from .dual_linear import ParametricDualSolutions
 from .block_decomposition import block_diagonalize_ind1
 
@@ -66,14 +66,13 @@ def solve_general(a: DualMatrix, b: DualMatrix) -> ParametricDualSolutions:
     n, r = a.rows, d.r
     if not b2.std.is_zero:
         raise InconsistentStandardPart("standard part of the residual is nonzero")
-    if not column_space_contains(d.nblock, b2.dual):
-        raise InconsistentDualPart("residual lies outside the reachable dual range")
-    top = d.chat_inv @ b1
     if n == r:  # P^ = I and the bottom block is empty: the solution is unique
-        return ParametricDualSolutions(top, ())
+        return ParametricDualSolutions(d.chat_inv @ b1, ())
     n_pinv = moore_penrose(d.nblock)
-    bottom = DualMatrix.from_real(n_pinv @ b2.dual)
-    particular = d._from_blocks(dual_vstack(top, bottom))
+    bottom = n_pinv @ b2.dual
+    if d.nblock @ bottom != b2.dual:
+        raise InconsistentDualPart("residual lies outside the reachable dual range")
+    particular = d._from_blocks(dual_vstack(d.chat_inv @ b1, DualMatrix.from_real(bottom)))
     # P^ (0; X^) = P^[:, r:] X^, and P^ (0; eps*I) = eps*P[:, r:]
     p_right = d.phat.submatrix(0, n, r, n)
     projector = DualMatrix.from_real(RealMatrix.identity(n - r) - n_pinv @ d.nblock)

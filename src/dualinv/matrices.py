@@ -81,6 +81,8 @@ class RealMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RealMatrix":
+        if n < 0:
+            raise DimensionError("negative matrix dimension")
         zeros = (0,) * (n - 1)
         return _make(n, n, tuple(zeros[:i] + (1,) + zeros[i:] for i in range(n)), 1)
 
@@ -171,6 +173,8 @@ class RealMatrix:
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "RealMatrix":
         """Rows r0..r1-1 and columns c0..c1-1; the matrix itself for the
         whole range, which is safe as no matrix is ever changed."""
+        if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
+            raise DimensionError(f"[{r0}:{r1}, {c0}:{c1}] is no block of a {self.shape} matrix")
         if r0 == c0 == 0 and r1 == self.rows and c1 == self.cols:
             return self
         return _reduced(
@@ -179,6 +183,8 @@ class RealMatrix:
 
     def columns_at(self, indices) -> "RealMatrix":
         idx = tuple(indices)
+        if idx and not 0 <= min(idx) <= max(idx) < self.cols:
+            raise DimensionError(f"columns {min(idx)}..{max(idx)} outside a {self.shape} matrix")
         return _reduced(
             self.rows, len(idx), tuple(tuple(row[j] for j in idx) for row in self.nums), self.den
         )

@@ -752,8 +752,8 @@ def reference_parser():
     """The dualinv argument parser, each subcommand spelled out by hand.
 
     Usage errors raise ``cli._UsageError``, as those of the CLI's own parser
-    do, and the description is the CLI's docstring, so help texts compare
-    byte for byte.
+    do, and the description is the CLI's command and exit-code table, laid
+    out as written, so help texts compare byte for byte.
     """
     import argparse
 
@@ -761,7 +761,11 @@ def reference_parser():
         def error(self, message):
             raise cli._UsageError(message)
 
-    parser = _Parser(prog="dualinv", description=cli.__doc__, add_help=True)
+    parser = _Parser(
+        prog="dualinv",
+        description=cli._USAGE,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_info = sub.add_parser("info", help="rank and index invariants")

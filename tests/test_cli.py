@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -318,6 +319,13 @@ def test_output_is_byte_stable():
     )
 
 
+def _child_env():
+    """This process's environment with the source tree first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
+
+
 @pytest.mark.parametrize(
     "code, command",
     [
@@ -331,16 +339,50 @@ def test_process_exit_code_and_stdout_match_golden(code, command):
     """One golden command per documented exit code, run as a real process."""
     expected = json.loads(GOLDEN.read_text())[command]
     assert expected["exit_code"] == code
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "dualinv.cli", *command.split()],
         capture_output=True,
         text=True,
         cwd=FIXTURES,
-        env=env,
+        env=_child_env(),
     )
     assert {"exit_code": proc.returncode, "stdout": proc.stdout} == expected
+
+
+def _info_process(launcher=(), **kwargs):
+    """Run ``info`` on a fixture in a child process, through ``launcher``
+    if given, with stderr captured as text."""
+    argv = [*launcher, sys.executable, "-m", "dualinv.cli", "info", ABSENT]
+    return subprocess.run(argv, stderr=subprocess.PIPE, text=True, env=_child_env(), **kwargs)
+
+
+def _assert_quiet_exit_5(proc):
+    assert proc.returncode == 5, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
+# An unwritable stdout re-points the child's fd 1, so these run in processes.
+def test_a_pipe_with_no_reader_exits_5_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _info_process(stdout=write_end)
+    finally:
+        os.close(write_end)
+    _assert_quiet_exit_5(proc)
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="needs a POSIX shell to close fd 1")
+def test_a_closed_stdout_exits_5_quietly():
+    _assert_quiet_exit_5(_info_process(launcher=("sh", "-c", 'exec "$@" >&-', "sh")))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_device_exits_5_quietly():
+    with open("/dev/full", "wb") as full:
+        proc = _info_process(stdout=full)
+    _assert_quiet_exit_5(proc)
 
 
 def test_main_returns_exit_code(capsys):
@@ -474,3 +516,12 @@ def test_parse_agrees_with_argparse(argv):
 def test_help_is_the_one_output_that_is_not_a_result_document(argv, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out.startswith("usage: dualinv")
+
+
+def test_help_shows_the_command_table_as_written(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert "\nCommands:\n    info FILE                      rank and index invariants" in out
+    assert "\n    solve [--restricted] A B       solution family of A x = b\n" in out
+    # the module's implementation notes stay out of the help
+    assert "_REFUSALS" not in out

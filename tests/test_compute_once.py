@@ -4,7 +4,11 @@ and kept in an analysis that later calls on the very same object share.
 
 A single call computes only what its formulas need: the WDDI and DDI
 compute no rank profile, and the solvers read their conditions off
-P^^(-1) b^ with no range test.  Only index_profile takes the two ranks of a
+P^^(-1) b^ = (b1; b2) with no range test.  solve_general reads "b2.dual lies
+in the range of N" as N (N+ b2.dual) = b2.dual, off the N+ its solution
+family needs anyway, so on a kept analysis it eliminates only what N+
+does, and nothing at r = n.  verify forms A X and X A once each and reads
+all three equations off them.  Only index_profile takes the two ranks of a
 dual matrix, once; existence_profile reads its rank equality off K22 and,
 like the inverses and solvers, forms no dual power.  ddi decides existence
 off K22 as well and forms the obstruction only as its witness.
@@ -423,6 +427,94 @@ def test_the_square_task_inverts_the_core_block_once(monkeypatch):
             _call(call, a, None)
         form = block_decomposition._analysis(a).form
         assert [args[0] for args in inverted] == [form.chat]
+
+
+def _index1_with_bottom_block(rng, n, r, n_rank):
+    """P (diag(C, 0) + eps*E) P^(-1) with aind 1, C r x r and E22, the block N
+    of the form, of rank n_rank."""
+    p = support.rand_invertible(rng, n)
+    core = support.block_diag(support.rand_invertible(rng, r), RealMatrix.zeros(n - r, n - r))
+    e = matrices.block2x2(
+        support.rand_int_matrix(rng, r, r),
+        support.rand_int_matrix(rng, r, n - r),
+        support.rand_int_matrix(rng, n - r, r),
+        support.rand_low_rank(rng, n - r, n_rank),
+    )
+    p_inv = elimination.inverse(p)
+    return DualMatrix(p @ core @ p_inv, p @ e @ p_inv)
+
+
+def _solver_inputs():
+    """(A^, b^) pairs: the fixtures and index-1 inputs with N = 0, a
+    rank-deficient N, an invertible N and no N at all (r = n), each with
+    right-hand sides P^ (c1; c2) for c2 zero, eps N y, eps v and random."""
+    yield from FIXTURES.values()
+    rng = random.Random(157)
+    inputs = [_index1_with_bottom_block(rng, 5, 2, n_rank) for n_rank in (0, 0, 1, 2, 3, 3)]
+    inputs += [support.rand_dual_invertible_std(rng, n) for n in (2, 4)]
+    for a in inputs:
+        d = block_decomposition.block_diagonalize_ind1(a)
+        m = a.rows - d.r
+        c1 = support.rand_dual_parameter(rng, d.r)
+        v = support.rand_dual_parameter(rng, m)
+        in_range, outside = DualMatrix.eps(d.nblock @ v.std), DualMatrix.eps(v.dual)
+        for c2 in (DualMatrix.zeros(m, 1), in_range, outside, v):
+            yield a, d.phat @ matrices.dual_vstack(c1, c2)
+
+
+def test_the_general_solver_eliminates_only_what_the_pseudo_inverse_of_n_does(monkeypatch):
+    # the range condition is read off N+ b2.dual, so no elimination of
+    # [N | b2.dual] runs beside the one of N+, and none runs at r = n;
+    # matrices are compared, as an (n-r) x (n-r+1) one can have the shape of
+    # the r' x 2r' block that N+ inverts
+    eliminated = []
+    original = elimination._eliminate
+    _patch_everywhere(monkeypatch, original, _recording(original, eliminated))
+    outcomes = Counter()
+    for a, b in _solver_inputs():
+        d = block_decomposition._analysis(a).form  # the kept analysis, at any index
+        eliminated.clear()
+        try:
+            solve_general(a, b)
+        except dualinv.IndexTooLarge:
+            outcome = "index"
+        except dualinv.InconsistentStandardPart:
+            outcome = "standard-part"
+        except dualinv.InconsistentDualPart:
+            outcome = "dual-range"
+        else:
+            outcome = "ok"
+        seen = [args[0] for args in eliminated]
+        eliminated.clear()
+        if outcome in ("ok", "dual-range") and d.r < a.rows:
+            real_inverses.moore_penrose(d.nblock)
+        assert seen == [args[0] for args in eliminated], (outcome, d.r, a.rows)
+        n_rank = elimination.rank(d.nblock)
+        if d.r == a.rows:
+            n_kind = "empty"
+        else:
+            n_kind = {0: "zero", d.nblock.rows: "invertible"}.get(n_rank, "singular")
+        outcomes[outcome, n_kind] += 1
+    assert set(outcomes) >= {
+        ("ok", "empty"), ("ok", "zero"), ("ok", "singular"), ("ok", "invertible"),
+        ("dual-range", "zero"), ("dual-range", "singular"),
+    }, outcomes
+    assert {"standard-part", "index"} <= {outcome for outcome, _ in outcomes}, outcomes
+
+
+@pytest.mark.parametrize("kind", matrices.VERIFY_KINDS)
+def test_verify_forms_e_plus_3_dual_products(monkeypatch, kind):
+    # e - 1 for A^e, then A X, X A, (A X) A^e and (X A) X
+    products = []
+    original = DualMatrix.__matmul__
+    monkeypatch.setattr(DualMatrix, "__matmul__", _recording(original, products))
+    for fixture in sorted(FIXTURES):
+        a, _ = _fresh(fixture)
+        x = wddi(a)
+        existence_profile(a)
+        products.clear()
+        report = verify(a, x, kind)
+        assert len(products) == report.exponent + 3, (fixture, kind, report.exponent)
 
 
 def test_ddi_forms_the_obstruction_only_as_its_witness(monkeypatch):

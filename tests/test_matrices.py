@@ -56,6 +56,16 @@ EDGE_BRANCHES = {
         lambda: RealMatrix.from_rows([[1, 2]], cols=3), DimensionError
     ),
     "zeros with a negative dimension": (lambda: RealMatrix.zeros(2, -1), DimensionError),
+    "identity of a negative size": (lambda: RealMatrix.identity(-1), DimensionError),
+    "submatrix past the last row and column": (lambda: _I2.submatrix(0, 3, 0, 3), DimensionError),
+    "submatrix past the last column": (lambda: _I2.submatrix(0, 2, 1, 3), DimensionError),
+    "submatrix with its rows reversed": (lambda: _I2.submatrix(1, 0, 0, 2), DimensionError),
+    "submatrix from a negative column": (lambda: _I2.submatrix(0, 2, -1, 1), DimensionError),
+    "dual submatrix past the last row": (
+        lambda: DualMatrix.identity(2).submatrix(0, 3, 0, 2), DimensionError
+    ),
+    "columns_at a negative index": (lambda: _I2.columns_at([-1]), DimensionError),
+    "columns_at past the last column": (lambda: _I2.columns_at([0, 5]), DimensionError),
     "== against a non-matrix": (lambda: _I2.__eq__([[1, 0], [0, 1]]), NotImplemented),
     "+ of mismatched shapes": (lambda: _I2 + _WIDE, DimensionError),
     "- of mismatched shapes": (lambda: _I2 - _WIDE, DimensionError),
