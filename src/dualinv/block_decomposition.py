@@ -149,7 +149,8 @@ class _Analysis:
 
     @cached_property
     def index_power(self) -> tuple[int, RealMatrix, tuple]:
-        """(aind, M^aind, rref(M^aind))."""
+        """(aind, F, (G, pivots)): the factors of M^aind = F G, with G the
+        nonzero rows of rref(M^aind); M^aind itself is never formed."""
         return _index_power(self.a.std)
 
     @property
@@ -188,16 +189,21 @@ class _Analysis:
 _last: _Analysis | None = None
 
 
+def _check_square(a: DualMatrix) -> None:
+    """The one square-input check of every entry point that analyses a dual
+    matrix, and of verify, which analyses one only for an index exponent."""
+    if not a.std.is_square:
+        raise DimensionError("operation needs a square dual matrix")
+
+
 def _analysis(a: DualMatrix) -> _Analysis:
     """The analysis of a: the kept one when a is the very object analysed
-    last, else a fresh one that replaces it.  This is the one square-input
-    check of every entry point that analyses a dual matrix."""
+    last, else a fresh one, after ``_check_square``, that replaces it."""
     global _last
     last = _last
     if last is not None and last.a is a:
         return last
-    if not a.std.is_square:
-        raise DimensionError("operation needs a square dual matrix")
+    _check_square(a)
     _last = last = _Analysis(a)
     return last
 

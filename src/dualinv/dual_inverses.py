@@ -34,7 +34,7 @@ from .exceptions import DoesNotExist, IndexTooLarge
 from .exceptions import DimensionError, InternalInvariantViolation
 from .matrices import VERIFY_KINDS, DualMatrix, RealMatrix, _Value, dual_power
 from .real_inverses import moore_penrose
-from .block_decomposition import _analysis
+from .block_decomposition import _analysis, _check_square
 
 
 class ExistenceProfile(_Value):
@@ -147,17 +147,18 @@ def verify(a: DualMatrix, x: DualMatrix, kind: str) -> VerificationReport:
     wdgi:     A X A^2 = A^2,  same trailing two
 
     All equations are tested exactly; nothing is assumed about where X came
-    from.
+    from.  Only the kinds whose exponent is an index take the analysis of
+    A, so a group or wdgi check leaves the kept analysis in place.
     """
-    analysis = _analysis(a)
+    _check_square(a)
     if x.shape != a.shape:
         raise DimensionError("candidate inverse has the wrong shape")
     if kind not in VERIFY_KINDS:
         raise ValueError(f"unknown verification kind {kind!r}")
     if kind == "wddi-t":
-        e = analysis.bottom[1]
+        e = _analysis(a).bottom[1]
     elif kind == "drazin-k":
-        e = analysis.aind
+        e = _analysis(a).aind
     else:
         e = 1 if kind == "group" else 2
     a_e = dual_power(a, e)

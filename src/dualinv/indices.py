@@ -31,8 +31,14 @@ from .block_decomposition import _analysis
 
 
 def rank_profile(a: DualMatrix) -> tuple[int, int]:
-    """(appreciable rank, dual rank) of a dual matrix of any shape."""
+    """(appreciable rank, dual rank) of a dual matrix of any shape.
+
+    A zero dual part doubles nothing: rank([[M, 0], [0, M]]) = 2 rank(M),
+    so the dual rank is the appreciable one.
+    """
     arank = rank(a.std)
+    if a.dual.is_zero:
+        return arank, arank
     drank = rank(doubled(a)) - arank
     if drank < arank:
         raise InternalInvariantViolation("dual rank fell below appreciable rank")

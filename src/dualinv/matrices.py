@@ -14,7 +14,9 @@ runs on the ints and reduces its result by one gcd pass over the whole
 matrix, not one per entry.  A dual product takes AB by the real product
 and sums each entry of A*B0 + A0*B on the four parts' own ints, as
 u*sum(A B0) + v*sum(A0 B) over lcm(den(A) den(B0), den(A0) den(B)) with u
-and v the two cofactors, then reduces once.  Fraction appears only at the
+and v the two cofactors, then reduces once.  When a dual factor is zero its
+term is dropped: the dual part is the one real product A0 B or A B0, or
+zero with no sums when both are.  Fraction appears only at the
 edges: the constructors accept Fraction grids, and ``entries`` and
 ``m[i, j]`` give Fraction values.  ``fractions`` is imported only inside
 ``from_rows``, ``entries`` and ``__getitem__``, so a process that only reads,
@@ -363,6 +365,11 @@ class DualMatrix(_Value):
         std = a @ b
         if a.cols == 0:
             return DualMatrix(std, std)
+        # a zero dual factor drops its term of A B0 + A0 B
+        if b0.is_zero:
+            return DualMatrix(std, RealMatrix.zeros(a.rows, b.cols) if a0.is_zero else a0 @ b)
+        if a0.is_zero:
+            return DualMatrix(std, a @ b0)
         # the dual part A B0 + A0 B; see the module docstring
         den = lcm(a.den * b0.den, a0.den * b.den)
         u, v = den // (a.den * b0.den), den // (a0.den * b.den)

@@ -4,8 +4,11 @@ The Drazin inverse is computed through the core-nilpotent decomposition
 M = P diag(C, N) P^(-1) with C invertible (rank r = rank of M^k) and N
 nilpotent, where k is the index of M.  P = [F | Z] comes from the full-rank
 factorization M^k = F G: F is the pivot columns of M^k, G the nonzero rows
-of its reduced echelon form and Z the null basis read off G.  Since G Z = 0
-and the free rows of Z are I,
+of its reduced echelon form and Z the null basis read off G.  No power of
+M is formed for them.  If the rows R_j span the row space of M^j, those of
+R_j M span that of M^(j+1), so the index walks thin r_j x n row bases, G
+is the reduced form of the last one, and F = M^(k-1) M[:, pivots] takes
+n x n by n x r products.  Since G Z = 0 and the free rows of Z are I,
 
     P^(-1) = [(G F)^(-1) G ; S - F_free (G F)^(-1) G]
 
@@ -17,7 +20,7 @@ full-rank factorization of M itself.
 from __future__ import annotations
 
 from .exceptions import DimensionError, IndexTooLarge, InternalInvariantViolation
-from .matrices import RealMatrix, _Value, hstack, vstack
+from .matrices import RealMatrix, _Value, _make, hstack, vstack
 from .elimination import _eliminate, _null_basis, _reduce, inverse, rank, rref
 
 
@@ -32,26 +35,33 @@ def index(m: RealMatrix) -> int:
 
 
 def _index_power(m: RealMatrix) -> tuple[int, RealMatrix, tuple]:
-    """(k, M^k, rref(M^k)) for the index k of square M.
+    """(k, F, (G, pivots)) for the index k of square M, with M^k = F G:
+    F = M^k[:, pivots] and G the nonzero rows of rref(M^k).
 
-    Each rank of the sequence M, M^2, ..., M^(k+1) is read off a forward
-    pass alone, and the echelon form of each power is kept until the next
-    one's rank is known; one back pass then reduces that of M^k.  So the
-    core-nilpotent form needs neither product nor elimination again.  An
-    invertible M stops at k = 1 after one forward pass, with no power of M
-    and no back pass: its reduced form is I.
+    R_1 is the nonzero rows of the forward pass of M, and R_(j+1) those of
+    the forward pass of R_j M, whose row space is that of M^(j+1); each
+    rank is read off its forward pass, and the sequence stops at the first
+    repeat.  The echelon rows are ints, so each R_j is a matrix over
+    denominator 1 with no gcd pass.  One back pass on R_k gives G and the
+    pivots, and F is M^(k-1) M[:, pivots].  No power of M is formed.  An
+    invertible M stops at k = 1 after one forward pass, with F = M and no
+    back pass: its reduced form is I.
     """
     n = m.rows
-    echelon = _eliminate(m)
-    if len(echelon[1]) == n:
+    work, pivots = _eliminate(m)
+    if len(pivots) == n:
         return 1, m, (RealMatrix.identity(n), tuple(range(n)))
-    power = m
     for k in range(1, n + 1):
-        power_next = power @ m
-        echelon_next = _eliminate(power_next)
-        if len(echelon_next[1]) == len(echelon[1]):
-            return k, power, _reduce(power, echelon)
-        power, echelon = power_next, echelon_next
+        r = len(pivots)
+        basis = _make(r, n, tuple(map(tuple, work[:r])), 1)
+        work_next, pivots_next = _eliminate(basis @ m)
+        if len(pivots_next) == r:
+            g, pivots = _reduce(basis, (work, pivots))
+            f = m.columns_at(pivots)
+            for _ in range(k - 1):
+                f = m @ f
+            return k, f, (g, pivots)
+        work, pivots = work_next, pivots_next
     raise InternalInvariantViolation("rank sequence failed to stabilize by n")
 
 
@@ -86,18 +96,17 @@ def core_nilpotent(m: RealMatrix) -> CoreNilpotentDecomposition:
 
 
 def _core_nilpotent_at(
-    m: RealMatrix, k: int, mk: RealMatrix, echelon
+    m: RealMatrix, k: int, f: RealMatrix, echelon
 ) -> CoreNilpotentDecomposition:
-    """The core-nilpotent form of M from its index k, M^k and rref(M^k)."""
+    """The core-nilpotent form of M from its index k and the factors of
+    M^k = F G, with echelon = (G, pivots) as ``_index_power`` returns them."""
     size = m.rows
-    reduced, pivots = echelon
+    g, pivots = echelon
     r = len(pivots)
     if r == size:
         # the reduced form of an invertible M is I, which is also P
-        return CoreNilpotentDecomposition(reduced, reduced, m, RealMatrix.zeros(0, 0), r, k)
-    f = mk.columns_at(pivots)
-    g = reduced.submatrix(0, r, 0, size)
-    p = hstack(f, _null_basis(reduced, pivots, size))
+        return CoreNilpotentDecomposition(g, g, m, RealMatrix.zeros(0, 0), r, k)
+    p = hstack(f, _null_basis(g, pivots, size))
     # G Z = 0 and the free rows of Z are I (see the module docstring); G F is
     # invertible exactly when P is, and at r = 0 both factors are empty
     top = inverse(g @ f) @ g

@@ -24,11 +24,14 @@ by an identity factor there, where P = I, or by an empty block of P.
 
 The index reads each rank off a forward elimination alone: on an invertible
 M it runs one forward pass, on M itself, and no back pass, and on a
-singular M exactly one back pass, on M^k.
+singular M exactly one back pass, on the r_k rows of a basis of the row
+space of M^k.  It forms no power of M: each product it takes is a row basis
+r_j x n times M, or M times an n x r block of columns.
 
 index_profile takes its two ranks from the bottom block N^ of the form, so
-the doubled matrix it reduces has n - r rows, not n, and the dual index is
-read off that same N^.  N^ is kept apart from the rest of the form, so
+the doubled matrix it reduces has n - r rows, not n, and none when N^ has
+a zero dual part; the dual index is read off that same N^.  N^ is kept
+apart from the rest of the form, so
 index_profile, ddi_obstruction and verify's wddi-t exponent invert no core
 block C^; a later WDDI inverts it once.
 
@@ -260,6 +263,20 @@ def test_analysing_another_object_releases_the_first():
     assert ref() is None
 
 
+def test_verify_at_a_fixed_exponent_keeps_the_analysis(counts):
+    # group and wdgi need no index, so a verify of another object of those
+    # kinds neither analyses it nor drops the kept analysis
+    a, _ = _fresh("ddi_absent_4x4")
+    b, _ = _fresh("dgi_present_2x2")
+    x = wddi(a)
+    for kind in ("group", "wdgi"):
+        verify(b, b, kind)
+    assert wddi(a) is x
+    assert counts["index"] == 1, dict(counts)
+    with pytest.raises(dualinv.DimensionError, match="^operation needs a square dual matrix$"):
+        verify(DualMatrix.zeros(2, 3), DualMatrix.zeros(2, 3), "group")
+
+
 def test_index_too_large_does_not_spoil_a_later_wddi(counts):
     a, _ = _fresh("ddi_absent_4x4")
     with pytest.raises(dualinv.IndexTooLarge):
@@ -328,22 +345,37 @@ def test_invertible_standard_part_skips_the_index(counts, monkeypatch):
     assert counts["rank_profile"] == 3, dict(counts)
 
 
-def test_the_index_of_a_singular_matrix_runs_one_back_pass_on_its_power(monkeypatch):
-    back_passes, reduced = [], []
+def test_the_index_of_a_singular_matrix_runs_one_back_pass_on_a_row_basis(monkeypatch):
+    # R_j M for j = 1..k, each R_j the r_j = rank(M^j) rows of a row basis,
+    # then k - 1 products M (M^j[:, pivots]); one back pass, on R_k
+    rng = random.Random(133)
+    singular = [support.rand_aind1(rng, 4).std, support.rand_nilpotent(rng, 4)]
+    singular += [support.rand_high_index(rng, 6, aind, dind=aind).std for aind in (2, 3, 4)]
+    singular += [RealMatrix.zeros(3, 3)]
+    rank_sequences = []
+    for m in singular:
+        k = support.index_power_reference(m)[0]
+        rank_sequences.append([elimination.rank(m**j) for j in range(1, k + 1)])
+    back_passes, reduced, products = [], [], []
     original = elimination._back_substitute
     monkeypatch.setattr(elimination, "_back_substitute", _recording(original, back_passes))
     original = real_inverses._reduce
     monkeypatch.setattr(real_inverses, "_reduce", _recording(original, reduced))
-    rng = random.Random(133)
-    singular = [support.rand_aind1(rng, 4).std, support.rand_nilpotent(rng, 4)]
-    singular += [support.rand_high_index(rng, 6, aind, dind=aind).std for aind in (2, 3, 4)]
-    for m in singular:
+    original = RealMatrix.__matmul__
+    monkeypatch.setattr(RealMatrix, "__matmul__", _recording(original, products))
+    for m, ranks in zip(singular, rank_sequences):
         back_passes.clear()
         reduced.clear()
-        _, mk, echelon = real_inverses._index_power(m)
-        assert len(echelon[1]) < m.rows
-        assert len(back_passes) == 1
-        assert len(reduced) == 1 and reduced[0][0] is mk
+        products.clear()
+        k, _, (g, pivots) = real_inverses._index_power(m)
+        n, r = m.rows, len(pivots)
+        assert k == len(ranks) and r == ranks[-1] < n
+        assert len(back_passes) == 1 and len(back_passes[0][1]) == r
+        assert len(reduced) == 1 and reduced[0][0].shape == (r, n) == g.shape
+        rows = [(left.rows, right is m) for left, right in products[:k]]
+        assert rows == [(rank_j, True) for rank_j in ranks]
+        columns = [(left is m, right.shape) for left, right in products[k:]]
+        assert columns == [(True, (n, r))] * (k - 1)
 
 
 def test_the_form_inverts_only_the_r_x_r_block(monkeypatch):
@@ -380,18 +412,23 @@ def _index_profile_inputs():
 
 
 def test_index_profile_doubles_only_the_bottom_block(monkeypatch):
+    # and only when that block has a nonzero dual part: the doubled form of
+    # a zero one has twice the rank of N
     doubled_rows = []
     original = dual_linear.doubled
     _patch_everywhere(monkeypatch, original, _recording(original, doubled_rows))
-    cores = 0
+    cores, zero_duals = 0, set()
     for a in _index_profile_inputs():
         doubled_rows.clear()
         index_profile(a)
-        r = block_decomposition._analysis(a).form.r
-        assert [args[0].rows for args in doubled_rows] == [a.rows - r]
-        cores += r > 0
-    # the bottom block is smaller than A^ on most inputs
+        form = block_decomposition._analysis(a).form
+        zero_dual = form.nhat.dual.is_zero
+        assert [args[0].rows for args in doubled_rows] == ([] if zero_dual else [a.rows - form.r])
+        cores += form.r > 0
+        zero_duals.add(zero_dual)
+    # the bottom block is smaller than A^ on most inputs, and both cases occur
     assert cores >= 6
+    assert zero_duals == {True, False}
 
 
 def test_the_dual_index_is_read_off_the_forms_bottom_block(monkeypatch):

@@ -9,6 +9,7 @@ from dualinv import (
     DualMatrix,
     RealMatrix,
     block2x2,
+    doubled,
     dual_power,
     index_profile,
     rank,
@@ -44,6 +45,14 @@ class TestRankProfile:
         arank, drank = rank_profile(wide)
         assert arank == 1
         assert drank >= arank
+        # a zero dual part skips the doubled matrix; its rank still decides
+        rng = random.Random(61)
+        for rows, cols in ((1, 3), (3, 1), (2, 5), (5, 2), (4, 6), (6, 4), (0, 3), (3, 0)):
+            r = rng.randint(0, min(rows, cols))
+            for draw in (support.rand_int_matrix, support.rand_matrix):
+                a = DualMatrix.from_real(draw(rng, rows, r) @ draw(rng, r, cols))
+                direct = rank(doubled(a)) - rank(a.std)
+                assert rank_profile(a) == (rank(a.std), direct), a
 
 
 class TestIndexProfile:

@@ -121,20 +121,37 @@ def _index_power_inputs():
         yield RealMatrix.zeros(n, n)
         yield support.rand_nilpotent(rng, n)
         yield support.rand_aind1(rng, n).std
-    for aind in range(1, 6):
+    for aind in range(1, 8):
         for dind in range(aind, 2 * aind + 1):
             for n in (aind, aind + 2):
                 yield support.rand_high_index(rng, n, aind, dind=dind).std
+    # p/q entries: dense, low rank, and a high index in a rational basis
+    for n in (6, 7, 8):
+        yield support.rand_matrix(rng, n, n)
+        r = rng.randint(1, n - 1)
+        yield support.rand_matrix(rng, n, r) @ support.rand_matrix(rng, r, n)
+        q = support.rand_matrix(rng, n, n)
+        m = support.rand_high_index(rng, n, n - 3, dind=n - 3).std
+        yield q @ m @ inverse(q)
+
+
+def _factors(mk, echelon):
+    """(F, (G, pivots)) of M^k = F G, read off M^k and echelon = rref(M^k):
+    F = M^k[:, pivots] and G the nonzero rows of the reduced form."""
+    reduced, pivots = echelon
+    return mk.columns_at(pivots), (reduced.submatrix(0, len(pivots), 0, mk.cols), pivots)
 
 
 def test_index_power_matches_the_rref_of_every_power():
-    # the index, the power it stops at and that power's reduced form
+    # the index and the factors F, G of that power read off the reduced
+    # form of every power, against row bases and one back pass
     seen = set()
     for m in _index_power_inputs():
         result = real_inverses._index_power(m)
-        assert result == support.index_power_reference(m), m
+        k, mk, echelon = support.index_power_reference(m)
+        assert result == (k, *_factors(mk, echelon)), m
         seen.add(result[0])
-    assert seen == {1, 2, 3, 4, 5}
+    assert seen == {1, 2, 3, 4, 5, 6, 7}
 
 
 class TestCoreNilpotent:
@@ -202,14 +219,14 @@ class TestCoreNilpotent:
         rows, power_rows, message = self.GUARD_CASES[case]
         m, mk = RealMatrix.from_rows(rows), RealMatrix.from_rows(power_rows)
         with pytest.raises(InternalInvariantViolation, match=f"^{message}$"):
-            real_inverses._core_nilpotent_at(m, 1, mk, rref(mk))
+            real_inverses._core_nilpotent_at(m, 1, *_factors(mk, rref(mk)))
 
     def test_a_power_below_the_index_leaves_p_singular(self):
         # M^1 = M has index 2: its column space lies in its null space, so
         # P = [F | Z] is singular, and so is G F = [0]
         m = RealMatrix.from_rows([[0, 1], [0, 0]])
         with pytest.raises(NotInvertible, match="^matrix of rank 0 is singular$"):
-            real_inverses._core_nilpotent_at(m, 1, m, rref(m))
+            real_inverses._core_nilpotent_at(m, 1, *_factors(m, rref(m)))
 
 
 class TestDrazin:
