@@ -18,17 +18,21 @@ exceed those of N^ by r: rank(M) = r + rank(N) and rank(doubled(A^)) =
 2r + rank(doubled(N^)), as the doubling map is multiplicative.  K22, dind
 and the two ranks all come from the form's N^.  Each P^ diag(U^, V^) P^^(-1),
 and the obstruction, is taken by real_inverses._conjugate on the blocks that
-carry data: the WDDI needs r columns of P^ and r rows of P^^(-1).
+carry data: the WDDI needs r columns of P^ and r rows of P^^(-1).  The
+real form keeps C^(-1) (see real_inverses), so the form takes
+C^^(-1) = C^(-1) - eps*C^(-1) E11 C^(-1) and the Horner sums of T with no
+inverse of its own.
 
 Each public function reads these objects off one _Analysis of its input,
 whose parts (the index of M, the core-nilpotent form, E and N^, the dual
 block form, (K22, dind), the obstruction, the WDDI) are built on first use
 and then kept.  E and N^ are a part of their own, so the ranks, dind and
-the obstruction invert no C^.  The module holds the analysis of the last
+the obstruction form no C^^(-1).  The module holds the analysis of the last
 dual matrix asked about and hands it out again only for that very object,
 never for an equal copy; analysing another object drops it, so at most one
 input is kept alive.  When M is invertible the rank of M gives aind = 1 with
-no power of M, and the form takes P^ = I and C^ = A^ (N^ is 0 x 0).  Nothing
+no power of M, and the form takes P^ = I and C^ = A^ (N^ is 0 x 0), with
+C^(-1) = M^(-1) read off the index's forward pass of [M | I].  Nothing
 is multiplied by that I: E, the form's products and its change of basis
 (_to_blocks, _from_blocks, which the solvers call) all skip it at r = n.
 """
@@ -41,7 +45,7 @@ from .exceptions import DimensionError, IndexTooLarge
 from .matrices import DualMatrix, RealMatrix
 from .matrices import _Value, hstack, vstack
 from .real_inverses import CoreNilpotentDecomposition, _conjugate, _core_nilpotent_at, _index_power
-from .dual_linear import dual_inverse
+from .dual_linear import _dual_inverse_from
 
 
 class DualBlockDecompositionInd1(_Value):
@@ -105,13 +109,14 @@ def _decompose(
     and its (E, N^)."""
     n, r = a.rows, cn.r
     e, nhat = e_nhat
-    chat = DualMatrix(cn.c, e.submatrix(0, r, 0, r))
-    chat_inv = dual_inverse(chat)
+    e11 = e.submatrix(0, r, 0, r)
+    chat = DualMatrix(cn.c, e11)
+    c_inv = cn.c_inv
+    chat_inv = _dual_inverse_from(c_inv, e11)
     if r == n:  # P = I and T has no entries, so P^ = I
         eye = DualMatrix.identity(n)
         return DualBlockDecompositionInd1(eye, chat, nhat, r, eye, chat_inv)
     e12, e21 = e.submatrix(0, r, r, n), e.submatrix(r, n, 0, r)
-    c_inv = chat_inv.std
     # both sums by Horner's rule: x = sum_{j<k} C^(-j) E12 N^j, y likewise
     x, y = e12, e21
     for _ in range(cn.k - 1):
@@ -148,9 +153,10 @@ class _Analysis:
         self.a = a
 
     @cached_property
-    def index_power(self) -> tuple[int, RealMatrix, tuple]:
-        """(aind, F, (G, pivots)): the factors of M^aind = F G, with G the
-        nonzero rows of rref(M^aind); M^aind itself is never formed."""
+    def index_power(self) -> tuple[int, RealMatrix, tuple, tuple | None]:
+        """(aind, F, (G, pivots), bordered): the factors of M^aind = F G,
+        with G the nonzero rows of rref(M^aind), and the forward pass of
+        [M | I] when M is invertible; M^aind itself is never formed."""
         return _index_power(self.a.std)
 
     @property

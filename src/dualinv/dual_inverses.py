@@ -33,7 +33,7 @@ from __future__ import annotations
 from .exceptions import DoesNotExist, IndexTooLarge
 from .exceptions import DimensionError, InternalInvariantViolation
 from .matrices import VERIFY_KINDS, DualMatrix, RealMatrix, _Value, dual_power
-from .real_inverses import moore_penrose
+from .real_inverses import _macduffee
 from .block_decomposition import _analysis, _check_square
 
 
@@ -117,7 +117,10 @@ def dgi(a: DualMatrix) -> DualMatrix:
     if analysis.aind != 1:
         raise IndexTooLarge(f"dual group inverse needs aind 1, got {analysis.aind}")
     if analysis.bottom[1] != 1:
-        mp = moore_penrose(a.std)
+        # at aind 1, M = F G with F = M[:, pivots] and G the nonzero rows of
+        # rref(M), which the index already holds
+        _, f, (g, _), _ = analysis.index_power
+        mp = _macduffee(a.std, f, g)
         eye = RealMatrix.identity(a.rows)
         witness = (eye - a.std @ mp) @ a.dual @ (eye - mp @ a.std)
         if witness.is_zero:

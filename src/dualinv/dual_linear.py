@@ -33,8 +33,12 @@ def dual_inverse(a: DualMatrix) -> DualMatrix:
     """
     if not a.std.is_square:
         raise DimensionError("inverse of a non-square dual matrix")
-    m_inv = inverse(a.std)
-    return DualMatrix(m_inv, -(m_inv @ a.dual @ m_inv))
+    return _dual_inverse_from(inverse(a.std), a.dual)
+
+
+def _dual_inverse_from(m_inv: RealMatrix, m0: RealMatrix) -> DualMatrix:
+    """(M + eps*M0)^(-1) from M^(-1): M^(-1) - eps * M^(-1) M0 M^(-1)."""
+    return DualMatrix(m_inv, -(m_inv @ m0 @ m_inv))
 
 
 class ParametricDualSolutions(_Value):

@@ -3,8 +3,13 @@
 The forward pass clears below each pivot and leaves an echelon form; it is
 all that a rank or a range test reads.  The back pass clears above each
 pivot of that echelon form and runs only where a reduced form is read: in
-``rref`` (so in ``nullspace`` and ``moore_penrose``), in ``inverse``, and
+``rref`` (so in ``nullspace`` and ``moore_penrose``), in an inverse, and
 once in the index of a singular matrix (see ``real_inverses``).
+
+An inverse is read off the forward pass of [M | I], which seeks pivots in
+the columns of M alone, so its pivots are those of M: the index of a square
+M runs that same pass for its first rank, and at full rank the back pass of
+it gives M^(-1), as ``inverse`` does, with no second elimination of M.
 
 Pivots are chosen as the first nonzero entry in column order.  Magnitude
 pivoting buys nothing in exact arithmetic and would cost determinism, which
@@ -32,13 +37,31 @@ def _eliminate(m: RealMatrix) -> tuple[list[list[int]], list[int]]:
     """The forward pass on the ints of m: an echelon form whose first
     len(pivots) rows are the pivot rows (the rest are zero), and the pivot
     columns."""
-    work = [list(row) for row in m.nums]
+    return _forward([list(row) for row in m.nums], m.cols)
+
+
+def _eliminate_bordered(m: RealMatrix) -> tuple[list[list[int]], list[int]]:
+    """The forward pass of [M | I] for square M, pivots sought in the
+    columns of M only, so they are M's own; the left block of each row is a
+    nonzero multiple of that row of the forward pass of M alone.  Over M's
+    denominator I is den * I."""
+    n, den = m.rows, m.den
+    zeros = [0] * (n - 1)
+    return _forward(
+        [list(row) + zeros[:i] + [den] + zeros[i:] for i, row in enumerate(m.nums)], n
+    )
+
+
+def _forward(work: list[list[int]], search: int) -> tuple[list[list[int]], list[int]]:
+    """The forward pass on the int rows ``work``, which it changes in place,
+    with pivots sought in the first ``search`` columns."""
+    rows = len(work)
     pivots: list[int] = []
     pr = 0
-    for pc in range(m.cols):
-        if pr == m.rows:
+    for pc in range(search):
+        if pr == rows:
             break
-        for hit in range(pr, m.rows):
+        for hit in range(pr, rows):
             if work[hit][pc]:
                 break
         else:
@@ -48,7 +71,7 @@ def _eliminate(m: RealMatrix) -> tuple[list[list[int]], list[int]]:
         # the rows below the pivot are zero left of pc, and each is zero at pc
         # once cleared, so only the tails right of pc are combined
         head, pivot_tail = [0] * (pc + 1), work[pr][pc + 1:]
-        for i in range(pr + 1, m.rows):
+        for i in range(pr + 1, rows):
             f = work[i][pc]
             if f:
                 row = [p * a - f * b for a, b in zip(work[i][pc + 1:], pivot_tail)]
@@ -128,14 +151,18 @@ def inverse(m: RealMatrix) -> RealMatrix:
     """Inverse of a square matrix; raises NotInvertible when singular."""
     if not m.is_square:
         raise DimensionError("inverse of a non-square matrix")
-    n = m.rows
-    if n == 0:
+    if m.rows == 0:
         return m
-    work, pivots = _eliminate(hstack(m, RealMatrix.identity(n)))
-    # the pivots in the left block are those of m's own echelon form
-    m_rank = sum(1 for pc in pivots if pc < n)
-    if m_rank < n:
-        raise NotInvertible(f"matrix of rank {m_rank} is singular")
+    return _inverse_of_bordered(*_eliminate_bordered(m))
+
+
+def _inverse_of_bordered(work: list[list[int]], pivots: list[int]) -> RealMatrix:
+    """M^(-1) from the forward pass of [M | I] that ``_eliminate_bordered``
+    returned, which the back pass changes in place; NotInvertible when M is
+    singular."""
+    n = len(work)
+    if len(pivots) < n:
+        raise NotInvertible(f"matrix of rank {len(pivots)} is singular")
     # the reduced form of [M | I] is [I | M^(-1)]
     nums, den = _back_substitute(work, pivots, n)
     return _reduced(n, n, tuple(nums), den)

@@ -61,19 +61,27 @@ class RealMatrix:
     def from_rows(cls, rows_data, cols: int | None = None) -> "RealMatrix":
         from fractions import Fraction
 
-        entries = tuple(
-            tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row)
+        # one pass to (p, q) pairs; Fraction only for what is not int or Fraction
+        ratios = [
+            [
+                x.as_integer_ratio() if isinstance(x, (int, Fraction))
+                else Fraction(x).as_integer_ratio()
+                for x in row
+            ]
             for row in rows_data
-        )
-        r = len(entries)
+        ]
+        r = len(ratios)
         if r == 0:
             if cols is None:
                 cols = 0
             return cls(0, cols, ())
-        c = len(entries[0])
+        c = len(ratios[0])
         if cols is not None and cols != c:
             raise DimensionError("declared column count does not match rows")
-        return cls(r, c, entries)
+        if any(len(row) != c for row in ratios):
+            raise DimensionError("ragged entry grid")
+        den, nums = _over_common_denominator(ratios)
+        return _make(r, c, nums, den)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RealMatrix":

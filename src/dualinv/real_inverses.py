@@ -13,15 +13,25 @@ n x n by n x r products.  Since G Z = 0 and the free rows of Z are I,
     P^(-1) = [(G F)^(-1) G ; S - F_free (G F)^(-1) G]
 
 with S and F_free the free rows of I and of F, so the form inverts the
-r x r block G F and not P.  The Moore-Penrose inverse comes from the
-full-rank factorization of M itself.
+r x r block G F and not P.  The first rank of the index is read off the
+forward pass of [M | I] (see ``elimination``): at r = n the form is
+P = P^(-1) = I and C = M, and C^(-1) = M^(-1) is the back pass of that same
+pass, so an invertible M is eliminated once.  Below n the pass's right block
+is dropped and C^(-1) is the inverse of the r x r block C, which is also
+the guard that C is invertible.  The form keeps C^(-1), so its Drazin
+inverse P diag(C^(-1), 0) P^(-1) and the dual forms built on it invert
+nothing.  The Moore-Penrose inverse comes from a full-rank factorization
+M = F G by MacDuffee's formula.
 """
 
 from __future__ import annotations
 
-from .exceptions import DimensionError, IndexTooLarge, InternalInvariantViolation
-from .matrices import RealMatrix, _Value, _make, hstack, vstack
-from .elimination import _eliminate, _null_basis, _reduce, inverse, rank, rref
+from math import gcd
+
+from .exceptions import DimensionError, IndexTooLarge, InternalInvariantViolation, NotInvertible
+from .matrices import RealMatrix, _Value, _make, _reduced, hstack, vstack
+from .elimination import _eliminate, _eliminate_bordered, _inverse_of_bordered
+from .elimination import _null_basis, _reduce, inverse, rref
 
 
 def index(m: RealMatrix) -> int:
@@ -34,23 +44,33 @@ def index(m: RealMatrix) -> int:
     return _index_power(m)[0]
 
 
-def _index_power(m: RealMatrix) -> tuple[int, RealMatrix, tuple]:
-    """(k, F, (G, pivots)) for the index k of square M, with M^k = F G:
-    F = M^k[:, pivots] and G the nonzero rows of rref(M^k).
+def _index_power(m: RealMatrix) -> tuple[int, RealMatrix, tuple, tuple | None]:
+    """(k, F, (G, pivots), bordered) for the index k of square M, with
+    M^k = F G: F = M^k[:, pivots] and G the nonzero rows of rref(M^k).
+    bordered is the forward pass of [M | I] when M is invertible, from which
+    the form reads M^(-1), and None otherwise.
 
     R_1 is the nonzero rows of the forward pass of M, and R_(j+1) those of
     the forward pass of R_j M, whose row space is that of M^(j+1); each
     rank is read off its forward pass, and the sequence stops at the first
-    repeat.  The echelon rows are ints, so each R_j is a matrix over
-    denominator 1 with no gcd pass.  One back pass on R_k gives G and the
-    pivots, and F is M^(k-1) M[:, pivots].  No power of M is formed.  An
-    invertible M stops at k = 1 after one forward pass, with F = M and no
-    back pass: its reduced form is I.
+    repeat.  The first pass is that of [M | I]; its right block is dropped
+    and each row of R_1 divided by the gcd of its ints.  The echelon rows
+    are ints, so each R_j is a matrix over denominator 1 with no gcd pass.
+    One back pass on R_k gives G and the pivots, and F is
+    M^(k-1) M[:, pivots].  No power of M is formed.  An invertible M stops
+    at k = 1 after the one forward pass, with F = M and no back pass: its
+    reduced form is I.
     """
     n = m.rows
-    work, pivots = _eliminate(m)
+    bordered = _eliminate_bordered(m)
+    pivots = bordered[1]
     if len(pivots) == n:
-        return 1, m, (RealMatrix.identity(n), tuple(range(n)))
+        return 1, m, (RealMatrix.identity(n), tuple(range(n))), bordered
+    work = []
+    for row in bordered[0][:len(pivots)]:
+        row = row[:n]
+        g = gcd(*row)
+        work.append([x // g for x in row] if g > 1 else row)
     for k in range(1, n + 1):
         r = len(pivots)
         basis = _make(r, n, tuple(map(tuple, work[:r])), 1)
@@ -60,7 +80,7 @@ def _index_power(m: RealMatrix) -> tuple[int, RealMatrix, tuple]:
             f = m.columns_at(pivots)
             for _ in range(k - 1):
                 f = m @ f
-            return k, f, (g, pivots)
+            return k, f, (g, pivots), None
         work, pivots = work_next, pivots_next
     raise InternalInvariantViolation("rank sequence failed to stabilize by n")
 
@@ -68,25 +88,34 @@ def _index_power(m: RealMatrix) -> tuple[int, RealMatrix, tuple]:
 class CoreNilpotentDecomposition(_Value):
     """M = p diag(c, n) p_inv.
 
-    c is r x r invertible with r = rank(M^k); n is nilpotent (n^k = 0);
-    k is the index of M.  p's first r columns span the column space of M^k,
-    the rest its null space; p_inv is its inverse.  An invertible M takes
-    p = p_inv = I and c = M, as a nilpotent one takes p = I and n = M.
+    c is r x r invertible with r = rank(M^k) and c_inv its inverse; n is
+    nilpotent (n^k = 0); k is the index of M.  p's first r columns span the
+    column space of M^k, the rest its null space; p_inv is its inverse.  An
+    invertible M takes p = p_inv = I and c = M, as a nilpotent one takes
+    p = I and n = M.
     """
 
-    __slots__ = ("p", "p_inv", "c", "n", "r", "k")
+    __slots__ = ("p", "p_inv", "c", "n", "r", "k", "c_inv")
 
     def __init__(
-        self, p: RealMatrix, p_inv: RealMatrix, c: RealMatrix, n: RealMatrix, r: int, k: int
+        self,
+        p: RealMatrix,
+        p_inv: RealMatrix,
+        c: RealMatrix,
+        n: RealMatrix,
+        r: int,
+        k: int,
+        c_inv: RealMatrix,
     ):
         self.p, self.p_inv, self.c, self.n, self.r, self.k = p, p_inv, c, n, r, k
+        self.c_inv = c_inv
 
     def assemble(self) -> RealMatrix:
         return _conjugate(self.p, self.p_inv, self.r, self.c, self.n)
 
     def drazin(self) -> RealMatrix:
         """M^D = p diag(c^(-1), 0) p_inv."""
-        return _conjugate(self.p, self.p_inv, self.r, inverse(self.c))
+        return _conjugate(self.p, self.p_inv, self.r, self.c_inv)
 
 
 def core_nilpotent(m: RealMatrix) -> CoreNilpotentDecomposition:
@@ -96,35 +125,40 @@ def core_nilpotent(m: RealMatrix) -> CoreNilpotentDecomposition:
 
 
 def _core_nilpotent_at(
-    m: RealMatrix, k: int, f: RealMatrix, echelon
+    m: RealMatrix, k: int, f: RealMatrix, echelon, bordered=None
 ) -> CoreNilpotentDecomposition:
     """The core-nilpotent form of M from its index k and the factors of
-    M^k = F G, with echelon = (G, pivots) as ``_index_power`` returns them."""
+    M^k = F G, with echelon = (G, pivots) and bordered as ``_index_power``
+    returns them; without bordered an invertible M is inverted afresh."""
     size = m.rows
     g, pivots = echelon
     r = len(pivots)
     if r == size:
         # the reduced form of an invertible M is I, which is also P
-        return CoreNilpotentDecomposition(g, g, m, RealMatrix.zeros(0, 0), r, k)
+        m_inv = inverse(m) if bordered is None else _inverse_of_bordered(*bordered)
+        return CoreNilpotentDecomposition(g, g, m, RealMatrix.zeros(0, 0), r, k, m_inv)
     p = hstack(f, _null_basis(g, pivots, size))
     # G Z = 0 and the free rows of Z are I (see the module docstring); G F is
     # invertible exactly when P is, and at r = 0 both factors are empty
     top = inverse(g @ f) @ g
     free = [j for j in range(size) if j not in pivots]
-    s = RealMatrix.identity(size).columns_at(free).T
-    p_inv = vstack(top, s - f.T.columns_at(free).T @ top)
+    zeros = (0,) * (size - 1)
+    s = _make(len(free), size, tuple(zeros[:j] + (1,) + zeros[j:] for j in free), 1)
+    f_free = _reduced(len(free), r, tuple(f.nums[j] for j in free), f.den)
+    p_inv = vstack(top, s - f_free @ top)
     similar = p_inv @ m @ p
-    c = similar.submatrix(0, r, 0, r)
-    n = similar.submatrix(r, size, r, size)
-    off_upper = similar.submatrix(0, r, r, size)
-    off_lower = similar.submatrix(r, size, 0, r)
-    if not (off_upper.is_zero and off_lower.is_zero):
+    upper, lower = similar.nums[:r], similar.nums[r:]
+    if any(any(row[r:]) for row in upper) or any(any(row[:r]) for row in lower):
         raise InternalInvariantViolation("similarity transform is not block diagonal")
-    if rank(c) != r:
-        raise InternalInvariantViolation("core block is singular")
+    c = similar.submatrix(0, r, 0, r)
+    try:
+        c_inv = inverse(c)
+    except NotInvertible:
+        raise InternalInvariantViolation("core block is singular") from None
+    n = similar.submatrix(r, size, r, size)
     if not (n**k).is_zero:
         raise InternalInvariantViolation("nilpotent block survives power k")
-    return CoreNilpotentDecomposition(p, p_inv, c, n, r, k)
+    return CoreNilpotentDecomposition(p, p_inv, c, n, r, k, c_inv)
 
 
 def _conjugate(p, q, r: int, top=None, bottom=None):
@@ -158,11 +192,14 @@ def moore_penrose(m: RealMatrix) -> RealMatrix:
     """Moore-Penrose inverse via a full-rank factorization M = F G.
 
     F collects the pivot columns of M, G the nonzero rows of its reduced
-    echelon form; then M+ = G^T (F^T M G^T)^(-1) F^T (MacDuffee), since
-    F^T M G^T = (F^T F)(G G^T) is a product of two invertible r x r blocks.
+    echelon form.
     """
     reduced, pivots = rref(m)
-    r = len(pivots)
-    f = m.columns_at(pivots)
-    g = reduced.submatrix(0, r, 0, m.cols)
+    return _macduffee(m, m.columns_at(pivots), reduced.submatrix(0, len(pivots), 0, m.cols))
+
+
+def _macduffee(m: RealMatrix, f: RealMatrix, g: RealMatrix) -> RealMatrix:
+    """M+ = G^T (F^T M G^T)^(-1) F^T for a full-rank factorization M = F G
+    (MacDuffee), since F^T M G^T = (F^T F)(G G^T) is a product of two
+    invertible r x r blocks."""
     return g.T @ inverse(f.T @ m @ g.T) @ f.T

@@ -22,18 +22,23 @@ G F.  An invertible standard part forms no power of M and no G F, and no
 call, the real drazin and group_inverse included, multiplies a RealMatrix
 by an identity factor there, where P = I, or by an empty block of P.
 
-The index reads each rank off a forward elimination alone: on an invertible
-M it runs one forward pass, on M itself, and no back pass, and on a
-singular M exactly one back pass, on the r_k rows of a basis of the row
-space of M^k.  It forms no power of M: each product it takes is a row basis
-r_j x n times M, or M times an n x r block of columns.
+The index reads each rank off a forward elimination alone: its first pass
+is that of [M | I], with pivots sought in M's columns, so on an invertible
+M it runs that one forward pass and no back pass, and the form reads
+C^(-1) = M^(-1) off it with one back pass and no inverse; on a singular M
+the index runs exactly one back pass, on the r_k rows of a basis of the
+row space of M^k.  It forms no power of M: each product it takes is a row
+basis r_j x n times M, or M times an n x r block of columns.  The real form
+keeps C^(-1), so its Drazin inverse and the dual form's C^^(-1) invert
+nothing more, and dgi's witness takes M+ from the index's F and G.
 
 index_profile takes its two ranks from the bottom block N^ of the form, so
 the doubled matrix it reduces has n - r rows, not n, and none when N^ has
 a zero dual part; the dual index is read off that same N^.  N^ is kept
 apart from the rest of the form, so
-index_profile, ddi_obstruction and verify's wddi-t exponent invert no core
-block C^; a later WDDI inverts it once.
+index_profile, ddi_obstruction and verify's wddi-t exponent form no
+C^^(-1) (though the real form they build holds the r x r C^(-1)); a later
+WDDI forms it once.
 
 The counted index and core-nilpotent functions are the private workers that
 the public index, core_nilpotent and the analysis all run through; the
@@ -317,32 +322,77 @@ def _recording(original, seen):
     return recording
 
 
+def _recording_forward(seen):
+    """A stand-in for ``elimination._forward`` that records the rows, the
+    width and the pivot search of each forward pass."""
+    original = elimination._forward
+
+    def recording(work, search):
+        seen.append((len(work), len(work[0]) if work else 0, search))
+        return original(work, search)
+
+    return recording
+
+
 def test_invertible_standard_part_skips_the_index(counts, monkeypatch):
-    # inside real_inverses one forward pass runs, on M itself (its rank ends
-    # the index at 1 with no power of M); no back pass runs there, and
-    # inverse, which only G F needs below r = n, never
-    forward, reduced, inverted = [], [], []
-    for name, seen in (("_eliminate", forward), ("_reduce", reduced), ("inverse", inverted)):
-        original = getattr(real_inverses, name)
-        monkeypatch.setattr(real_inverses, name, _recording(original, seen))
+    # one forward pass runs on M, that of [M | I] (its rank ends the index
+    # at 1 with no power of M), and one back pass, which reads
+    # C^(-1) = M^(-1) off it; inverse, which only G F and C need below
+    # r = n, never runs
     rng = random.Random(131)
-    stds = []
-    for n in (1, 3, 5):
-        a = support.rand_dual_invertible_std(rng, n)
-        stds.append(a.std)
+    inputs = [support.rand_dual_invertible_std(rng, n) for n in (1, 3, 5)]
+    references = [dual_linear.dual_inverse(a) for a in inputs]
+    forward, bordered, back, reduced, inverted = [], [], [], [], []
+    monkeypatch.setattr(elimination, "_forward", _recording_forward(forward))
+    monkeypatch.setattr(
+        elimination, "_back_substitute", _recording(elimination._back_substitute, back)
+    )
+    for original, seen in (
+        (elimination._eliminate_bordered, bordered),
+        (elimination._reduce, reduced),
+        (elimination.inverse, inverted),
+    ):
+        _patch_everywhere(monkeypatch, original, _recording(original, seen))
+    for a, reference in zip(inputs, references):
+        n = a.rows
+        forward.clear()
         profile = index_profile(a)
         assert (profile.arank, profile.aind, profile.dind) == (n, 1, 1)
         x = wddi(a)
-        assert ddi(a) == wdgi(a) == dgi(a) == x == dual_linear.dual_inverse(a)
+        assert ddi(a) == wdgi(a) == dgi(a) == x == reference
         assert ddi_obstruction(a).is_zero
         form = block_decomposition.block_diagonalize_ind1(a)
         assert form.phat == DualMatrix.identity(n) and form.chat == a
-    assert len(forward) == len(stds), len(forward)
-    assert all(args[0] is m for args, m in zip(forward, stds))
+        # besides [M | I], only the rank of the empty N^ runs a forward pass
+        assert forward == [(n, 2 * n, n), (0, 0, 0)], forward
+    assert [args[0] for args in bordered] == [a.std for a in inputs]
+    assert all(args[0] is a.std for args, a in zip(bordered, inputs))
+    assert [len(args[1]) for args in back] == [a.rows for a in inputs]
     assert reduced == []
     assert inverted == []
     assert counts["index"] == counts["core_nilpotent"] == 3, dict(counts)
     assert counts["rank_profile"] == 3, dict(counts)
+
+
+def test_the_index_of_an_invertible_matrix_runs_one_forward_pass_and_no_back_pass(
+    monkeypatch,
+):
+    # the pass of [M | I]; the back pass that reads M^(-1) off it is left
+    # to the form, which index() does not build
+    forward, back = [], []
+    monkeypatch.setattr(elimination, "_forward", _recording_forward(forward))
+    monkeypatch.setattr(
+        elimination, "_back_substitute", _recording(elimination._back_substitute, back)
+    )
+    rng = random.Random(167)
+    inputs = [support.rand_invertible(rng, n) for n in (1, 2, 4, 6)]
+    inputs += [support.rand_matrix(rng, n, n) for n in (3, 5, 8)]
+    for m in inputs:
+        n = m.rows
+        forward.clear()
+        assert real_inverses.index(m) == 1
+        assert forward == [(n, 2 * n, n)], (n, forward)
+    assert back == []
 
 
 def test_the_index_of_a_singular_matrix_runs_one_back_pass_on_a_row_basis(monkeypatch):
@@ -367,7 +417,8 @@ def test_the_index_of_a_singular_matrix_runs_one_back_pass_on_a_row_basis(monkey
         back_passes.clear()
         reduced.clear()
         products.clear()
-        k, _, (g, pivots) = real_inverses._index_power(m)
+        k, _, (g, pivots), bordered = real_inverses._index_power(m)
+        assert bordered is None
         n, r = m.rows, len(pivots)
         assert k == len(ranks) and r == ranks[-1] < n
         assert len(back_passes) == 1 and len(back_passes[0][1]) == r
@@ -380,7 +431,8 @@ def test_the_index_of_a_singular_matrix_runs_one_back_pass_on_a_row_basis(monkey
 
 def test_the_form_inverts_only_the_r_x_r_block(monkeypatch):
     # P^(-1) is read off M^k = F G, so inverse sees G F and then C, both
-    # r x r, and never P; at r = 0 both are empty
+    # r x r, and never P; at r = 0 both are empty.  The form keeps C^(-1),
+    # so its Drazin inverse inverts nothing
     inverted = []
     original = real_inverses.inverse
     monkeypatch.setattr(real_inverses, "inverse", _recording(original, inverted))
@@ -392,11 +444,17 @@ def test_the_form_inverts_only_the_r_x_r_block(monkeypatch):
     empty = 0
     for m in singular:
         inverted.clear()
-        r = real_inverses.core_nilpotent(m).r
+        form = real_inverses.core_nilpotent(m)
+        r = form.r
         assert r < m.rows
+        assert [args[0].shape for args in inverted] == [(r, r)] * 2
+        assert inverted[1][0] is form.c
+        inverted.clear()
+        form.drazin()
+        assert inverted == []
         real_inverses.drazin(m)
-        # G F of each of the two forms, then C for the Drazin inverse
-        assert [args[0].shape for args in inverted] == [(r, r)] * 3
+        # G F and C of the form drazin builds
+        assert [args[0].shape for args in inverted] == [(r, r)] * 2
         empty += r == 0
     assert empty >= 5
 
@@ -446,24 +504,34 @@ def test_the_dual_index_is_read_off_the_forms_bottom_block(monkeypatch):
 
 @pytest.mark.parametrize("call", ["index_profile", "ddi_obstruction", "verify_wddi_t"])
 def test_a_lone_call_reading_only_the_bottom_block_inverts_nothing(monkeypatch, call):
+    # neither a dual inverse nor the C^^(-1) of the form, which shares its formula
     inverted = []
-    original = dual_linear.dual_inverse
-    _patch_everywhere(monkeypatch, original, _recording(original, inverted))
+    for original in (dual_linear.dual_inverse, dual_linear._dual_inverse_from):
+        _patch_everywhere(monkeypatch, original, _recording(original, inverted))
     for a in _index_profile_inputs():
         _call(call, a, None)
         assert inverted == [], call
 
 
 def test_the_square_task_inverts_the_core_block_once(monkeypatch):
-    inverted = []
-    original = dual_linear.dual_inverse
-    _patch_everywhere(monkeypatch, original, _recording(original, inverted))
+    # C^^(-1) = C^(-1) - eps C^(-1) E11 C^(-1) is formed once, from the
+    # C^(-1) that the real form keeps; no dual matrix is inverted afresh
+    formed, inverted = [], []
+    for original, seen in (
+        (dual_linear._dual_inverse_from, formed), (dual_linear.dual_inverse, inverted)
+    ):
+        _patch_everywhere(monkeypatch, original, _recording(original, seen))
     for a in _index_profile_inputs():
-        inverted.clear()
+        formed.clear()
         for call in SEQUENCES["square_task"]:
             _call(call, a, None)
-        form = block_decomposition._analysis(a).form
-        assert [args[0] for args in inverted] == [form.chat]
+        analysis = block_decomposition._analysis(a)
+        form = analysis.form
+        assert len(formed) == 1
+        assert formed[0][0] is analysis.cn.c_inv
+        assert formed[0][1] == form.chat.dual
+        assert form.chat @ form.chat_inv == DualMatrix.identity(form.r)
+    assert inverted == []
 
 
 def _index1_with_bottom_block(rng, n, r, n_rank):
@@ -552,6 +620,36 @@ def test_verify_forms_e_plus_3_dual_products(monkeypatch, kind):
         products.clear()
         report = verify(a, x, kind)
         assert len(products) == report.exponent + 3, (fixture, kind, report.exponent)
+
+
+def test_a_dgi_witness_on_a_kept_analysis_reduces_no_m(monkeypatch):
+    # at aind 1 the index holds M = F G, so M+ in the witness
+    # (I - M M+) M0 (I - M+ M) eliminates only the r x r F^T M G^T
+    rng = random.Random(163)
+    inputs = [_fresh("dgi_absent_2x2")[0]]
+    inputs += [_index1_with_bottom_block(rng, 5, 2, n_rank) for n_rank in (1, 2, 3)]
+    inputs += [_index1_with_bottom_block(rng, 4, 1, 2), _index1_with_bottom_block(rng, 3, 0, 1)]
+    reduced, bordered, eliminated = [], [], []
+    for original, seen in (
+        (elimination.rref, reduced),
+        (elimination._eliminate_bordered, bordered),
+        (elimination._eliminate, eliminated),
+    ):
+        _patch_everywhere(monkeypatch, original, _recording(original, seen))
+    for a in inputs:
+        wdgi(a)
+        r = block_decomposition._analysis(a).cn.r
+        reduced.clear()
+        bordered.clear()
+        eliminated.clear()
+        with pytest.raises(dualinv.DoesNotExist) as info:
+            dgi(a)
+        assert reduced == [] and eliminated == []
+        # inverse returns a 0 x 0 matrix with no elimination
+        assert [args[0].shape for args in bordered] == [(r, r)] * (r > 0)
+        with pytest.raises(dualinv.DoesNotExist) as witness_first:
+            support.dgi_witness_first(a)
+        assert info.value.witness == witness_first.value.witness
 
 
 def test_ddi_forms_the_obstruction_only_as_its_witness(monkeypatch):

@@ -1,6 +1,7 @@
 """Dual and rational matrix arithmetic."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -94,6 +95,55 @@ def test_edge_branch_of_the_public_surface(case):
             call()
     else:
         assert call() == expected
+
+
+# entries of each kind from_rows takes, against the Fraction grid that the
+# raw constructor takes
+FROM_ROWS_ENTRIES = {
+    "int": [[1, -2, 0], [3, 4, 12]],
+    "Fraction": [[Fraction(1, 2), Fraction(-3, 4)], [Fraction(0), Fraction(6, 4)]],
+    "str": [["1/2", "-3"], ["0.25", "7/14"]],
+    "float": [[0.5, -0.125], [3.0, 1e-3]],
+    "Decimal": [[Decimal("1.5"), Decimal("-0.2")], [Decimal(3), Decimal("0")]],
+    "bool": [[True, False], [False, True]],
+    "mixed": [[1, Fraction(1, 3), "2/5"], [0.75, Decimal("1.1"), True]],
+    "one empty row": [[]],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FROM_ROWS_ENTRIES))
+def test_from_rows_matches_the_fraction_grid_constructor(kind):
+    data = FROM_ROWS_ENTRIES[kind]
+    grid = tuple(tuple(Fraction(x) for x in row) for row in data)
+    expected = RealMatrix(len(grid), len(grid[0]), grid)
+    for m in (
+        RealMatrix.from_rows(data),
+        RealMatrix.from_rows(data, cols=len(grid[0])),
+        RealMatrix.from_rows(iter([iter(row) for row in data])),
+    ):
+        assert m == expected and m.entries == grid
+        assert type(m.den) is int and all(type(x) is int for row in m.nums for x in row)
+
+
+@pytest.mark.parametrize("cols", [None, 0, 4])
+def test_from_rows_of_no_rows(cols):
+    assert RealMatrix.from_rows([], cols=cols) == RealMatrix(0, cols or 0, ())
+
+
+@pytest.mark.parametrize(
+    ("rows", "cols", "message"),
+    [
+        ([[1, 2], [3]], None, "ragged entry grid"),
+        ([["1/2"], [3, 4]], None, "ragged entry grid"),
+        ([[1, 2], [3]], 2, "ragged entry grid"),
+        ([[1, 2]], 3, "declared column count does not match rows"),
+        ([[1, 2], [3]], 1, "declared column count does not match rows"),
+        ([], -1, "negative matrix dimension"),
+    ],
+)
+def test_from_rows_keeps_each_shape_message(rows, cols, message):
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        RealMatrix.from_rows(rows, cols=cols)
 
 
 class TestRealMatrix:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dualinv import real_inverses
+from dualinv.elimination import _inverse_of_bordered
 from dualinv import (
     DimensionError,
     IndexTooLarge,
@@ -144,12 +145,18 @@ def _factors(mk, echelon):
 
 def test_index_power_matches_the_rref_of_every_power():
     # the index and the factors F, G of that power read off the reduced
-    # form of every power, against row bases and one back pass
+    # form of every power, against row bases and one back pass; an
+    # invertible M also hands on the forward pass of [M | I], whose back
+    # pass is M^(-1)
     seen = set()
     for m in _index_power_inputs():
-        result = real_inverses._index_power(m)
+        *result, bordered = real_inverses._index_power(m)
         k, mk, echelon = support.index_power_reference(m)
-        assert result == (k, *_factors(mk, echelon)), m
+        assert tuple(result) == (k, *_factors(mk, echelon)), m
+        if len(echelon[1]) < m.rows:
+            assert bordered is None
+        else:
+            assert _inverse_of_bordered(*bordered) == support.inverse_reference(m)
         seen.add(result[0])
     assert seen == {1, 2, 3, 4, 5, 6, 7}
 
@@ -182,6 +189,29 @@ class TestCoreNilpotent:
             assert d.r == rank(m**d.k)
             assert rank(d.c) == d.r
             assert (d.n**d.k).is_zero
+
+    def test_the_core_inverse_matches_the_reference(self):
+        # C^(-1) against the right block of rref([C | I]): at r = n it is
+        # M^(-1), read off the index's forward pass
+        rng = random.Random(53)
+        inputs = []
+        for n in range(9):
+            m = support.rand_matrix(rng, n, n)
+            while rank(m) < n:
+                m = support.rand_matrix(rng, n, n)
+            inputs.append(m)
+            inputs.append(support.rand_aind1(rng, n).std)
+        for aind in (1, 2, 3, 4):
+            for n in (aind, aind + 2, aind + 4):
+                inputs.append(support.rand_high_index(rng, n, aind, dind=aind).std)
+        kinds = set()
+        for m in inputs:
+            d = core_nilpotent(m)
+            assert d.c_inv == support.inverse_reference(d.c), m
+            if d.r == m.rows:
+                assert d.c_inv == support.inverse_reference(m)
+            kinds.add("r = 0" if d.r == 0 else "r = n" if d.r == m.rows else "0 < r < n")
+        assert kinds == {"r = 0", "0 < r < n", "r = n"}
 
     def test_deterministic(self):
         m = cases.DDI_ABSENT.std

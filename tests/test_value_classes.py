@@ -46,6 +46,7 @@ CASES = {
             "n": RealMatrix.zeros(1, 1),
             "r": 1,
             "k": 1,
+            "c_inv": RealMatrix.from_rows([["1/3"]]),
         },
         ("k", 2),
     ),
