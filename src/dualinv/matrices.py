@@ -63,11 +63,7 @@ class RealMatrix:
 
         # one pass to (p, q) pairs; Fraction only for what is not int or Fraction
         ratios = [
-            [
-                x.as_integer_ratio() if isinstance(x, (int, Fraction))
-                else Fraction(x).as_integer_ratio()
-                for x in row
-            ]
+            [(x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio() for x in row]
             for row in rows_data
         ]
         r = len(ratios)

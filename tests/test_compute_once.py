@@ -49,6 +49,7 @@ counted there.
 
 import gc
 import random
+from math import gcd
 import sys
 import weakref
 from collections import Counter
@@ -425,6 +426,9 @@ def test_the_index_of_a_singular_matrix_runs_one_back_pass_on_a_row_basis(monkey
         assert len(reduced) == 1 and reduced[0][0].shape == (r, n) == g.shape
         rows = [(left.rows, right is m) for left, right in products[:k]]
         assert rows == [(rank_j, True) for rank_j in ranks]
+        # R_1, the left block of the pass of [M | I], has each row divided
+        # by the gcd of its ints
+        assert all(gcd(*row) == 1 for row in products[0][0].nums)
         columns = [(left is m, right.shape) for left, right in products[k:]]
         assert columns == [(True, (n, r))] * (k - 1)
 
@@ -676,7 +680,7 @@ def test_ddi_forms_the_obstruction_only_as_its_witness(monkeypatch):
 
 def test_the_form_takes_four_products_per_horner_step(monkeypatch):
     # at r < n: 4 per step of the two Horner sums (aind - 1 steps), 2 for T12
-    # and T21, 4 for P T and T P^(-1), 2 in dual_inverse(C^); at r = n only
+    # and T21, 4 for P T and T P^(-1), 2 for C^^(-1) off C^(-1); at r = n only
     # the last 2
     products = []
     original = RealMatrix.__matmul__
