@@ -156,7 +156,8 @@ class _Analysis:
     def index_power(self) -> tuple[int, RealMatrix, tuple, tuple | None]:
         """(aind, F, (G, pivots), bordered): the factors of M^aind = F G,
         with G the nonzero rows of rref(M^aind), and the forward pass of
-        [M | I] when M is invertible; M^aind itself is never formed."""
+        [M | I] when M is invertible until the form has read M^(-1) off it,
+        None after that and below full rank; M^aind is never formed."""
         return _index_power(self.a.std)
 
     @property
@@ -165,7 +166,10 @@ class _Analysis:
 
     @cached_property
     def cn(self) -> CoreNilpotentDecomposition:
-        return _core_nilpotent_at(self.a.std, *self.index_power)
+        cn = _core_nilpotent_at(self.a.std, *self.index_power)
+        # the back pass reduced the forward pass in place: keep no stale copy
+        self.index_power = (*self.index_power[:3], None)
+        return cn
 
     @cached_property
     def e_nhat(self) -> tuple[RealMatrix, DualMatrix]:

@@ -88,11 +88,11 @@ def _index_power(m: RealMatrix) -> tuple[int, RealMatrix, tuple, tuple | None]:
 class CoreNilpotentDecomposition(_Value):
     """M = p diag(c, n) p_inv.
 
-    c is r x r invertible with r = rank(M^k) and c_inv its inverse; n is
-    nilpotent (n^k = 0); k is the index of M.  p's first r columns span the
-    column space of M^k, the rest its null space; p_inv is its inverse.  An
-    invertible M takes p = p_inv = I and c = M, as a nilpotent one takes
-    p = I and n = M.
+    c is r x r invertible with r = rank(M^k) and c_inv its inverse, which
+    is inverse(c) when not given; n is nilpotent (n^k = 0); k is the index
+    of M.  p's first r columns span the column space of M^k, the rest its
+    null space; p_inv is its inverse.  An invertible M takes p = p_inv = I
+    and c = M, as a nilpotent one takes p = I and n = M.
     """
 
     __slots__ = ("p", "p_inv", "c", "n", "r", "k", "c_inv")
@@ -105,10 +105,10 @@ class CoreNilpotentDecomposition(_Value):
         n: RealMatrix,
         r: int,
         k: int,
-        c_inv: RealMatrix,
+        c_inv: RealMatrix | None = None,
     ):
         self.p, self.p_inv, self.c, self.n, self.r, self.k = p, p_inv, c, n, r, k
-        self.c_inv = c_inv
+        self.c_inv = inverse(c) if c_inv is None else c_inv
 
     def assemble(self) -> RealMatrix:
         return _conjugate(self.p, self.p_inv, self.r, self.c, self.n)
@@ -125,17 +125,18 @@ def core_nilpotent(m: RealMatrix) -> CoreNilpotentDecomposition:
 
 
 def _core_nilpotent_at(
-    m: RealMatrix, k: int, f: RealMatrix, echelon, bordered=None
+    m: RealMatrix, k: int, f: RealMatrix, echelon, bordered
 ) -> CoreNilpotentDecomposition:
-    """The core-nilpotent form of M from its index k and the factors of
-    M^k = F G, with echelon = (G, pivots) and bordered as ``_index_power``
-    returns them; without bordered an invertible M is inverted afresh."""
+    """The core-nilpotent form of M from its index k, the factors of
+    M^k = F G with echelon = (G, pivots), and bordered, all as
+    ``_index_power`` returns them.  At r = n the back pass reduces bordered
+    in place, so it is read once."""
     size = m.rows
     g, pivots = echelon
     r = len(pivots)
     if r == size:
         # the reduced form of an invertible M is I, which is also P
-        m_inv = inverse(m) if bordered is None else _inverse_of_bordered(*bordered)
+        m_inv = _inverse_of_bordered(*bordered)
         return CoreNilpotentDecomposition(g, g, m, RealMatrix.zeros(0, 0), r, k, m_inv)
     p = hstack(f, _null_basis(g, pivots, size))
     # G Z = 0 and the free rows of Z are I (see the module docstring); G F is

@@ -375,6 +375,20 @@ def test_invertible_standard_part_skips_the_index(counts, monkeypatch):
     assert counts["rank_profile"] == 3, dict(counts)
 
 
+def test_the_analysis_keeps_the_forward_pass_only_until_the_form_reads_it():
+    # the form's back pass reduces the forward pass of [M | I] in place, so
+    # the kept index power holds it while aind is all that was read and
+    # drops it once C^(-1) = M^(-1) is formed
+    rng = random.Random(173)
+    for n in (1, 4):
+        a = support.rand_dual_invertible_std(rng, n)
+        analysis = block_decomposition._analysis(a)
+        assert analysis.aind == 1 and analysis.index_power[3] is not None
+        assert analysis.cn.c_inv == support.inverse_reference(a.std)
+        assert analysis.index_power[3] is None
+        assert wddi(a) == dual_linear.dual_inverse(a)
+
+
 def test_the_index_of_an_invertible_matrix_runs_one_forward_pass_and_no_back_pass(
     monkeypatch,
 ):

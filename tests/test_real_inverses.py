@@ -9,6 +9,7 @@ from dualinv import real_inverses
 from dualinv.elimination import _inverse_of_bordered
 from dualinv import (
     DimensionError,
+    CoreNilpotentDecomposition,
     IndexTooLarge,
     InternalInvariantViolation,
     NotInvertible,
@@ -213,6 +214,16 @@ class TestCoreNilpotent:
             kinds.add("r = 0" if d.r == 0 else "r = n" if d.r == m.rows else "0 < r < n")
         assert kinds == {"r = 0", "0 < r < n", "r = n"}
 
+    def test_the_constructor_inverts_c_when_c_inv_is_not_given(self):
+        # six fields build the same form as the seven the library passes
+        rng = random.Random(59)
+        inputs = [support.rand_high_index(rng, 5, 2, dind=2).std, support.rand_invertible(rng, 3)]
+        for m in inputs + [RealMatrix.zeros(2, 2)]:
+            d = core_nilpotent(m)
+            assert CoreNilpotentDecomposition(d.p, d.p_inv, d.c, d.n, d.r, d.k) == d
+        with pytest.raises(NotInvertible):
+            CoreNilpotentDecomposition(*(RealMatrix.zeros(1, 1),) * 4, 1, 1)
+
     def test_deterministic(self):
         m = cases.DDI_ABSENT.std
         assert core_nilpotent(m) == core_nilpotent(m)
@@ -249,14 +260,14 @@ class TestCoreNilpotent:
         rows, power_rows, message = self.GUARD_CASES[case]
         m, mk = RealMatrix.from_rows(rows), RealMatrix.from_rows(power_rows)
         with pytest.raises(InternalInvariantViolation, match=f"^{message}$"):
-            real_inverses._core_nilpotent_at(m, 1, *_factors(mk, rref(mk)))
+            real_inverses._core_nilpotent_at(m, 1, *_factors(mk, rref(mk)), None)
 
     def test_a_power_below_the_index_leaves_p_singular(self):
         # M^1 = M has index 2: its column space lies in its null space, so
         # P = [F | Z] is singular, and so is G F = [0]
         m = RealMatrix.from_rows([[0, 1], [0, 0]])
         with pytest.raises(NotInvertible, match="^matrix of rank 0 is singular$"):
-            real_inverses._core_nilpotent_at(m, 1, *_factors(m, rref(m)))
+            real_inverses._core_nilpotent_at(m, 1, *_factors(m, rref(m)), None)
 
 
 class TestDrazin:
