@@ -24,16 +24,16 @@ C^^(-1) = C^(-1) - eps*C^(-1) E11 C^(-1) and the Horner sums of T with no
 inverse of its own.
 
 Each public function reads these objects off one _Analysis of its input,
-whose parts (the index of M, the core-nilpotent form, E and N^, the dual
-block form, (K22, dind), the obstruction, the WDDI) are built on first use
-and then kept.  E and N^ are a part of their own, so the ranks, dind and
-the obstruction form no C^^(-1).  The module holds the analysis of the last
-dual matrix asked about and hands it out again only for that very object,
-never for an equal copy; analysing another object drops it, so at most one
-input is kept alive.  When M is invertible the rank of M gives aind = 1 with
-no power of M, and the form takes P^ = I and C^ = A^ (N^ is 0 x 0), with
-C^(-1) = M^(-1) read off the index's forward pass of [M | I].  Nothing
-is multiplied by that I: E, the form's products and its change of basis
+whose parts (the real core-nilpotent form, with aind as its k, E and N^,
+the dual block form, (K22, dind), the obstruction, the WDDI) are built on
+first use and then kept.  E and N^ are a part of their own, so the ranks,
+dind and the obstruction form no C^^(-1).  The module holds the analysis of
+the last dual matrix asked about and hands it out again only for that very
+object, never for an equal copy; analysing another object drops it, so at
+most one input is kept alive.  When M is invertible the rank of M gives
+aind = 1 with no power of M, and the form takes P^ = I and C^ = A^ (N^ is
+0 x 0), with C^(-1) = M^(-1) read off the index's forward pass of [M | I].
+Nothing is multiplied by that I: E, the form's products and its change of basis
 (_to_blocks, _from_blocks, which the solvers call) all skip it at r = n.
 """
 
@@ -44,7 +44,7 @@ from functools import cached_property
 from .exceptions import DimensionError, IndexTooLarge
 from .matrices import DualMatrix, RealMatrix
 from .matrices import _Value, hstack, vstack
-from .real_inverses import CoreNilpotentDecomposition, _conjugate, _core_nilpotent_at, _index_power
+from .real_inverses import CoreNilpotentDecomposition, _conjugate, core_nilpotent
 from .dual_linear import _dual_inverse_from
 
 
@@ -153,23 +153,13 @@ class _Analysis:
         self.a = a
 
     @cached_property
-    def index_power(self) -> tuple[int, RealMatrix, tuple, tuple | None]:
-        """(aind, F, (G, pivots), bordered): the factors of M^aind = F G,
-        with G the nonzero rows of rref(M^aind), and the forward pass of
-        [M | I] when M is invertible until the form has read M^(-1) off it,
-        None after that and below full rank; M^aind is never formed."""
-        return _index_power(self.a.std)
+    def cn(self) -> CoreNilpotentDecomposition:
+        """The real core-nilpotent form of M, which carries aind as k."""
+        return core_nilpotent(self.a.std)
 
     @property
     def aind(self) -> int:
-        return self.index_power[0]
-
-    @cached_property
-    def cn(self) -> CoreNilpotentDecomposition:
-        cn = _core_nilpotent_at(self.a.std, *self.index_power)
-        # the back pass reduced the forward pass in place: keep no stale copy
-        self.index_power = (*self.index_power[:3], None)
-        return cn
+        return self.cn.k
 
     @cached_property
     def e_nhat(self) -> tuple[RealMatrix, DualMatrix]:

@@ -1,10 +1,10 @@
 """Command line front-end.
 
 The commands and exit codes are those of _USAGE, which --help shows.
-Exactly one JSON result document goes to stdout.  run alone picks the code
-and builds the document; the handlers return only the payload of success,
-and the refusals (2 and 3) go through the one table _REFUSALS.  A document
-that stdout cannot take is lost, and main returns 5.
+Exactly one JSON result document, or the help text, goes to stdout.  run
+alone picks the code and builds the document; the handlers return only the
+payload of success, and the refusals (2 and 3) go through the one table
+_REFUSALS.  Output that stdout cannot take is lost, and main returns 5.
 
 Each command imports the layers it computes with when it runs, so a process
 loads only those: info needs no dual inverse or solver, and the -real kinds
@@ -64,12 +64,19 @@ class _UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    """--help or -h: the help text, which main writes as it writes a document."""
+
+
 def _build_parser():
     import argparse
 
     class _Parser(argparse.ArgumentParser):
         def error(self, message):
             raise _UsageError(message)
+
+        def print_help(self, file=None):
+            raise _Help(self.format_help())
 
     parser = _Parser(
         prog="dualinv", description=_USAGE, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -253,10 +260,10 @@ def run(argv) -> tuple[int, ResultDocument]:
 def main(argv=None) -> int:
     try:
         code, document = run(sys.argv[1:] if argv is None else argv)
-    except SystemExit as exc:
-        # argparse exits directly for --help; keep its code
-        return int(exc.code or 0)
-    text = document.to_json()
+    except _Help as exc:
+        code, text = 0, str(exc)
+    else:
+        text = document.to_json()
     try:  # an AttributeError here means fd 1 was closed, so sys.stdout is None
         sys.stdout.write(text)
         sys.stdout.flush()

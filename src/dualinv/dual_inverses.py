@@ -117,11 +117,10 @@ def dgi(a: DualMatrix) -> DualMatrix:
     if analysis.aind != 1:
         raise IndexTooLarge(f"dual group inverse needs aind 1, got {analysis.aind}")
     if analysis.bottom[1] != 1:
-        # at aind 1, M = F G with F = M[:, pivots] and G the nonzero rows of
-        # rref(M), which the index already holds
-        _, f, (g, _), _ = analysis.index_power
-        mp = _macduffee(a.std, f, g)
-        eye = RealMatrix.identity(a.rows)
+        # at aind 1, N = 0, so M = P[:, :r] C P^(-1)[:r, :] off the form
+        cn, n = analysis.cn, a.rows
+        mp = _macduffee(a.std, cn.p.submatrix(0, n, 0, cn.r), cn.p_inv.submatrix(0, cn.r, 0, n))
+        eye = RealMatrix.identity(n)
         witness = (eye - a.std @ mp) @ a.dual @ (eye - mp @ a.std)
         if witness.is_zero:
             raise InternalInvariantViolation("dind > 1 but the DGI witness vanishes")

@@ -200,7 +200,8 @@ def moore_penrose(m: RealMatrix) -> RealMatrix:
 
 
 def _macduffee(m: RealMatrix, f: RealMatrix, g: RealMatrix) -> RealMatrix:
-    """M+ = G^T (F^T M G^T)^(-1) F^T for a full-rank factorization M = F G
-    (MacDuffee), since F^T M G^T = (F^T F)(G G^T) is a product of two
-    invertible r x r blocks."""
+    """M+ = G^T (F^T M G^T)^(-1) F^T for M = F C G with F of full column
+    rank r, G of full row rank r and C invertible (MacDuffee's formula at
+    C = I), since F^T M G^T = (F^T F) C (G G^T) is a product of invertible
+    r x r blocks."""
     return g.T @ inverse(f.T @ m @ g.T) @ f.T

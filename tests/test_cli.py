@@ -23,7 +23,7 @@ from dualinv import (
     print_matrix,
     wddi,
 )
-from dualinv.cli import COMPUTE_KINDS, _build_parser, _parse, _UsageError, main, run
+from dualinv.cli import COMPUTE_KINDS, _build_parser, _Help, _parse, _UsageError, main, run
 from dualinv.documents import MAX_SIDE, matrix_to_document, real_to_document
 from dualinv.matrices import VERIFY_KINDS
 
@@ -385,6 +385,30 @@ def test_a_full_device_exits_5_quietly():
     _assert_quiet_exit_5(proc)
 
 
+@pytest.mark.skipif(shutil.which("sh") is None, reason="needs a POSIX shell to redirect fd 1")
+@pytest.mark.parametrize("argv", [["--help"], ["info", "-h"]])
+@pytest.mark.parametrize(
+    "redirect",
+    [
+        pytest.param(">&-", id="closed"),
+        pytest.param(
+            ">/dev/full",
+            id="full",
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+        ),
+    ],
+)
+def test_help_that_stdout_cannot_take_exits_5_with_nothing_on_stderr(argv, redirect):
+    # the help goes through main's one write path, as a result document does
+    proc = subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "dualinv.cli", *argv],
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_child_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (5, "")
+
+
 def test_main_returns_exit_code(capsys):
     code = main(["info", ABSENT])
     assert code == 0
@@ -469,6 +493,8 @@ def _parsed(parse, argv):
             return "args", vars(parse(argv))
     except _UsageError as exc:
         return "usage", str(exc)
+    except _Help as exc:
+        return "exit", 0, str(exc)
     except SystemExit as exc:
         return "exit", exc.code, out.getvalue()
 

@@ -30,7 +30,7 @@ the index runs exactly one back pass, on the r_k rows of a basis of the
 row space of M^k.  It forms no power of M: each product it takes is a row
 basis r_j x n times M, or M times an n x r block of columns.  The real form
 keeps C^(-1), so its Drazin inverse and the dual form's C^^(-1) invert
-nothing more, and dgi's witness takes M+ from the index's F and G.
+nothing more, and dgi's witness takes M+ from the form's P and P^(-1).
 
 index_profile takes its two ranks from the bottom block N^ of the form, so
 the doubled matrix it reduces has n - r rows, not n, and none when N^ has
@@ -226,12 +226,12 @@ def test_a_sequence_on_one_object_analyses_it_once(counts, sequence, fixture):
     for call in SEQUENCES[sequence]:
         _call(call, a, b)
     assert counts["index"] == 1, dict(counts)
-    aind1 = fixture.startswith("dgi")
-    # at aind > 1 the index-1 calls stop at the index, before the form
-    expected_forms = int(aind1 or sequence != "index1_task")
-    assert counts["core_nilpotent"] == expected_forms, dict(counts)
+    assert counts["core_nilpotent"] == 1, dict(counts)
     assert counts["decompose"] <= 1, dict(counts)
     assert counts["bottom_block_powers"] <= 1, dict(counts)
+    if sequence == "index1_task" and not fixture.startswith("dgi"):
+        # at aind > 1 the index-1 calls stop at the real form, before any dual part
+        assert counts["decompose"] == counts["bottom_block_powers"] == 0, dict(counts)
     wanted = {"every_call": 1, "square_task": 1}.get(sequence, 0)
     assert counts["rank_profile"] == wanted, dict(counts)
 
@@ -373,20 +373,6 @@ def test_invertible_standard_part_skips_the_index(counts, monkeypatch):
     assert inverted == []
     assert counts["index"] == counts["core_nilpotent"] == 3, dict(counts)
     assert counts["rank_profile"] == 3, dict(counts)
-
-
-def test_the_analysis_keeps_the_forward_pass_only_until_the_form_reads_it():
-    # the form's back pass reduces the forward pass of [M | I] in place, so
-    # the kept index power holds it while aind is all that was read and
-    # drops it once C^(-1) = M^(-1) is formed
-    rng = random.Random(173)
-    for n in (1, 4):
-        a = support.rand_dual_invertible_std(rng, n)
-        analysis = block_decomposition._analysis(a)
-        assert analysis.aind == 1 and analysis.index_power[3] is not None
-        assert analysis.cn.c_inv == support.inverse_reference(a.std)
-        assert analysis.index_power[3] is None
-        assert wddi(a) == dual_linear.dual_inverse(a)
 
 
 def test_the_index_of_an_invertible_matrix_runs_one_forward_pass_and_no_back_pass(
@@ -641,8 +627,9 @@ def test_verify_forms_e_plus_3_dual_products(monkeypatch, kind):
 
 
 def test_a_dgi_witness_on_a_kept_analysis_reduces_no_m(monkeypatch):
-    # at aind 1 the index holds M = F G, so M+ in the witness
-    # (I - M M+) M0 (I - M+ M) eliminates only the r x r F^T M G^T
+    # at aind 1 the form holds M = F C G with F = P[:, :r], G = P^(-1)[:r, :],
+    # so M+ in the witness (I - M M+) M0 (I - M+ M) eliminates only the
+    # r x r F^T M G^T
     rng = random.Random(163)
     inputs = [_fresh("dgi_absent_2x2")[0]]
     inputs += [_index1_with_bottom_block(rng, 5, 2, n_rank) for n_rank in (1, 2, 3)]
