@@ -268,10 +268,6 @@ def main(argv=None) -> int:
         sys.stdout.write(text)
         sys.stdout.flush()
     except (OSError, AttributeError):
-        import os
-
-        # the interpreter's own flush at exit would fail again and say so on stderr
-        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         return 5
     return code
 

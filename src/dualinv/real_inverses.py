@@ -17,18 +17,19 @@ r x r block G F and not P.  The first rank of the index is read off the
 forward pass of [M | I] (see ``elimination``): at r = n the form is
 P = P^(-1) = I and C = M, and C^(-1) = M^(-1) is the back pass of that same
 pass, so an invertible M is eliminated once.  Below n the pass's right block
-is dropped and C^(-1) is the inverse of the r x r block C, which is also
-the guard that C is invertible.  The form keeps C^(-1), so its Drazin
-inverse P diag(C^(-1), 0) P^(-1) and the dual forms built on it invert
-nothing.  The Moore-Penrose inverse comes from a full-rank factorization
-M = F G by MacDuffee's formula.
+is dropped, and M F = F C with M^k = F G gives C^k = G F, so C^(-1) is
+C^(k-1) (G F)^(-1): k - 1 products on the inverse P^(-1) already needs,
+with C C^(-1) = I as the guard that the factors fit.  The form keeps
+C^(-1), so its Drazin inverse P diag(C^(-1), 0) P^(-1) and the dual forms
+built on it invert nothing.  The Moore-Penrose inverse comes from a
+full-rank factorization M = F G by MacDuffee's formula.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .exceptions import DimensionError, IndexTooLarge, InternalInvariantViolation, NotInvertible
+from .exceptions import DimensionError, IndexTooLarge, InternalInvariantViolation
 from .matrices import RealMatrix, _Value, _make, _reduced, hstack, vstack
 from .elimination import _eliminate, _eliminate_bordered, _inverse_of_bordered
 from .elimination import _null_basis, _reduce, inverse, rref
@@ -88,11 +89,11 @@ def _index_power(m: RealMatrix) -> tuple[int, RealMatrix, tuple, tuple | None]:
 class CoreNilpotentDecomposition(_Value):
     """M = p diag(c, n) p_inv.
 
-    c is r x r invertible with r = rank(M^k) and c_inv its inverse, which
-    is inverse(c) when not given; n is nilpotent (n^k = 0); k is the index
-    of M.  p's first r columns span the column space of M^k, the rest its
-    null space; p_inv is its inverse.  An invertible M takes p = p_inv = I
-    and c = M, as a nilpotent one takes p = I and n = M.
+    c is r x r invertible with r = rank(M^k) and c_inv its inverse; n is
+    nilpotent (n^k = 0); k is the index of M.  p's first r columns span the
+    column space of M^k, the rest its null space; p_inv is its inverse.  An
+    invertible M takes p = p_inv = I and c = M, as a nilpotent one takes
+    p = I and n = M.
     """
 
     __slots__ = ("p", "p_inv", "c", "n", "r", "k", "c_inv")
@@ -105,10 +106,9 @@ class CoreNilpotentDecomposition(_Value):
         n: RealMatrix,
         r: int,
         k: int,
-        c_inv: RealMatrix | None = None,
+        c_inv: RealMatrix,
     ):
-        self.p, self.p_inv, self.c, self.n, self.r, self.k = p, p_inv, c, n, r, k
-        self.c_inv = inverse(c) if c_inv is None else c_inv
+        self.p, self.p_inv, self.c, self.n, self.r, self.k, self.c_inv = p, p_inv, c, n, r, k, c_inv
 
     def assemble(self) -> RealMatrix:
         return _conjugate(self.p, self.p_inv, self.r, self.c, self.n)
@@ -141,7 +141,8 @@ def _core_nilpotent_at(
     p = hstack(f, _null_basis(g, pivots, size))
     # G Z = 0 and the free rows of Z are I (see the module docstring); G F is
     # invertible exactly when P is, and at r = 0 both factors are empty
-    top = inverse(g @ f) @ g
+    gf_inv = inverse(g @ f)
+    top = gf_inv @ g
     free = [j for j in range(size) if j not in pivots]
     zeros = (0,) * (size - 1)
     s = _make(len(free), size, tuple(zeros[:j] + (1,) + zeros[j:] for j in free), 1)
@@ -152,10 +153,12 @@ def _core_nilpotent_at(
     if any(any(row[r:]) for row in upper) or any(any(row[:r]) for row in lower):
         raise InternalInvariantViolation("similarity transform is not block diagonal")
     c = similar.submatrix(0, r, 0, r)
-    try:
-        c_inv = inverse(c)
-    except NotInvertible:
-        raise InternalInvariantViolation("core block is singular") from None
+    # M F = F C and M^k = F G give C^k = G F, so C^(-1) = C^(k-1) (G F)^(-1)
+    c_inv = gf_inv
+    for _ in range(k - 1):
+        c_inv = c @ c_inv
+    if c @ c_inv != RealMatrix.identity(r):
+        raise InternalInvariantViolation("C^(k-1) (G F)^(-1) does not invert the core block")
     n = similar.submatrix(r, size, r, size)
     if not (n**k).is_zero:
         raise InternalInvariantViolation("nilpotent block survives power k")

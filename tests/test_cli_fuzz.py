@@ -173,6 +173,28 @@ def test_any_bytes_give_one_document_with_a_documented_exit(workdir, raw, which,
     run_main(argv)
 
 
+def _not_a_side(value) -> bool:
+    return isinstance(value, bool) or not isinstance(value, int) or value < 0
+
+
+@st.composite
+def mistyped_headers(draw):
+    """An object with exactly the four keys whose rows or cols is not a
+    nonnegative JSON integer."""
+    label = draw(st.sampled_from(["rows", "cols"]))
+    return {**draw(near_documents), label: draw(json_values.filter(_not_a_side))}
+
+
+@FUZZ
+@given(document=mistyped_headers(), which=st.integers(min_value=0, max_value=N_COMMANDS - 1))
+def test_a_mistyped_header_exits_4(workdir, document, which):
+    fuzzed = workdir / "header.json"
+    fuzzed.write_bytes(_encode(document))
+    valid = str(workdir / "valid.json")
+    code, _ = run_main(commands(str(fuzzed), valid, valid)[which])
+    assert code == 4, document
+
+
 def empty_at_the_limit(rows, cols):
     """An empty matrix with the longest side a document may declare, as its
     own candidate inverse, with a zero right-hand side."""

@@ -434,9 +434,9 @@ def test_the_index_of_a_singular_matrix_runs_one_back_pass_on_a_row_basis(monkey
 
 
 def test_the_form_inverts_only_the_r_x_r_block(monkeypatch):
-    # P^(-1) is read off M^k = F G, so inverse sees G F and then C, both
-    # r x r, and never P; at r = 0 both are empty.  The form keeps C^(-1),
-    # so its Drazin inverse inverts nothing
+    # P^(-1) is read off M^k = F G, so inverse sees the r x r block G F once,
+    # and never P or C: C^(-1) is C^(k-1) (G F)^(-1); at r = 0 G F is empty.
+    # The form keeps C^(-1), so its Drazin inverse inverts nothing
     inverted = []
     original = real_inverses.inverse
     monkeypatch.setattr(real_inverses, "inverse", _recording(original, inverted))
@@ -451,14 +451,15 @@ def test_the_form_inverts_only_the_r_x_r_block(monkeypatch):
         form = real_inverses.core_nilpotent(m)
         r = form.r
         assert r < m.rows
-        assert [args[0].shape for args in inverted] == [(r, r)] * 2
-        assert inverted[1][0] is form.c
+        assert [args[0].shape for args in inverted] == [(r, r)]
+        _, f, (g, _), _ = real_inverses._index_power(m)
+        assert inverted[0][0] == g @ f and inverted[0][0] is not form.c
         inverted.clear()
         form.drazin()
         assert inverted == []
         real_inverses.drazin(m)
-        # G F and C of the form drazin builds
-        assert [args[0].shape for args in inverted] == [(r, r)] * 2
+        # G F of the form drazin builds
+        assert [args[0].shape for args in inverted] == [(r, r)]
         empty += r == 0
     assert empty >= 5
 

@@ -96,6 +96,14 @@ def test_malformed_documents_rejected(text, fragment):
     assert fragment in str(info.value)
 
 
+@pytest.mark.parametrize("label", ["rows", "cols"])
+@pytest.mark.parametrize("value", [True, "2", 2.0, None, -1])
+def test_a_mistyped_header_names_its_key(label, value):
+    with pytest.raises(ParseError) as info:
+        parse_matrix(_doc(**{label: value}))
+    assert str(info.value) == f"{label}: must be a nonnegative integer"
+
+
 def _zeros_document(rows, cols):
     grid = [["0"] * cols] * rows
     return json.dumps({"rows": rows, "cols": cols, "std": grid, "dual": grid})

@@ -67,6 +67,7 @@ EDGE_BRANCHES = {
     ),
     "columns_at a negative index": (lambda: _I2.columns_at([-1]), DimensionError),
     "columns_at past the last column": (lambda: _I2.columns_at([0, 5]), DimensionError),
+    "columns_at of index cols": (lambda: _I2.columns_at([2]), DimensionError),
     "== against a non-matrix": (lambda: _I2.__eq__([[1, 0], [0, 1]]), NotImplemented),
     "+ of mismatched shapes": (lambda: _I2 + _WIDE, DimensionError),
     "- of mismatched shapes": (lambda: _I2 - _WIDE, DimensionError),

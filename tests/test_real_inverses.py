@@ -1,6 +1,7 @@
 """Index, core-nilpotent form, Drazin, group, and Moore-Penrose inverses."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from dualinv import real_inverses
 from dualinv.elimination import _inverse_of_bordered
 from dualinv import (
     DimensionError,
-    CoreNilpotentDecomposition,
     IndexTooLarge,
     InternalInvariantViolation,
     NotInvertible,
@@ -193,7 +193,9 @@ class TestCoreNilpotent:
 
     def test_the_core_inverse_matches_the_reference(self):
         # C^(-1) against the right block of rref([C | I]): at r = n it is
-        # M^(-1), read off the index's forward pass
+        # M^(-1), read off the index's forward pass, and below n it is
+        # C^(k-1) (G F)^(-1), whose chain is longest at the highest index and
+        # whose entries are largest on dense rank-deficient p/q inputs
         rng = random.Random(53)
         inputs = []
         for n in range(9):
@@ -205,6 +207,11 @@ class TestCoreNilpotent:
         for aind in (1, 2, 3, 4):
             for n in (aind, aind + 2, aind + 4):
                 inputs.append(support.rand_high_index(rng, n, aind, dind=aind).std)
+        for aind in (5, 6, 7):
+            for dind in (aind, 2 * aind):
+                inputs.append(support.rand_high_index(rng, aind + 3, aind, dind=dind).std)
+        for n in (12, 16):
+            inputs.append(support.rand_matrix(rng, n, n - 2) @ support.rand_matrix(rng, n - 2, n))
         kinds = set()
         for m in inputs:
             d = core_nilpotent(m)
@@ -214,20 +221,11 @@ class TestCoreNilpotent:
             kinds.add("r = 0" if d.r == 0 else "r = n" if d.r == m.rows else "0 < r < n")
         assert kinds == {"r = 0", "0 < r < n", "r = n"}
 
-    def test_the_constructor_inverts_c_when_c_inv_is_not_given(self):
-        # six fields build the same form as the seven the library passes
-        rng = random.Random(59)
-        inputs = [support.rand_high_index(rng, 5, 2, dind=2).std, support.rand_invertible(rng, 3)]
-        for m in inputs + [RealMatrix.zeros(2, 2)]:
-            d = core_nilpotent(m)
-            assert CoreNilpotentDecomposition(d.p, d.p_inv, d.c, d.n, d.r, d.k) == d
-        with pytest.raises(NotInvertible):
-            CoreNilpotentDecomposition(*(RealMatrix.zeros(1, 1),) * 4, 1, 1)
-
     def test_deterministic(self):
         m = cases.DDI_ABSENT.std
         assert core_nilpotent(m) == core_nilpotent(m)
 
+    CORE_GUARD = re.escape("C^(k-1) (G F)^(-1) does not invert the core block")
     # (m, k, M^k) triples that do not belong together, each failing one guard
     GUARD_CASES = {
         "upper-block-nonzero": (
@@ -247,7 +245,9 @@ class TestCoreNilpotent:
             [[1, 0], [0, 0]],
             "similarity transform is not block diagonal",
         ),
-        "singular-core": ([[1, 0], [0, 0]], [[0, 0], [0, 1]], "core block is singular"),
+        "singular-core": ([[1, 0], [0, 0]], [[0, 0], [0, 1]], CORE_GUARD),
+        # P = I and C = [2], which is invertible, but C^k = [2] is not G F = [1]
+        "core-power-mismatch": ([[2, 0], [0, 0]], [[1, 0], [0, 0]], CORE_GUARD),
         "nilpotent-survives": (
             [[1, 0, 0], [0, 0, 1], [0, 0, 0]],
             [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
