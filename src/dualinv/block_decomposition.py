@@ -58,18 +58,6 @@ class DualBlockDecompositionInd1(_Value):
 
     __slots__ = ("phat", "chat", "nhat", "r", "phat_inv", "chat_inv")
 
-    def __init__(
-        self,
-        phat: DualMatrix,
-        chat: DualMatrix,
-        nhat: DualMatrix,
-        r: int,
-        phat_inv: DualMatrix,
-        chat_inv: DualMatrix,
-    ):
-        self.phat, self.chat, self.nhat, self.r = phat, chat, nhat, r
-        self.phat_inv, self.chat_inv = phat_inv, chat_inv
-
     @property
     def nblock(self) -> RealMatrix:
         return self.nhat.dual

@@ -48,13 +48,11 @@ class ExistenceProfile(_Value):
 
     __slots__ = ("ddi_exists", "index_equality", "rank_equality", "obstruction")
 
-    def __init__(
-        self, ddi_exists: bool, index_equality: bool, rank_equality: bool, obstruction: RealMatrix
-    ):
-        if not (ddi_exists == obstruction.is_zero == index_equality == rank_equality):
+    def __init__(self, *values, **named):
+        super().__init__(*values, **named)
+        vanishes = self.obstruction.is_zero
+        if not (self.ddi_exists == vanishes == self.index_equality == self.rank_equality):
             raise InternalInvariantViolation("existence characterizations disagree")
-        self.ddi_exists, self.index_equality = ddi_exists, index_equality
-        self.rank_equality, self.obstruction = rank_equality, obstruction
 
 
 def ddi_obstruction(a: DualMatrix) -> RealMatrix:
@@ -129,15 +127,11 @@ def dgi(a: DualMatrix) -> DualMatrix:
 
 
 class VerificationReport(_Value):
-    """Outcome of checking the three defining equations of an inverse kind."""
+    """Outcome of checking the three defining equations of an inverse kind:
+    the kind, the exponent of A^ in the first equation, the equations as
+    (text, holds) pairs in order, and all_hold, whether every one holds."""
 
     __slots__ = ("kind", "exponent", "equations", "all_hold")
-
-    def __init__(
-        self, kind: str, exponent: int, equations: tuple[tuple[str, bool], ...], all_hold: bool
-    ):
-        self.kind, self.exponent = kind, exponent
-        self.equations, self.all_hold = equations, all_hold
 
 
 def verify(a: DualMatrix, x: DualMatrix, kind: str) -> VerificationReport:

@@ -51,9 +51,6 @@ class ParametricDualSolutions(_Value):
 
     __slots__ = ("particular", "generators")
 
-    def __init__(self, particular: DualMatrix, generators: tuple[DualMatrix, ...]):
-        self.particular, self.generators = particular, generators
-
     def member(self, assignments: tuple[DualMatrix, ...]) -> DualMatrix:
         if len(assignments) != len(self.generators):
             raise DimensionError("one parameter column per generator")

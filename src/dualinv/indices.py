@@ -48,12 +48,12 @@ def rank_profile(a: DualMatrix) -> tuple[int, int]:
 class DualIndexProfile(_Value):
     __slots__ = ("arank", "drank", "aind", "dind")
 
-    def __init__(self, arank: int, drank: int, aind: int, dind: int):
-        if drank < arank:
+    def __init__(self, *values, **named):
+        super().__init__(*values, **named)
+        if self.drank < self.arank:
             raise InternalInvariantViolation("dual rank below appreciable rank")
-        if not (aind <= dind <= 2 * aind):
+        if not (self.aind <= self.dind <= 2 * self.aind):
             raise InternalInvariantViolation("dual index outside [aind, 2*aind]")
-        self.arank, self.drank, self.aind, self.dind = arank, drank, aind, dind
 
 
 def index_profile(a: DualMatrix) -> DualIndexProfile:

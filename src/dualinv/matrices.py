@@ -283,13 +283,23 @@ def block2x2(a: RealMatrix, b: RealMatrix, c: RealMatrix, d: RealMatrix) -> Real
 class _Value:
     """Base of the package's value classes.
 
-    ``==``, ``hash`` and ``repr`` are structural over the fields a subclass
-    names in ``__slots__``, in order, and the repr reads
+    The constructor, ``==``, ``hash`` and ``repr`` all read the one field
+    list a subclass names in ``__slots__``, in order: the constructor binds
+    the fields by position or by name, and the repr reads
     Name(field=value, ...).  As with RealMatrix, immutability is by
     contract: nothing assigns a field after the constructor.
     """
 
     __slots__ = ("__weakref__",)
+
+    def __init__(self, *values, **named):
+        names, count = self.__slots__, len(values)
+        if named or count != len(names):
+            if count > len(names) or set(named) != set(names[count:]):
+                raise TypeError(f"{type(self).__qualname__} takes the fields ({', '.join(names)})")
+            values += tuple(named[name] for name in names[count:])
+        for name, value in zip(names, values):
+            setattr(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -98,18 +98,6 @@ class CoreNilpotentDecomposition(_Value):
 
     __slots__ = ("p", "p_inv", "c", "n", "r", "k", "c_inv")
 
-    def __init__(
-        self,
-        p: RealMatrix,
-        p_inv: RealMatrix,
-        c: RealMatrix,
-        n: RealMatrix,
-        r: int,
-        k: int,
-        c_inv: RealMatrix,
-    ):
-        self.p, self.p_inv, self.c, self.n, self.r, self.k, self.c_inv = p, p_inv, c, n, r, k, c_inv
-
     def assemble(self) -> RealMatrix:
         return _conjugate(self.p, self.p_inv, self.r, self.c, self.n)
 
@@ -144,8 +132,8 @@ def _core_nilpotent_at(
     gf_inv = inverse(g @ f)
     top = gf_inv @ g
     free = [j for j in range(size) if j not in pivots]
-    zeros = (0,) * (size - 1)
-    s = _make(len(free), size, tuple(zeros[:j] + (1,) + zeros[j:] for j in free), 1)
+    eye = RealMatrix.identity(size).nums
+    s = _make(len(free), size, tuple(eye[j] for j in free), 1)
     f_free = _reduced(len(free), r, tuple(f.nums[j] for j in free), f.den)
     p_inv = vstack(top, s - f_free @ top)
     similar = p_inv @ m @ p

@@ -655,9 +655,6 @@ class DualAffineSet(_Value):
 
     __slots__ = ("point", "span")
 
-    def __init__(self, point: RealMatrix, span: RealMatrix):
-        self.point, self.span = point, span
-
     @classmethod
     def from_solutions(cls, sols: ParametricDualSolutions) -> "DualAffineSet":
         n = sols.particular.rows

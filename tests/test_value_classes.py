@@ -4,6 +4,9 @@ ResultDocument defaults and the checks their constructors make.
 Each class is built from the same field values twice, by keyword and by
 position; the two are equal and hash-equal, and the repr names every field
 in order, as Name(field=value, ...).  Changing one field makes them unequal.
+A class that binds its fields in the shared base constructor raises a
+TypeError naming them, in order, for a field too many, missing, unknown or
+given twice.
 DualAffineSet, the doubled-system reference in ``support``, is built on the
 same base class and checked the same way.
 """
@@ -103,6 +106,15 @@ CASES = {
 }
 
 UNHASHABLE = {"ResultDocument"}  # its inputs and payload hold dicts
+OWN_CONSTRUCTOR = {"DualMatrix", "ResultDocument"}  # the rest bind their fields in _Value
+
+# a wrong set of fields -> the arguments that give it, from a CASES entry's fields
+BAD_FIELD_SETS = {
+    "one value too many": lambda fields: ((*fields.values(), None), {}),
+    "a missing field": lambda fields: ((), dict(list(fields.items())[:-1])),
+    "an unknown name": lambda fields: ((), {**fields, "unknown": None}),
+    "by position and by name": lambda fields: ((next(iter(fields.values())),), fields),
+}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -142,6 +154,16 @@ def test_repr_names_every_field_in_order(name):
     cls, fields, _ = CASES[name]
     body = ", ".join(f"{field}={value!r}" for field, value in fields.items())
     assert repr(cls(**fields)) == f"{name}({body})"
+
+
+@pytest.mark.parametrize("problem", list(BAD_FIELD_SETS))
+@pytest.mark.parametrize("name", sorted(set(CASES) - OWN_CONSTRUCTOR))
+def test_a_bad_field_set_raises_a_type_error_naming_the_fields(name, problem):
+    cls, fields, _ = CASES[name]
+    values, named = BAD_FIELD_SETS[problem](fields)
+    with pytest.raises(TypeError) as raised:
+        cls(*values, **named)
+    assert str(raised.value) == f"{name} takes the fields ({', '.join(fields)})"
 
 
 def test_result_document_defaults():
