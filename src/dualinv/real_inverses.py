@@ -23,6 +23,16 @@ with C C^(-1) = I as the guard that the factors fit.  The form keeps
 C^(-1), so its Drazin inverse P diag(C^(-1), 0) P^(-1) and the dual forms
 built on it invert nothing.  The Moore-Penrose inverse comes from a
 full-rank factorization M = F G by MacDuffee's formula.
+
+At k = 1, M = F G itself.  P^(-1) F is the first r columns of I and
+G P = [G F | G Z] = [G F | 0], so P^(-1) M P = diag(G F, 0): C = G F,
+C^(-1) = (G F)^(-1) and N = 0, all at hand, and the form takes no
+similarity product and no guard product there.  Checked mode, the private
+switch ``_checked``, is off by default and turned on for every test.  With
+it on, the form at k = 1 also forms P^(-1) M P and runs the guards of the
+other indices on it, block-diagonal, C C^(-1) = I and N^k = 0, which
+together say that it is diag(G F, 0); and at every index it checks
+N^k = 0, which costs k - 1 products of the (n - r) x (n - r) block.
 """
 
 from __future__ import annotations
@@ -33,6 +43,9 @@ from .exceptions import DimensionError, IndexTooLarge, InternalInvariantViolatio
 from .matrices import RealMatrix, _Value, _make, _reduced, hstack, vstack
 from .elimination import _eliminate, _eliminate_bordered, _inverse_of_bordered
 from .elimination import _null_basis, _reduce, inverse, rref
+
+# checked mode (see the module docstring); no option or environment variable sets it
+_checked = False
 
 
 def index(m: RealMatrix) -> int:
@@ -129,14 +142,30 @@ def _core_nilpotent_at(
     p = hstack(f, _null_basis(g, pivots, size))
     # G Z = 0 and the free rows of Z are I (see the module docstring); G F is
     # invertible exactly when P is, and at r = 0 both factors are empty
-    gf_inv = inverse(g @ f)
+    gf = g @ f
+    gf_inv = inverse(gf)
     top = gf_inv @ g
     free = [j for j in range(size) if j not in pivots]
     eye = RealMatrix.identity(size).nums
     s = _make(len(free), size, tuple(eye[j] for j in free), 1)
     f_free = _reduced(len(free), r, tuple(f.nums[j] for j in free), f.den)
     p_inv = vstack(top, s - f_free @ top)
-    similar = p_inv @ m @ p
+    if k == 1:
+        # M = F G and G P = [G F | 0], so P^(-1) M P = diag(G F, 0)
+        if _checked:
+            _guarded_blocks(p_inv @ m @ p, r, k, gf_inv)
+        return CoreNilpotentDecomposition(
+            p, p_inv, gf, RealMatrix.zeros(size - r, size - r), r, k, gf_inv
+        )
+    c, n, c_inv = _guarded_blocks(p_inv @ m @ p, r, k, gf_inv)
+    return CoreNilpotentDecomposition(p, p_inv, c, n, r, k, c_inv)
+
+
+def _guarded_blocks(similar: RealMatrix, r: int, k: int, gf_inv: RealMatrix):
+    """(C, N, C^(-1)) read off similar = P^(-1) M P, with
+    C^(-1) = C^(k-1) (G F)^(-1).  Raises unless similar is diag(C, N) and
+    C C^(-1) = I, and in checked mode unless N^k = 0."""
+    size = similar.rows
     upper, lower = similar.nums[:r], similar.nums[r:]
     if any(any(row[r:]) for row in upper) or any(any(row[:r]) for row in lower):
         raise InternalInvariantViolation("similarity transform is not block diagonal")
@@ -148,10 +177,9 @@ def _core_nilpotent_at(
     if c @ c_inv != RealMatrix.identity(r):
         raise InternalInvariantViolation("C^(k-1) (G F)^(-1) does not invert the core block")
     n = similar.submatrix(r, size, r, size)
-    if not (n**k).is_zero:
+    if _checked and not (n**k).is_zero:
         raise InternalInvariantViolation("nilpotent block survives power k")
-    return CoreNilpotentDecomposition(p, p_inv, c, n, r, k, c_inv)
-
+    return c, n, c_inv
 
 def _conjugate(p, q, r: int, top=None, bottom=None):
     """p diag(top, bottom) q, q = p^(-1) and a None block zero, formed as

@@ -10,12 +10,21 @@ raises there.  The error derives from BaseException, so neither an
 ``except Exception`` in the code under test nor hypothesis's shrinking takes
 it for an ordinary failure and runs on.  Where the platform has no SIGALRM
 there is no limit.
+
+The library's checked mode is turned on here, before any test module is
+collected, so every test and every input built at import runs the guards
+that production skips (see ``dualinv.real_inverses``).  A test that needs
+the production path turns it off with monkeypatch, which restores it.
 """
 
 import signal
 from contextlib import contextmanager
 
 import pytest
+
+from dualinv import real_inverses
+
+real_inverses._checked = True
 
 TIME_LIMIT_S = 60
 

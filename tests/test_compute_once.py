@@ -53,18 +53,21 @@ from math import gcd
 import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import dualinv
 from dualinv import DualMatrix, RealMatrix, ddi, solve_general, solve_restricted, wddi
 from dualinv import ddi_obstruction, dgi, existence_profile, index_profile
-from dualinv import verify, wdgi
+from dualinv import parse_matrix, verify, wdgi
 from dualinv import block_decomposition, dual_linear, elimination, indices, matrices
 from dualinv import real_inverses
 
 import cases
 import support
+
+FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 COUNTED = {
     "index": (real_inverses, "_index_power"),
@@ -435,8 +438,9 @@ def test_the_index_of_a_singular_matrix_runs_one_back_pass_on_a_row_basis(monkey
 
 def test_the_form_inverts_only_the_r_x_r_block(monkeypatch):
     # P^(-1) is read off M^k = F G, so inverse sees the r x r block G F once,
-    # and never P or C: C^(-1) is C^(k-1) (G F)^(-1); at r = 0 G F is empty.
-    # The form keeps C^(-1), so its Drazin inverse inverts nothing
+    # and never P or C: C^(-1) is C^(k-1) (G F)^(-1), and at k = 1 C is that
+    # very G F; at r = 0 G F is empty.  The form keeps C^(-1), so its Drazin
+    # inverse inverts nothing
     inverted = []
     original = real_inverses.inverse
     monkeypatch.setattr(real_inverses, "inverse", _recording(original, inverted))
@@ -445,7 +449,7 @@ def test_the_form_inverts_only_the_r_x_r_block(monkeypatch):
     singular += [support.rand_low_rank(rng, n, n - 2) for n in (3, 5, 7)]
     singular += [support.rand_nilpotent(rng, n) for n in (1, 3, 5)]
     singular += [RealMatrix.zeros(n, n) for n in (1, 4)]
-    empty = 0
+    empty, seen_k = 0, set()
     for m in singular:
         inverted.clear()
         form = real_inverses.core_nilpotent(m)
@@ -453,7 +457,9 @@ def test_the_form_inverts_only_the_r_x_r_block(monkeypatch):
         assert r < m.rows
         assert [args[0].shape for args in inverted] == [(r, r)]
         _, f, (g, _), _ = real_inverses._index_power(m)
-        assert inverted[0][0] == g @ f and inverted[0][0] is not form.c
+        assert inverted[0][0] == g @ f
+        assert (inverted[0][0] is form.c) == (form.k == 1)
+        seen_k.add(form.k)
         inverted.clear()
         form.drazin()
         assert inverted == []
@@ -462,6 +468,87 @@ def test_the_form_inverts_only_the_r_x_r_block(monkeypatch):
         assert [args[0].shape for args in inverted] == [(r, r)]
         empty += r == 0
     assert empty >= 5
+    assert {1, 2} <= seen_k
+
+
+def _aind1_inputs():
+    """Inputs whose standard part has index 1 below r = n: M = 0 (r = 0),
+    0 < r < n, and the dgi_* fixtures."""
+    yield DualMatrix(RealMatrix.zeros(3, 3), RealMatrix.from_rows([[1, 2, 0], [0, 0, 1], [0, 0, 0]]))
+    yield from (parse_matrix(path.read_bytes()) for path in sorted(FIXTURE_DIR.glob("dgi_*.json")))
+    rng = random.Random(173)
+    yield from (_index1_with_bottom_block(rng, 5, r, 1) for r in (1, 2, 4))
+
+
+@pytest.fixture
+def form_products(monkeypatch):
+    """Record (left shape, right shape, right is M) for each RealMatrix
+    product taken inside the real form of M."""
+    seen, inside = [], []
+    original_form = real_inverses._core_nilpotent_at
+
+    def form(m, *args):
+        inside.append(m)
+        try:
+            return original_form(m, *args)
+        finally:
+            inside.pop()
+
+    _patch_everywhere(monkeypatch, original_form, form)
+    original = RealMatrix.__matmul__
+
+    def recording(left, right):
+        if inside:
+            seen.append((left.shape, right.shape, right is inside[-1]))
+        return original(left, right)
+
+    monkeypatch.setattr(RealMatrix, "__matmul__", recording)
+    return seen
+
+
+@pytest.mark.parametrize("checked", [False, True])
+def test_at_index_1_only_checked_mode_forms_the_similarity(form_products, monkeypatch, checked):
+    # the form is diag(G F, 0) by algebra; checked mode forms P^(-1) M P once
+    # and runs the guards on it, C C^(-1) = I among them
+    monkeypatch.setattr(real_inverses, "_checked", checked)
+    ranks = set()
+    for a in _aind1_inputs():
+        n = a.rows
+        for call in (wdgi, lambda a: real_inverses.group_inverse(a.std)):
+            form_products.clear()
+            call(a)
+            cn = block_decomposition._analysis(a).cn
+            r = cn.r
+            assert cn.k == 1 and r < n
+            square = [p for p in form_products if (n, n) in p[:2]]
+            guard = [p for p in form_products if p[:2] == ((r, r), (r, r))]
+            if checked:
+                assert square == [((n, n), (n, n), True), ((n, n), (n, n), False)]
+                assert len(guard) == 1
+            else:
+                assert square == [] and guard == [], form_products
+        ranks.add("r = 0" if r == 0 else "0 < r < n")
+    assert ranks == {"r = 0", "0 < r < n"}
+
+
+@pytest.mark.parametrize("checked", [False, True])
+def test_above_index_1_only_checked_mode_powers_the_nilpotent_block(
+    form_products, monkeypatch, checked
+):
+    # N^k = 0 takes k - 1 products of the (n - r) x (n - r) block N
+    monkeypatch.setattr(real_inverses, "_checked", checked)
+    rng = random.Random(179)
+    seen_k = set()
+    for n, aind in ((5, 2), (6, 3), (7, 4), (7, 2)):
+        m = support.rand_high_index(rng, n, aind, dind=aind).std
+        form_products.clear()
+        form = real_inverses.core_nilpotent(m)
+        size = n - form.r
+        assert form.k == aind and 2 * form.r != n
+        powers = [p for p in form_products if p[:2] == ((size, size), (size, size))]
+        assert len(powers) == (aind - 1 if checked else 0), form_products
+        seen_k.add(form.k)
+    assert seen_k == {2, 3, 4}
 
 
 def _index_profile_inputs():

@@ -226,7 +226,9 @@ class TestCoreNilpotent:
         assert core_nilpotent(m) == core_nilpotent(m)
 
     CORE_GUARD = re.escape("C^(k-1) (G F)^(-1) does not invert the core block")
-    # (m, k, M^k) triples that do not belong together, each failing one guard
+    # (m, M^k) pairs at k = 1 that do not belong together, each failing one
+    # guard; at k = 1 the guards run only in checked mode, which the test
+    # turns on itself
     GUARD_CASES = {
         "upper-block-nonzero": (
             [[1, 1], [0, 0]],
@@ -256,11 +258,59 @@ class TestCoreNilpotent:
     }
 
     @pytest.mark.parametrize("case", sorted(GUARD_CASES))
-    def test_each_invariant_guard_fires_on_a_mismatched_power(self, case):
+    def test_each_invariant_guard_fires_on_a_mismatched_power(self, case, monkeypatch):
+        monkeypatch.setattr(real_inverses, "_checked", True)
         rows, power_rows, message = self.GUARD_CASES[case]
         m, mk = RealMatrix.from_rows(rows), RealMatrix.from_rows(power_rows)
         with pytest.raises(InternalInvariantViolation, match=f"^{message}$"):
             real_inverses._core_nilpotent_at(m, 1, *_factors(mk, rref(mk)), None)
+
+    @pytest.mark.parametrize("case", sorted(GUARD_CASES))
+    def test_at_index_1_production_takes_diag_g_f_0_unchecked(self, case, monkeypatch):
+        # with checked mode off, k = 1 forms no similarity, so no guard sees
+        # the mismatch: C is G F and N is 0, whatever M is
+        monkeypatch.setattr(real_inverses, "_checked", False)
+        rows, power_rows, _ = self.GUARD_CASES[case]
+        m, mk = RealMatrix.from_rows(rows), RealMatrix.from_rows(power_rows)
+        f, (g, pivots) = _factors(mk, rref(mk))
+        form = real_inverses._core_nilpotent_at(m, 1, f, (g, pivots), None)
+        r = len(pivots)
+        assert (form.c, form.c_inv) == (g @ f, inverse(g @ f))
+        assert form.n == RealMatrix.zeros(m.rows - r, m.rows - r)
+
+    # (m, M^k, message, runs in production) at k = 2
+    GUARD_CASES_K2 = {
+        "upper-block-nonzero": (
+            [[1, 1], [0, 0]],
+            [[1, 0], [1, 0]],
+            "similarity transform is not block diagonal",
+            True,
+        ),
+        # C = [2], so C^(-1) = C (G F)^(-1) = [2] and C C^(-1) = [4]
+        "core-power-mismatch": ([[2, 0], [0, 0]], [[1, 0], [0, 0]], CORE_GUARD, True),
+        # M^2 != 0, so r = 0, P = I and N = M, whose square is not 0
+        "nilpotent-survives": (
+            [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+            [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+            "nilpotent block survives power k",
+            False,
+        ),
+    }
+
+    @pytest.mark.parametrize("checked", [False, True])
+    @pytest.mark.parametrize("case", sorted(GUARD_CASES_K2))
+    def test_above_index_1_only_the_nilpotency_guard_waits_for_checked_mode(
+        self, case, checked, monkeypatch
+    ):
+        monkeypatch.setattr(real_inverses, "_checked", checked)
+        rows, power_rows, message, in_production = self.GUARD_CASES_K2[case]
+        m, mk = RealMatrix.from_rows(rows), RealMatrix.from_rows(power_rows)
+        factors = _factors(mk, rref(mk))
+        if checked or in_production:
+            with pytest.raises(InternalInvariantViolation, match=f"^{message}$"):
+                real_inverses._core_nilpotent_at(m, 2, *factors, None)
+        else:
+            assert real_inverses._core_nilpotent_at(m, 2, *factors, None).n == m
 
     def test_a_power_below_the_index_leaves_p_singular(self):
         # M^1 = M has index 2: its column space lies in its null space, so

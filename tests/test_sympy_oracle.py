@@ -13,7 +13,10 @@ route shares nothing with ``_index_power``, ``_core_nilpotent_at`` or
 ``_conjugate``; a defect in those would show on one side only.
 
 The form reads P^(-1) off the factorization M^k = F G; ``inverse_reference``
-is the route it replaced, the right block of rref([P | I]).
+is the route it replaced, the right block of rref([P | I]).  At index 1 the
+form takes C = G F and N = 0 without forming P^(-1) M P; with checked mode
+off, so that the production path runs, sympy forms that similarity from the
+library's P and G F from its own reduced echelon form of M.
 """
 
 import random
@@ -27,6 +30,7 @@ from dualinv import (
     ddi,
     existence_profile,
     index_profile,
+    real_inverses,
     wddi,
 )
 
@@ -133,3 +137,40 @@ def test_p_inv_is_the_inverse_of_p():
         assert form.p_inv == support.inverse_reference(form.p), m
         if form.r == 0:
             assert form.p == form.p_inv == RealMatrix.identity(m.rows)
+
+
+def _aind1(rng, n, r):
+    """P diag(C, 0) P^(-1) with C r x r invertible: index 1 and rank r."""
+    p = support.rand_invertible(rng, n)
+    core = support.block_diag(support.rand_invertible(rng, r), RealMatrix.zeros(n - r, n - r))
+    return p @ core @ support.inverse_reference(p)
+
+
+def _aind1_inputs():
+    """n 0-7, each at r = 0, r = n - 1 and a random r below n."""
+    rng = random.Random(2414)
+    for n in range(8):
+        for r in sorted({0, max(n - 1, 0), rng.randrange(n) if n else 0}):
+            yield _aind1(rng, n, r), r
+
+
+def test_at_index_1_the_form_is_diag_g_f_0(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    monkeypatch.setattr(real_inverses, "_checked", False)
+    ranks = set()
+    for m, r in _aind1_inputs():
+        n = m.rows
+        form = core_nilpotent(m)
+        assert (form.k, form.r) == (1, r), m
+        m_s, p_s = _sympy(sympy, m), _sympy(sympy, form.p)
+        c_s = _sympy(sympy, form.c)
+        assert p_s.inv() * m_s * p_s == sympy.diag(c_s, sympy.zeros(n - r, n - r)), m
+        # M = F G: F the pivot columns of M, G the nonzero rows of rref(M)
+        reduced, pivots = m_s.rref()
+        f_s = m_s.extract(list(range(n)), list(pivots))
+        assert p_s.extract(list(range(n)), list(range(r))) == f_s
+        assert c_s == reduced.extract(list(range(r)), list(range(n))) * f_s
+        assert _sympy(sympy, form.c_inv) == c_s.inv()
+        assert form.n == RealMatrix.zeros(n - r, n - r)
+        ranks.add("r = 0" if r == 0 else "r = n - 1" if r == n - 1 else "0 < r < n - 1")
+    assert ranks == {"r = 0", "r = n - 1", "0 < r < n - 1"}

@@ -6,9 +6,13 @@ on the fixtures covers.  Regenerate the file (only when an output is meant
 to change) with
 
     PYTHONPATH=src python scripts/worked_examples.py > tests/golden/worked_examples.txt
+
+The script runs once as a process of its own, where the library's checked
+mode is off, and once in this process, where the suite has turned it on.
 """
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +30,8 @@ def test_worked_examples_match_golden_bytes():
         [sys.executable, str(SCRIPT)], env=env, capture_output=True, check=True
     ).stdout
     assert out == GOLDEN.read_bytes()
+
+
+def test_worked_examples_match_golden_bytes_in_checked_mode(capsys):
+    runpy.run_path(str(SCRIPT), run_name="__main__")
+    assert capsys.readouterr().out.encode() == GOLDEN.read_bytes()
