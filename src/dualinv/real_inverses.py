@@ -19,10 +19,11 @@ P = P^(-1) = I and C = M, and C^(-1) = M^(-1) is the back pass of that same
 pass, so an invertible M is eliminated once.  Below n the pass's right block
 is dropped, and M F = F C with M^k = F G gives C^k = G F, so C^(-1) is
 C^(k-1) (G F)^(-1): k - 1 products on the inverse P^(-1) already needs,
-with C C^(-1) = I as the guard that the factors fit.  The form keeps
-C^(-1), so its Drazin inverse P diag(C^(-1), 0) P^(-1) and the dual forms
-built on it invert nothing.  The Moore-Penrose inverse comes from a
-full-rank factorization M = F G by MacDuffee's formula.
+with C C^(-1) = I as the guard that the factors fit (above k = 1; see
+below).  The form keeps C^(-1), so its Drazin inverse
+P diag(C^(-1), 0) P^(-1) and the dual forms built on it invert nothing.
+The Moore-Penrose inverse comes from a full-rank factorization M = F G by
+MacDuffee's formula.
 
 At k = 1, M = F G itself.  P^(-1) F is the first r columns of I and
 G P = [G F | G Z] = [G F | 0], so P^(-1) M P = diag(G F, 0): C = G F,
@@ -180,6 +181,7 @@ def _guarded_blocks(similar: RealMatrix, r: int, k: int, gf_inv: RealMatrix):
     if _checked and not (n**k).is_zero:
         raise InternalInvariantViolation("nilpotent block survives power k")
     return c, n, c_inv
+
 
 def _conjugate(p, q, r: int, top=None, bottom=None):
     """p diag(top, bottom) q, q = p^(-1) and a None block zero, formed as

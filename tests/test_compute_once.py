@@ -21,6 +21,9 @@ inverts the n x n P: it reads P^(-1) off M^k = F G and inverts the r x r
 G F.  An invertible standard part forms no power of M and no G F, and no
 call, the real drazin and group_inverse included, multiplies a RealMatrix
 by an identity factor there, where P = I, or by an empty block of P.
+At index 1 the form is diag(G F, 0) and takes no similarity P^(-1) M P
+and no guard product; only checked mode forms them there, and only checked
+mode powers N above index 1.
 
 The index reads each rank off a forward elimination alone: its first pass
 is that of [M | I], with pivots sought in M's columns, so on an invertible
@@ -474,7 +477,7 @@ def test_the_form_inverts_only_the_r_x_r_block(monkeypatch):
 def _aind1_inputs():
     """Inputs whose standard part has index 1 below r = n: M = 0 (r = 0),
     0 < r < n, and the dgi_* fixtures."""
-    yield DualMatrix(RealMatrix.zeros(3, 3), RealMatrix.from_rows([[1, 2, 0], [0, 0, 1], [0, 0, 0]]))
+    yield DualMatrix.of([[0, 0, 0]] * 3, [[1, 2, 0], [0, 0, 1], [0, 0, 0]])
     yield from (parse_matrix(path.read_bytes()) for path in sorted(FIXTURE_DIR.glob("dgi_*.json")))
     rng = random.Random(173)
     yield from (_index1_with_bottom_block(rng, 5, r, 1) for r in (1, 2, 4))

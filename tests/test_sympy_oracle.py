@@ -147,10 +147,10 @@ def _aind1(rng, n, r):
 
 
 def _aind1_inputs():
-    """n 0-7, each at r = 0, r = n - 1 and a random r below n."""
+    """n 0-7, each at r = 0, r = n - 1 and a random r between them."""
     rng = random.Random(2414)
     for n in range(8):
-        for r in sorted({0, max(n - 1, 0), rng.randrange(n) if n else 0}):
+        for r in sorted({0, max(n - 1, 0), rng.randrange(1, n - 1) if n > 2 else 0}):
             yield _aind1(rng, n, r), r
 
 
