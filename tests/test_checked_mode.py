@@ -75,10 +75,8 @@ def test_checked_mode_changes_no_result(name, monkeypatch):
 def test_the_inputs_reach_every_kind_of_form():
     kinds = set()
     for name in SQUARE:
-        std = MATRICES[name].std
-        k = real_inverses.index(std)
-        r = real_inverses.core_nilpotent(std).r
-        kinds.add("r = n" if r == std.rows else f"k = {min(k, 2)}")
+        form = real_inverses.core_nilpotent(MATRICES[name].std)
+        kinds.add("r = n" if form.r == form.p.rows else f"k = {min(form.k, 2)}")
     assert kinds == {"r = n", "k = 1", "k = 2"}
 
 
