@@ -12,28 +12,26 @@ n x n by n x r products.  Since G Z = 0 and the free rows of Z are I,
 
     P^(-1) = [(G F)^(-1) G ; S - F_free (G F)^(-1) G]
 
-with S and F_free the free rows of I and of F, so the form inverts the
-r x r block G F and not P.  The first rank of the index is read off the
+with S and F_free the free rows of I and of F, so the form inverts an
+r x r block and not P.  The first rank of the index is read off the
 forward pass of [M | I] (see ``elimination``): at r = n the form is
 P = P^(-1) = I and C = M, and C^(-1) = M^(-1) is the back pass of that same
-pass, so an invertible M is eliminated once.  Below n the pass's right block
-is dropped, and M F = F C with M^k = F G gives C^k = G F, so C^(-1) is
-C^(k-1) (G F)^(-1): k - 1 products on the inverse P^(-1) already needs,
-with C C^(-1) = I as the guard that the factors fit (above k = 1; see
-below).  The form keeps C^(-1), so its Drazin inverse
-P diag(C^(-1), 0) P^(-1) and the dual forms built on it invert nothing.
-The Moore-Penrose inverse comes from a full-rank factorization M = F G by
-MacDuffee's formula.
+pass, so an invertible M is eliminated once.  Below n the pass's right
+block is dropped, and the form reads C and N off the factors, with no
+similarity product, on one route for every k.  M^(k+1) is both F G M and
+M F G, and the pivot columns of G are I, so M F = F (G M[:, pivots]) and
+C = G M[:, pivots].  Then F C^k = M^k F = F G F gives C^k = G F, so the
+form inverts C alone and takes (G F)^(-1) = C^(-k) by k - 1 products of
+r x r blocks.  M maps the null space of M^k, spanned by Z, into itself,
+and G Z = 0, so the off-diagonal blocks of P^(-1) M P vanish and
+N = S M Z, the free rows of M Z; at k = 1, M Z = F G Z = 0 and N = 0.  The
+form keeps C^(-1), so its Drazin inverse P diag(C^(-1), 0) P^(-1) and the
+dual forms built on it invert nothing.  The Moore-Penrose inverse comes
+from a full-rank factorization M = F G by MacDuffee's formula.
 
-At k = 1, M = F G itself.  P^(-1) F is the first r columns of I and
-G P = [G F | G Z] = [G F | 0], so P^(-1) M P = diag(G F, 0): C = G F,
-C^(-1) = (G F)^(-1) and N = 0, all at hand, and the form takes no
-similarity product and no guard product there.  Checked mode, the private
-switch ``_checked``, is off by default and turned on for every test.  With
-it on, the form at k = 1 also forms P^(-1) M P and runs the guards of the
-other indices on it, block-diagonal, C C^(-1) = I and N^k = 0, which
-together say that it is diag(G F, 0); and at every index it checks
-N^k = 0, which costs k - 1 products of the (n - r) x (n - r) block.
+No guard of the form runs in production: only checked mode, the private
+switch ``_checked``, off by default and turned on for every test, runs
+them, in ``_check_form``.
 """
 
 from __future__ import annotations
@@ -140,47 +138,48 @@ def _core_nilpotent_at(
         # the reduced form of an invertible M is I, which is also P
         m_inv = _inverse_of_bordered(*bordered)
         return CoreNilpotentDecomposition(g, g, m, RealMatrix.zeros(0, 0), r, k, m_inv)
-    p = hstack(f, _null_basis(g, pivots, size))
-    # G Z = 0 and the free rows of Z are I (see the module docstring); G F is
-    # invertible exactly when P is, and at r = 0 both factors are empty
-    gf = g @ f
-    gf_inv = inverse(gf)
+    # C, (G F)^(-1) = C^(-k) and N as the module docstring derives them
+    c = g @ m.columns_at(pivots)
+    if _checked:
+        _check_form(m, k, c, g @ f)
+    c_inv = gf_inv = inverse(c)
+    for _ in range(k - 1):
+        gf_inv = gf_inv @ c_inv
     top = gf_inv @ g
     free = [j for j in range(size) if j not in pivots]
     eye = RealMatrix.identity(size).nums
     s = _make(len(free), size, tuple(eye[j] for j in free), 1)
     f_free = _reduced(len(free), r, tuple(f.nums[j] for j in free), f.den)
+    z = _null_basis(g, pivots, size)
+    n = RealMatrix.zeros(size - r, size - r) if k == 1 else (
+        _reduced(len(free), size, tuple(m.nums[j] for j in free), m.den) @ z
+    )
     p_inv = vstack(top, s - f_free @ top)
-    if k == 1:
-        # M = F G and G P = [G F | 0], so P^(-1) M P = diag(G F, 0)
-        if _checked:
-            _guarded_blocks(p_inv @ m @ p, r, k, gf_inv)
-        return CoreNilpotentDecomposition(
-            p, p_inv, gf, RealMatrix.zeros(size - r, size - r), r, k, gf_inv
-        )
-    c, n, c_inv = _guarded_blocks(p_inv @ m @ p, r, k, gf_inv)
-    return CoreNilpotentDecomposition(p, p_inv, c, n, r, k, c_inv)
+    form = CoreNilpotentDecomposition(hstack(f, z), p_inv, c, n, r, k, c_inv)
+    if _checked:
+        _check_form(m, k, c, form=form)
+    return form
 
 
-def _guarded_blocks(similar: RealMatrix, r: int, k: int, gf_inv: RealMatrix):
-    """(C, N, C^(-1)) read off similar = P^(-1) M P, with
-    C^(-1) = C^(k-1) (G F)^(-1).  Raises unless similar is diag(C, N) and
-    C C^(-1) = I, and in checked mode unless N^k = 0."""
-    size = similar.rows
+def _check_form(m: RealMatrix, k: int, c: RealMatrix, gf=None, form=None) -> None:
+    """Checked mode's guards on the real form below r = n.  Given G F, before
+    C is inverted, it checks C^k = G F, so that factors that do not belong
+    to M raise here and not as a singular C; given the finished form, it
+    checks P^(-1) M P = diag(C, N), which covers the block-diagonal shape
+    and both blocks, and N^k = 0."""
+    if form is None:
+        if c**k != gf:
+            raise InternalInvariantViolation("C^k is not G F")
+        return
+    similar = form.p_inv @ m @ form.p
+    r, size = form.r, m.rows
     upper, lower = similar.nums[:r], similar.nums[r:]
     if any(any(row[r:]) for row in upper) or any(any(row[:r]) for row in lower):
         raise InternalInvariantViolation("similarity transform is not block diagonal")
-    c = similar.submatrix(0, r, 0, r)
-    # M F = F C and M^k = F G give C^k = G F, so C^(-1) = C^(k-1) (G F)^(-1)
-    c_inv = gf_inv
-    for _ in range(k - 1):
-        c_inv = c @ c_inv
-    if c @ c_inv != RealMatrix.identity(r):
-        raise InternalInvariantViolation("C^(k-1) (G F)^(-1) does not invert the core block")
-    n = similar.submatrix(r, size, r, size)
-    if _checked and not (n**k).is_zero:
+    if similar.submatrix(0, r, 0, r) != c or similar.submatrix(r, size, r, size) != form.n:
+        raise InternalInvariantViolation("similarity transform's blocks are not C and N")
+    if not (form.n**k).is_zero:
         raise InternalInvariantViolation("nilpotent block survives power k")
-    return c, n, c_inv
 
 
 def _conjugate(p, q, r: int, top=None, bottom=None):

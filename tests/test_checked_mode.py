@@ -1,15 +1,17 @@
 """Checked mode changes no result, and a fresh process runs without it.
 
-``real_inverses._checked`` makes the real form also take the similarity
-P^(-1) M P at index 1 and the powers N^k at every index, only to check them.
-So with it on and off, the real form, the WDDI, the WDGI, the DGI and both
-solvers give equal results, or raise the same error with the same message
-and witness, on every fixture file and every square dual matrix of
-``cases``.  The test suite turns checked mode on in ``conftest``; a plain
-``import dualinv`` leaves it off.
+``real_inverses._checked`` makes the real form also take C^k, G F, the
+similarity P^(-1) M P and the powers N^k, at every index, only to check
+them.  So with it on and off, the real form, the WDDI, the WDGI, the DGI
+and both solvers give equal results, or raise the same error with the same
+message and witness, on every fixture file, every square dual matrix of
+``cases`` and ``rand_high_index`` inputs at index 3 and 4.  The test
+suite turns checked mode on in ``conftest``; a plain ``import dualinv``
+leaves it off.
 """
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -20,18 +22,25 @@ import dualinv
 from dualinv import DualMatrix, parse_matrix, real_inverses
 
 import cases
+import support
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _matrices():
-    """(name, matrix) for every fixture file and every dual matrix of cases."""
+    """(name, matrix) for every fixture file, every dual matrix of cases and
+    rand_high_index inputs at index 3 and 4, with the DDI and without."""
     for path in sorted(FIXTURES.glob("*.json")):
         yield path.name, parse_matrix(path.read_bytes())
     for name, value in sorted(vars(cases).items()):
         if isinstance(value, DualMatrix):
             yield name, value
+    rng = random.Random(197)
+    for aind in (3, 4):
+        for present in (True, False):
+            a = support.rand_high_index(rng, aind + 3, aind, present)
+            yield f"high_index_{aind}_{present}", a
 
 
 MATRICES = dict(_matrices())
@@ -76,8 +85,8 @@ def test_the_inputs_reach_every_kind_of_form():
     kinds = set()
     for name in SQUARE:
         form = real_inverses.core_nilpotent(MATRICES[name].std)
-        kinds.add("r = n" if form.r == form.p.rows else f"k = {min(form.k, 2)}")
-    assert kinds == {"r = n", "k = 1", "k = 2"}
+        kinds.add("r = n" if form.r == form.p.rows else f"k = {form.k}")
+    assert kinds == {"r = n", "k = 1", "k = 2", "k = 3", "k = 4"}
 
 
 def test_a_fresh_import_leaves_checked_mode_off():

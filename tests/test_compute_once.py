@@ -18,12 +18,12 @@ distinct object gets an analysis of its own (nothing is keyed on value),
 analysing another object releases the first (memory stays bounded), and a
 part whose construction raised is built again on the next call.  No form
 inverts the n x n P: it reads P^(-1) off M^k = F G and inverts the r x r
-G F.  An invertible standard part forms no power of M and no G F, and no
+C alone.  An invertible standard part forms no power of M and no G F, and no
 call, the real drazin and group_inverse included, multiplies a RealMatrix
 by an identity factor there, where P = I, or by an empty block of P.
-At index 1 the form is diag(G F, 0) and takes no similarity P^(-1) M P
-and no guard product; only checked mode forms them there, and only checked
-mode powers N above index 1.
+At every index the form reads C and N off the factors and takes no
+similarity P^(-1) M P and no guard product; only checked mode forms them,
+and only checked mode powers N.
 
 The index reads each rank off a forward elimination alone: its first pass
 is that of [M | I], with pivots sought in M's columns, so on an invertible
@@ -344,8 +344,8 @@ def _recording_forward(seen):
 def test_invertible_standard_part_skips_the_index(counts, monkeypatch):
     # one forward pass runs on M, that of [M | I] (its rank ends the index
     # at 1 with no power of M), and one back pass, which reads
-    # C^(-1) = M^(-1) off it; inverse, which only G F and C need below
-    # r = n, never runs
+    # C^(-1) = M^(-1) off it; inverse, which only C needs below r = n,
+    # never runs
     rng = random.Random(131)
     inputs = [support.rand_dual_invertible_std(rng, n) for n in (1, 3, 5)]
     references = [dual_linear.dual_inverse(a) for a in inputs]
@@ -440,10 +440,10 @@ def test_the_index_of_a_singular_matrix_runs_one_back_pass_on_a_row_basis(monkey
 
 
 def test_the_form_inverts_only_the_r_x_r_block(monkeypatch):
-    # P^(-1) is read off M^k = F G, so inverse sees the r x r block G F once,
-    # and never P or C: C^(-1) is C^(k-1) (G F)^(-1), and at k = 1 C is that
-    # very G F; at r = 0 G F is empty.  The form keeps C^(-1), so its Drazin
-    # inverse inverts nothing
+    # P^(-1) is read off M^k = F G, so inverse sees the r x r core block
+    # C = G M[:, pivots] once, at every index, and never P or G F:
+    # (G F)^(-1) is C^(-k); at r = 0 C is empty.  The form keeps C^(-1), so
+    # its Drazin inverse inverts nothing
     inverted = []
     original = real_inverses.inverse
     monkeypatch.setattr(real_inverses, "inverse", _recording(original, inverted))
@@ -458,20 +458,18 @@ def test_the_form_inverts_only_the_r_x_r_block(monkeypatch):
         form = real_inverses.core_nilpotent(m)
         r = form.r
         assert r < m.rows
-        assert [args[0].shape for args in inverted] == [(r, r)]
-        _, f, (g, _), _ = real_inverses._index_power(m)
-        assert inverted[0][0] == g @ f
-        assert (inverted[0][0] is form.c) == (form.k == 1)
+        assert len(inverted) == 1 and inverted[0][0] is form.c
+        assert form.c.shape == (r, r)
         seen_k.add(form.k)
         inverted.clear()
         form.drazin()
         assert inverted == []
         real_inverses.drazin(m)
-        # G F of the form drazin builds
+        # C of the form drazin builds
         assert [args[0].shape for args in inverted] == [(r, r)]
         empty += r == 0
     assert empty >= 5
-    assert {1, 2} <= seen_k
+    assert {1, 2, 3} <= seen_k
 
 
 def _aind1_inputs():
@@ -509,29 +507,45 @@ def form_products(monkeypatch):
     return seen
 
 
+def _form_inputs():
+    """Inputs whose standard part has index 1 to 4 below r = n, at r = 0
+    and 0 < r < n."""
+    yield from _aind1_inputs()
+    rng = random.Random(181)
+    for n, aind in ((5, 2), (6, 3), (7, 4), (4, 2), (6, 2), (5, 3), (6, 4)):
+        yield support.rand_high_index(rng, n, aind, dind=aind)
+
+
 @pytest.mark.parametrize("checked", [False, True])
-def test_at_index_1_only_checked_mode_forms_the_similarity(form_products, monkeypatch, checked):
-    # the form is diag(G F, 0) by algebra; checked mode forms P^(-1) M P once
-    # and runs the guards on it, C C^(-1) = I among them
+def test_only_checked_mode_forms_the_similarity(form_products, monkeypatch, checked):
+    # the form reads C and N off the factors, so production takes no
+    # n x n by n x n product but N = M Z at r = 0 above index 1, where
+    # Z = I; checked mode forms P^(-1) M P once and checks it, and at r = 0
+    # its k - 1 products for N^k are n x n too.  The r x r products are the
+    # k - 1 of C^(-k), and checked mode's k - 1 of C^k
     monkeypatch.setattr(real_inverses, "_checked", checked)
-    ranks = set()
-    for a in _aind1_inputs():
+    seen = set()
+    for a in _form_inputs():
         n = a.rows
-        for call in (wdgi, lambda a: real_inverses.group_inverse(a.std)):
+        for call in (wddi, lambda a: real_inverses.drazin(a.std)):
             form_products.clear()
             call(a)
             cn = block_decomposition._analysis(a).cn
-            r = cn.r
-            assert cn.k == 1 and r < n
-            square = [p for p in form_products if (n, n) in p[:2]]
-            guard = [p for p in form_products if p[:2] == ((r, r), (r, r))]
+            k, r = cn.k, cn.r
+            assert r < n
+            square = [p for p in form_products if p[:2] == ((n, n), (n, n))]
+            expected = [((n, n), (n, n), False)] if r == 0 and k > 1 else []
             if checked:
-                assert square == [((n, n), (n, n), True), ((n, n), (n, n), False)]
-                assert len(guard) == 1
-            else:
-                assert square == [] and guard == [], form_products
-        ranks.add("r = 0" if r == 0 else "0 < r < n")
-    assert ranks == {"r = 0", "0 < r < n"}
+                expected += [((n, n), (n, n), True), ((n, n), (n, n), False)]
+                expected += [((n, n), (n, n), False)] * (k - 1) * (r == 0)
+            assert square == expected, form_products
+            if 2 * r != n:
+                core = [p for p in form_products if p[:2] == ((r, r), (r, r))]
+                assert len(core) == (k - 1) * (2 if checked else 1), form_products
+        seen.add((k, "r = 0" if r == 0 else "0 < r < n"))
+    assert {k for k, _ in seen} == {1, 2, 3, 4}
+    assert {(1, "r = 0"), (1, "0 < r < n"), (2, "0 < r < n")} <= seen
+    assert any(k > 1 and kind == "r = 0" for k, kind in seen), seen
 
 
 @pytest.mark.parametrize("checked", [False, True])

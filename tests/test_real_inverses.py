@@ -193,9 +193,10 @@ class TestCoreNilpotent:
 
     def test_the_core_inverse_matches_the_reference(self):
         # C^(-1) against the right block of rref([C | I]): at r = n it is
-        # M^(-1), read off the index's forward pass, and below n it is
-        # C^(k-1) (G F)^(-1), whose chain is longest at the highest index and
-        # whose entries are largest on dense rank-deficient p/q inputs
+        # M^(-1), read off the index's forward pass, and below n it is the
+        # inverse of C = G M[:, pivots], whose power C^(-k) for P^(-1) is
+        # longest at the highest index and whose entries are largest on dense
+        # rank-deficient p/q inputs
         rng = random.Random(53)
         inputs = []
         for n in range(9):
@@ -225,96 +226,85 @@ class TestCoreNilpotent:
         m = cases.DDI_ABSENT.std
         assert core_nilpotent(m) == core_nilpotent(m)
 
-    CORE_GUARD = re.escape("C^(k-1) (G F)^(-1) does not invert the core block")
-    # (m, M^k) pairs at k = 1 that do not belong together, each failing one
-    # guard; at k = 1 the guards run only in checked mode, which the test
-    # turns on itself
+    CORE_GUARD = re.escape("C^k is not G F")
+    BLOCK_DIAGONAL_GUARD = "similarity transform is not block diagonal"
+    # (m, M^k, message) at k = 1 for pairs that do not belong together, each
+    # failing one guard; the guards run only in checked mode, which each test
+    # turns on or off itself
     GUARD_CASES = {
-        "upper-block-nonzero": (
-            [[1, 1], [0, 0]],
-            [[1, 0], [1, 0]],
-            "similarity transform is not block diagonal",
-        ),
+        "upper-block-nonzero": ([[1, 1], [0, 0]], [[1, 0], [1, 0]], BLOCK_DIAGONAL_GUARD),
         # P = I, so the similar matrix is M: its one nonzero off-diagonal
         # entry, (0, 2), is in row 0 of the upper block
         "upper-block-row-0": (
             [[1, 0, 1], [0, 1, 0], [0, 0, 0]],
             [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
-            "similarity transform is not block diagonal",
+            BLOCK_DIAGONAL_GUARD,
         ),
-        "lower-block-nonzero": (
-            [[0, 0], [1, 0]],
-            [[1, 0], [0, 0]],
-            "similarity transform is not block diagonal",
-        ),
+        # C = G M[:, pivots] = [0] is singular and G F = [1], so C^k = G F
+        # fails before C is inverted
+        "lower-block-nonzero": ([[0, 0], [1, 0]], [[1, 0], [0, 0]], CORE_GUARD),
         "singular-core": ([[1, 0], [0, 0]], [[0, 0], [0, 1]], CORE_GUARD),
         # P = I and C = [2], which is invertible, but C^k = [2] is not G F = [1]
         "core-power-mismatch": ([[2, 0], [0, 0]], [[1, 0], [0, 0]], CORE_GUARD),
+        # P = I, so the similar matrix is M, whose nilpotent block is not the
+        # N = 0 that the form takes at k = 1
         "nilpotent-survives": (
             [[1, 0, 0], [0, 0, 1], [0, 0, 0]],
             [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
-            "nilpotent block survives power k",
+            re.escape("similarity transform's blocks are not C and N"),
         ),
     }
-
-    @pytest.mark.parametrize("case", sorted(GUARD_CASES))
-    def test_each_invariant_guard_fires_on_a_mismatched_power(self, case, monkeypatch):
-        monkeypatch.setattr(real_inverses, "_checked", True)
-        rows, power_rows, message = self.GUARD_CASES[case]
-        m, mk = RealMatrix.from_rows(rows), RealMatrix.from_rows(power_rows)
-        with pytest.raises(InternalInvariantViolation, match=f"^{message}$"):
-            real_inverses._core_nilpotent_at(m, 1, *_factors(mk, rref(mk)), None)
-
-    @pytest.mark.parametrize("case", sorted(GUARD_CASES))
-    def test_at_index_1_production_takes_diag_g_f_0_unchecked(self, case, monkeypatch):
-        # with checked mode off, k = 1 forms no similarity, so no guard sees
-        # the mismatch: C is G F and N is 0, whatever M is
-        monkeypatch.setattr(real_inverses, "_checked", False)
-        rows, power_rows, _ = self.GUARD_CASES[case]
-        m, mk = RealMatrix.from_rows(rows), RealMatrix.from_rows(power_rows)
-        f, (g, pivots) = _factors(mk, rref(mk))
-        form = real_inverses._core_nilpotent_at(m, 1, f, (g, pivots), None)
-        r = len(pivots)
-        assert (form.c, form.c_inv) == (g @ f, inverse(g @ f))
-        assert form.n == RealMatrix.zeros(m.rows - r, m.rows - r)
-
-    # (m, M^k, message, runs in production) at k = 2
+    # the same at k = 2
     GUARD_CASES_K2 = {
-        "upper-block-nonzero": (
-            [[1, 1], [0, 0]],
-            [[1, 0], [1, 0]],
-            "similarity transform is not block diagonal",
-            True,
-        ),
-        # C = [2], so C^(-1) = C (G F)^(-1) = [2] and C C^(-1) = [4]
-        "core-power-mismatch": ([[2, 0], [0, 0]], [[1, 0], [0, 0]], CORE_GUARD, True),
+        "upper-block-nonzero": ([[1, 1], [0, 0]], [[1, 0], [1, 0]], BLOCK_DIAGONAL_GUARD),
+        # C = [2], so C^k = [4] is not G F = [1]
+        "core-power-mismatch": ([[2, 0], [0, 0]], [[1, 0], [0, 0]], CORE_GUARD),
         # M^2 != 0, so r = 0, P = I and N = M, whose square is not 0
         "nilpotent-survives": (
             [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
             [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
             "nilpotent block survives power k",
-            False,
         ),
     }
+    ALL_GUARD_CASES = [(1, case) for case in sorted(GUARD_CASES)]
+    ALL_GUARD_CASES += [(2, case) for case in sorted(GUARD_CASES_K2)]
 
-    @pytest.mark.parametrize("checked", [False, True])
-    @pytest.mark.parametrize("case", sorted(GUARD_CASES_K2))
-    def test_above_index_1_only_the_nilpotency_guard_waits_for_checked_mode(
-        self, case, checked, monkeypatch
-    ):
-        monkeypatch.setattr(real_inverses, "_checked", checked)
-        rows, power_rows, message, in_production = self.GUARD_CASES_K2[case]
+    def _guard_case(self, k, case):
+        rows, power_rows, message = (self.GUARD_CASES if k == 1 else self.GUARD_CASES_K2)[case]
         m, mk = RealMatrix.from_rows(rows), RealMatrix.from_rows(power_rows)
-        factors = _factors(mk, rref(mk))
-        if checked or in_production:
-            with pytest.raises(InternalInvariantViolation, match=f"^{message}$"):
-                real_inverses._core_nilpotent_at(m, 2, *factors, None)
-        else:
-            assert real_inverses._core_nilpotent_at(m, 2, *factors, None).n == m
+        return m, _factors(mk, rref(mk)), message
+
+    @pytest.mark.parametrize("k, case", ALL_GUARD_CASES)
+    def test_each_invariant_guard_fires_on_a_mismatched_power(self, k, case, monkeypatch):
+        monkeypatch.setattr(real_inverses, "_checked", True)
+        m, factors, message = self._guard_case(k, case)
+        with pytest.raises(InternalInvariantViolation, match=f"^{message}$"):
+            real_inverses._core_nilpotent_at(m, k, *factors, None)
+
+    @pytest.mark.parametrize("k, case", ALL_GUARD_CASES)
+    def test_production_reads_the_blocks_off_the_factors_unchecked(self, k, case, monkeypatch):
+        # with checked mode off no guard runs, so none sees the mismatch: C
+        # is G M[:, pivots], N is 0 at k = 1 and the free rows of M Z above
+        # it, whatever M is, and only a singular C raises, as NotInvertible
+        monkeypatch.setattr(real_inverses, "_checked", False)
+        m, (f, (g, pivots)), _ = self._guard_case(k, case)
+        c = g @ m.columns_at(pivots)
+        if rank(c) < c.rows:
+            with pytest.raises(NotInvertible):
+                real_inverses._core_nilpotent_at(m, k, f, (g, pivots), None)
+            return
+        form = real_inverses._core_nilpotent_at(m, k, f, (g, pivots), None)
+        size, r = m.rows, len(pivots)
+        free = [j for j in range(size) if j not in pivots]
+        m_z = (m @ form.p.submatrix(0, size, r, size)).entries
+        n = RealMatrix.from_rows([m_z[j] for j in free], size - r)
+        assert (form.c, form.c_inv) == (c, inverse(c))
+        assert form.n == (RealMatrix.zeros(size - r, size - r) if k == 1 else n)
 
     def test_a_power_below_the_index_leaves_p_singular(self):
         # M^1 = M has index 2: its column space lies in its null space, so
-        # P = [F | Z] is singular, and so is G F = [0]
+        # P = [F | Z] is singular, and so is C = G M[:, pivots] = [0], which
+        # passes checked mode's C^k = G F = [0]
         m = RealMatrix.from_rows([[0, 1], [0, 0]])
         with pytest.raises(NotInvertible, match="^matrix of rank 0 is singular$"):
             real_inverses._core_nilpotent_at(m, 1, *_factors(m, rref(m)), None)

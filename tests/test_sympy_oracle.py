@@ -13,10 +13,10 @@ route shares nothing with ``_index_power``, ``_core_nilpotent_at`` or
 ``_conjugate``; a defect in those would show on one side only.
 
 The form reads P^(-1) off the factorization M^k = F G; ``inverse_reference``
-is the route it replaced, the right block of rref([P | I]).  At index 1 the
-form takes C = G F and N = 0 without forming P^(-1) M P; with checked mode
-off, so that the production path runs, sympy forms that similarity from the
-library's P and G F from its own reduced echelon form of M.
+is the route it replaced, the right block of rref([P | I]).  The form takes
+C = G M[:, pivots] and N without forming P^(-1) M P; with checked mode off,
+so that the production path runs, sympy forms that similarity from the
+library's P, and G M[:, pivots] from its own reduced echelon form of M^k.
 """
 
 import random
@@ -30,6 +30,7 @@ from dualinv import (
     ddi,
     existence_profile,
     index_profile,
+    rank,
     real_inverses,
     wddi,
 )
@@ -139,38 +140,46 @@ def test_p_inv_is_the_inverse_of_p():
             assert form.p == form.p_inv == RealMatrix.identity(m.rows)
 
 
-def _aind1(rng, n, r):
-    """P diag(C, 0) P^(-1) with C r x r invertible: index 1 and rank r."""
-    p = support.rand_invertible(rng, n)
-    core = support.block_diag(support.rand_invertible(rng, r), RealMatrix.zeros(n - r, n - r))
-    return p @ core @ support.inverse_reference(p)
-
-
-def _aind1_inputs():
-    """n 0-7, each at r = 0, r = n - 1 and a random r between them."""
+def _form_inputs():
+    """rand_high_index standard parts at index k from 1 to 4 and n from k
+    to 7, each at r = 0, at the largest r, n - k, and at a random r between
+    them where there is room; each is drawn until its r is the one sought."""
     rng = random.Random(2414)
-    for n in range(8):
-        for r in sorted({0, max(n - 1, 0), rng.randrange(1, n - 1) if n > 2 else 0}):
-            yield _aind1(rng, n, r), r
+    for k in (1, 2, 3, 4):
+        for n in range(k, 8):
+            for r in sorted({0, n - k, rng.randrange(1, n - k) if n - k > 1 else 0}):
+                m = support.rand_high_index(rng, n, k, dind=k).std
+                while rank(m**k) != r:
+                    m = support.rand_high_index(rng, n, k, dind=k).std
+                yield m
 
 
-def test_at_index_1_the_form_is_diag_g_f_0(monkeypatch):
+def test_the_form_is_read_off_the_factors_at_every_index(monkeypatch):
     sympy = pytest.importorskip("sympy")
     monkeypatch.setattr(real_inverses, "_checked", False)
-    ranks = set()
-    for m, r in _aind1_inputs():
+    kinds = set()
+    for m in _form_inputs():
         n = m.rows
         form = core_nilpotent(m)
-        assert (form.k, form.r) == (1, r), m
+        k, r = form.k, form.r
         m_s, p_s = _sympy(sympy, m), _sympy(sympy, form.p)
-        c_s = _sympy(sympy, form.c)
-        assert p_s.inv() * m_s * p_s == sympy.diag(c_s, sympy.zeros(n - r, n - r)), m
-        # M = F G: F the pivot columns of M, G the nonzero rows of rref(M)
-        reduced, pivots = m_s.rref()
-        f_s = m_s.extract(list(range(n)), list(pivots))
-        assert p_s.extract(list(range(n)), list(range(r))) == f_s
-        assert c_s == reduced.extract(list(range(r)), list(range(n))) * f_s
+        c_s, n_s = _sympy(sympy, form.c), _sympy(sympy, form.n)
+        assert (k, r) == (_index(m_s), (m_s**k).rank()), m
+        assert p_s.inv() * m_s * p_s == sympy.diag(c_s, n_s), m
+        # M^k = F G: F the pivot columns of M^k, G the nonzero rows of its
+        # reduced form, and C = G M[:, pivots]
+        reduced, pivots = (m_s**k).rref()
+        assert p_s.extract(list(range(n)), list(range(r))) == (m_s**k).extract(
+            list(range(n)), list(pivots)
+        )
+        assert c_s == reduced.extract(list(range(r)), list(range(n))) * m_s.extract(
+            list(range(n)), list(pivots)
+        )
         assert _sympy(sympy, form.c_inv) == c_s.inv()
-        assert form.n == RealMatrix.zeros(n - r, n - r)
-        ranks.add("r = 0" if r == 0 else "r = n - 1" if r == n - 1 else "0 < r < n - 1")
-    assert ranks == {"r = 0", "r = n - 1", "0 < r < n - 1"}
+        if k == 1:
+            assert form.n == RealMatrix.zeros(n - r, n - r)
+        kinds.add((k, "r = 0" if r == 0 else "r = n - 1" if r == n - 1 else "0 < r < n - 1"))
+    assert {k for k, _ in kinds} == {1, 2, 3, 4}
+    assert {(1, "r = 0"), (1, "r = n - 1"), (1, "0 < r < n - 1")} <= kinds
+    assert {(k, "r = 0") for k in (2, 3, 4)} <= kinds
+    assert {(k, "0 < r < n - 1") for k in (2, 3)} <= kinds
