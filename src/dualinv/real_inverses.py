@@ -28,10 +28,6 @@ N = S M Z, the free rows of M Z; at k = 1, M Z = F G Z = 0 and N = 0.  The
 form keeps C^(-1), so its Drazin inverse P diag(C^(-1), 0) P^(-1) and the
 dual forms built on it invert nothing.  The Moore-Penrose inverse comes
 from a full-rank factorization M = F G by MacDuffee's formula.
-
-No guard of the form runs in production: only checked mode, the private
-switch ``_checked``, off by default and turned on for every test, runs
-them, in ``_check_form``.
 """
 
 from __future__ import annotations
@@ -42,9 +38,6 @@ from .exceptions import DimensionError, IndexTooLarge, InternalInvariantViolatio
 from .matrices import RealMatrix, _Value, _make, _reduced, hstack, vstack
 from .elimination import _eliminate, _eliminate_bordered, _inverse_of_bordered
 from .elimination import _null_basis, _reduce, inverse, rref
-
-# checked mode (see the module docstring); no option or environment variable sets it
-_checked = False
 
 
 def index(m: RealMatrix) -> int:
@@ -140,8 +133,6 @@ def _core_nilpotent_at(
         return CoreNilpotentDecomposition(g, g, m, RealMatrix.zeros(0, 0), r, k, m_inv)
     # C, (G F)^(-1) = C^(-k) and N as the module docstring derives them
     c = g @ m.columns_at(pivots)
-    if _checked:
-        _check_form(m, k, c, g @ f)
     c_inv = gf_inv = inverse(c)
     for _ in range(k - 1):
         gf_inv = gf_inv @ c_inv
@@ -155,31 +146,7 @@ def _core_nilpotent_at(
         _reduced(len(free), size, tuple(m.nums[j] for j in free), m.den) @ z
     )
     p_inv = vstack(top, s - f_free @ top)
-    form = CoreNilpotentDecomposition(hstack(f, z), p_inv, c, n, r, k, c_inv)
-    if _checked:
-        _check_form(m, k, c, form=form)
-    return form
-
-
-def _check_form(m: RealMatrix, k: int, c: RealMatrix, gf=None, form=None) -> None:
-    """Checked mode's guards on the real form below r = n.  Given G F, before
-    C is inverted, it checks C^k = G F, so that factors that do not belong
-    to M raise here and not as a singular C; given the finished form, it
-    checks P^(-1) M P = diag(C, N), which covers the block-diagonal shape
-    and both blocks, and N^k = 0."""
-    if form is None:
-        if c**k != gf:
-            raise InternalInvariantViolation("C^k is not G F")
-        return
-    similar = form.p_inv @ m @ form.p
-    r, size = form.r, m.rows
-    upper, lower = similar.nums[:r], similar.nums[r:]
-    if any(any(row[r:]) for row in upper) or any(any(row[:r]) for row in lower):
-        raise InternalInvariantViolation("similarity transform is not block diagonal")
-    if similar.submatrix(0, r, 0, r) != c or similar.submatrix(r, size, r, size) != form.n:
-        raise InternalInvariantViolation("similarity transform's blocks are not C and N")
-    if not (form.n**k).is_zero:
-        raise InternalInvariantViolation("nilpotent block survives power k")
+    return CoreNilpotentDecomposition(hstack(f, z), p_inv, c, n, r, k, c_inv)
 
 
 def _conjugate(p, q, r: int, top=None, bottom=None):

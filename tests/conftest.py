@@ -1,4 +1,5 @@
-"""A time limit for collecting each test module and for running each test.
+"""A time limit for collecting each test module and for running each test,
+and the test oracle of the real core-nilpotent form.
 
 A defect that makes elimination loop forever, or that inflates exact
 coefficients without bound, would hang the suite instead of failing it, and
@@ -11,10 +12,11 @@ raises there.  The error derives from BaseException, so neither an
 it for an ordinary failure and runs on.  Where the platform has no SIGALRM
 there is no limit.
 
-The library's checked mode is turned on here, before any test module is
-collected, so every test and every input built at import runs the guards
-that production skips (see ``dualinv.real_inverses``).  A test that needs
-the production path turns it off with monkeypatch, which restores it.
+The oracle, ``support.core_nilpotent_oracle``, is installed here in place of
+``real_inverses._core_nilpotent_at``, before any test module is collected,
+so every test and every input built at import runs the guards of the form,
+which production does not run.  A test that needs the production function
+alone calls ``support.core_nilpotent_production``.
 """
 
 import signal
@@ -24,7 +26,9 @@ import pytest
 
 from dualinv import real_inverses
 
-real_inverses._checked = True
+import support
+
+real_inverses._core_nilpotent_at = support.core_nilpotent_oracle
 
 TIME_LIMIT_S = 60
 

@@ -29,6 +29,10 @@ The Fraction loops that the integer kernels of ``RealMatrix.__matmul__`` and
 stacked product is the reference for the dual half of ``DualMatrix @``, and so
 are the routes that ``inverse`` and the index took when each reduced a whole
 matrix: the right block of ``rref([M | I])`` and the ``rref`` of every power.
+The guards of the real core-nilpotent form, which production does not run,
+are a test oracle here (``core_nilpotent_oracle``): ``conftest`` installs it
+in place of ``real_inverses._core_nilpotent_at`` for the whole suite, and
+``core_nilpotent_production`` keeps the production function.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from dualinv import (
     ExistenceProfile,
     Inconsistent,
     IndexTooLarge,
+    InternalInvariantViolation,
     NotInvertible,
     ParametricDualSolutions,
     RealMatrix,
@@ -65,7 +70,7 @@ from dualinv import (
     vstack,
     wddi,
 )
-from dualinv import cli
+from dualinv import cli, real_inverses
 from dualinv.elimination import _null_basis
 from dualinv.equation_solvers import _check_column
 from dualinv.matrices import VERIFY_KINDS, _reduced, _Value
@@ -141,6 +146,36 @@ def index_power_reference(m: RealMatrix) -> tuple[int, RealMatrix, tuple]:
             return k, power, reduced
         power, reduced = power_next, reduced_next
     raise AssertionError("rank sequence failed to stabilize")
+
+
+# the production function, bound here before conftest installs the oracle below in its place
+core_nilpotent_production = real_inverses._core_nilpotent_at
+
+
+def core_nilpotent_oracle(m: RealMatrix, k: int, f: RealMatrix, echelon, bordered):
+    """``real_inverses._core_nilpotent_at`` with the guards of the real form
+    below r = n, which the library does not run.  Before the production
+    call it checks C^k = G F for C = G M[:, pivots], so factors that do not
+    belong to M raise InternalInvariantViolation here and not NotInvertible
+    at a singular C; on the form that call returns, it checks
+    P^(-1) M P = diag(C, N), which covers the block-diagonal shape and both
+    blocks, and N^k = 0.  It returns the production form unchanged."""
+    g, pivots = echelon
+    r, size = len(pivots), m.rows
+    if r == size:
+        return core_nilpotent_production(m, k, f, echelon, bordered)
+    if (g @ m.columns_at(pivots)) ** k != g @ f:
+        raise InternalInvariantViolation("C^k is not G F")
+    form = core_nilpotent_production(m, k, f, echelon, bordered)
+    similar = form.p_inv @ m @ form.p
+    upper, lower = similar.nums[:r], similar.nums[r:]
+    if any(any(row[r:]) for row in upper) or any(any(row[:r]) for row in lower):
+        raise InternalInvariantViolation("similarity transform is not block diagonal")
+    if similar.submatrix(0, r, 0, r) != form.c or similar.submatrix(r, size, r, size) != form.n:
+        raise InternalInvariantViolation("similarity transform's blocks are not C and N")
+    if not (form.n**k).is_zero:
+        raise InternalInvariantViolation("nilpotent block survives power k")
+    return form
 
 
 def rand_fraction(rng: random.Random, bound: int = 9) -> Fraction:

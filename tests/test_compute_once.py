@@ -22,8 +22,8 @@ C alone.  An invertible standard part forms no power of M and no G F, and no
 call, the real drazin and group_inverse included, multiplies a RealMatrix
 by an identity factor there, where P = I, or by an empty block of P.
 At every index the form reads C and N off the factors and takes no
-similarity P^(-1) M P and no guard product; only checked mode forms them,
-and only checked mode powers N.
+similarity P^(-1) M P, no power of N and no other guard product; only the
+test oracle in ``support`` forms them.
 
 The index reads each rank off a forward elimination alone: its first pass
 is that of [M | I], with pivots sought in M's columns, so on an invertible
@@ -484,18 +484,18 @@ def _aind1_inputs():
 @pytest.fixture
 def form_products(monkeypatch):
     """Record (left shape, right shape, right is M) for each RealMatrix
-    product taken inside the real form of M."""
+    product taken inside the production form of M, which runs in place of
+    the test oracle, so none of the oracle's products is recorded."""
     seen, inside = [], []
-    original_form = real_inverses._core_nilpotent_at
 
     def form(m, *args):
         inside.append(m)
         try:
-            return original_form(m, *args)
+            return support.core_nilpotent_production(m, *args)
         finally:
             inside.pop()
 
-    _patch_everywhere(monkeypatch, original_form, form)
+    monkeypatch.setattr(real_inverses, "_core_nilpotent_at", form)
     original = RealMatrix.__matmul__
 
     def recording(left, right):
@@ -516,14 +516,10 @@ def _form_inputs():
         yield support.rand_high_index(rng, n, aind, dind=aind)
 
 
-@pytest.mark.parametrize("checked", [False, True])
-def test_only_checked_mode_forms_the_similarity(form_products, monkeypatch, checked):
-    # the form reads C and N off the factors, so production takes no
-    # n x n by n x n product but N = M Z at r = 0 above index 1, where
-    # Z = I; checked mode forms P^(-1) M P once and checks it, and at r = 0
-    # its k - 1 products for N^k are n x n too.  The r x r products are the
-    # k - 1 of C^(-k), and checked mode's k - 1 of C^k
-    monkeypatch.setattr(real_inverses, "_checked", checked)
+def test_the_form_takes_no_similarity_product(form_products):
+    # the form reads C and N off the factors, so it takes no n x n by n x n
+    # product but N = M Z at r = 0 above index 1, where Z = I, and its only
+    # r x r products are the k - 1 of C^(-k)
     seen = set()
     for a in _form_inputs():
         n = a.rows
@@ -535,25 +531,19 @@ def test_only_checked_mode_forms_the_similarity(form_products, monkeypatch, chec
             assert r < n
             square = [p for p in form_products if p[:2] == ((n, n), (n, n))]
             expected = [((n, n), (n, n), False)] if r == 0 and k > 1 else []
-            if checked:
-                expected += [((n, n), (n, n), True), ((n, n), (n, n), False)]
-                expected += [((n, n), (n, n), False)] * (k - 1) * (r == 0)
             assert square == expected, form_products
             if 2 * r != n:
                 core = [p for p in form_products if p[:2] == ((r, r), (r, r))]
-                assert len(core) == (k - 1) * (2 if checked else 1), form_products
+                assert len(core) == k - 1, form_products
         seen.add((k, "r = 0" if r == 0 else "0 < r < n"))
     assert {k for k, _ in seen} == {1, 2, 3, 4}
     assert {(1, "r = 0"), (1, "0 < r < n"), (2, "0 < r < n")} <= seen
     assert any(k > 1 and kind == "r = 0" for k, kind in seen), seen
 
 
-@pytest.mark.parametrize("checked", [False, True])
-def test_above_index_1_only_checked_mode_powers_the_nilpotent_block(
-    form_products, monkeypatch, checked
-):
-    # N^k = 0 takes k - 1 products of the (n - r) x (n - r) block N
-    monkeypatch.setattr(real_inverses, "_checked", checked)
+def test_above_index_1_the_form_takes_no_power_of_the_nilpotent_block(form_products):
+    # N^k = 0, which only the oracle checks, would take k - 1 products of
+    # the (n - r) x (n - r) block N; the form takes none
     rng = random.Random(179)
     seen_k = set()
     for n, aind in ((5, 2), (6, 3), (7, 4), (7, 2)):
@@ -563,7 +553,7 @@ def test_above_index_1_only_checked_mode_powers_the_nilpotent_block(
         size = n - form.r
         assert form.k == aind and 2 * form.r != n
         powers = [p for p in form_products if p[:2] == ((size, size), (size, size))]
-        assert len(powers) == (aind - 1 if checked else 0), form_products
+        assert powers == [], form_products
         seen_k.add(form.k)
     assert seen_k == {2, 3, 4}
 

@@ -229,8 +229,8 @@ class TestCoreNilpotent:
     CORE_GUARD = re.escape("C^k is not G F")
     BLOCK_DIAGONAL_GUARD = "similarity transform is not block diagonal"
     # (m, M^k, message) at k = 1 for pairs that do not belong together, each
-    # failing one guard; the guards run only in checked mode, which each test
-    # turns on or off itself
+    # failing one guard; the guards are those of the test oracle, which
+    # conftest installs as real_inverses._core_nilpotent_at
     GUARD_CASES = {
         "upper-block-nonzero": ([[1, 1], [0, 0]], [[1, 0], [1, 0]], BLOCK_DIAGONAL_GUARD),
         # P = I, so the similar matrix is M: its one nonzero off-diagonal
@@ -275,25 +275,23 @@ class TestCoreNilpotent:
         return m, _factors(mk, rref(mk)), message
 
     @pytest.mark.parametrize("k, case", ALL_GUARD_CASES)
-    def test_each_invariant_guard_fires_on_a_mismatched_power(self, k, case, monkeypatch):
-        monkeypatch.setattr(real_inverses, "_checked", True)
+    def test_each_invariant_guard_fires_on_a_mismatched_power(self, k, case):
         m, factors, message = self._guard_case(k, case)
         with pytest.raises(InternalInvariantViolation, match=f"^{message}$"):
             real_inverses._core_nilpotent_at(m, k, *factors, None)
 
     @pytest.mark.parametrize("k, case", ALL_GUARD_CASES)
-    def test_production_reads_the_blocks_off_the_factors_unchecked(self, k, case, monkeypatch):
-        # with checked mode off no guard runs, so none sees the mismatch: C
-        # is G M[:, pivots], N is 0 at k = 1 and the free rows of M Z above
+    def test_production_reads_the_blocks_off_the_factors_with_no_guard(self, k, case):
+        # the production function runs no guard, so none sees the mismatch:
+        # C is G M[:, pivots], N is 0 at k = 1 and the free rows of M Z above
         # it, whatever M is, and only a singular C raises, as NotInvertible
-        monkeypatch.setattr(real_inverses, "_checked", False)
         m, (f, (g, pivots)), _ = self._guard_case(k, case)
         c = g @ m.columns_at(pivots)
         if rank(c) < c.rows:
             with pytest.raises(NotInvertible):
-                real_inverses._core_nilpotent_at(m, k, f, (g, pivots), None)
+                support.core_nilpotent_production(m, k, f, (g, pivots), None)
             return
-        form = real_inverses._core_nilpotent_at(m, k, f, (g, pivots), None)
+        form = support.core_nilpotent_production(m, k, f, (g, pivots), None)
         size, r = m.rows, len(pivots)
         free = [j for j in range(size) if j not in pivots]
         m_z = (m @ form.p.submatrix(0, size, r, size)).entries
@@ -304,7 +302,7 @@ class TestCoreNilpotent:
     def test_a_power_below_the_index_leaves_p_singular(self):
         # M^1 = M has index 2: its column space lies in its null space, so
         # P = [F | Z] is singular, and so is C = G M[:, pivots] = [0], which
-        # passes checked mode's C^k = G F = [0]
+        # passes the oracle's C^k = G F = [0]
         m = RealMatrix.from_rows([[0, 1], [0, 0]])
         with pytest.raises(NotInvertible, match="^matrix of rank 0 is singular$"):
             real_inverses._core_nilpotent_at(m, 1, *_factors(m, rref(m)), None)

@@ -14,9 +14,9 @@ route shares nothing with ``_index_power``, ``_core_nilpotent_at`` or
 
 The form reads P^(-1) off the factorization M^k = F G; ``inverse_reference``
 is the route it replaced, the right block of rref([P | I]).  The form takes
-C = G M[:, pivots] and N without forming P^(-1) M P; with checked mode off,
-so that the production path runs, sympy forms that similarity from the
-library's P, and G M[:, pivots] from its own reduced echelon form of M^k.
+C = G M[:, pivots] and N without forming P^(-1) M P; sympy forms that
+similarity from the library's P, and G M[:, pivots] from its own reduced
+echelon form of M^k.
 """
 
 import random
@@ -31,7 +31,6 @@ from dualinv import (
     existence_profile,
     index_profile,
     rank,
-    real_inverses,
     wddi,
 )
 
@@ -154,9 +153,8 @@ def _form_inputs():
                 yield m
 
 
-def test_the_form_is_read_off_the_factors_at_every_index(monkeypatch):
+def test_the_form_is_read_off_the_factors_at_every_index():
     sympy = pytest.importorskip("sympy")
-    monkeypatch.setattr(real_inverses, "_checked", False)
     kinds = set()
     for m in _form_inputs():
         n = m.rows

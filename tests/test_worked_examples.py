@@ -7,8 +7,9 @@ to change) with
 
     PYTHONPATH=src python scripts/worked_examples.py > tests/golden/worked_examples.txt
 
-The script runs once as a process of its own, where the library's checked
-mode is off, and once in this process, where the suite has turned it on.
+The script runs once as a process of its own, on the production form, and
+once in this process, where the suite has installed the form's test oracle
+(see ``conftest``).
 """
 
 import os
@@ -32,6 +33,6 @@ def test_worked_examples_match_golden_bytes():
     assert out == GOLDEN.read_bytes()
 
 
-def test_worked_examples_match_golden_bytes_in_checked_mode(capsys):
+def test_worked_examples_match_golden_bytes_under_the_form_oracle(capsys):
     runpy.run_path(str(SCRIPT), run_name="__main__")
     assert capsys.readouterr().out.encode() == GOLDEN.read_bytes()
