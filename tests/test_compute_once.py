@@ -481,21 +481,19 @@ def _aind1_inputs():
     yield from (_index1_with_bottom_block(rng, 5, r, 1) for r in (1, 2, 4))
 
 
-@pytest.fixture
-def form_products(monkeypatch):
-    """Record (left shape, right shape, right is M) for each RealMatrix
-    product taken inside the production form of M, which runs in place of
-    the test oracle, so none of the oracle's products is recorded."""
+def _record_products(monkeypatch, form):
+    """Install form in place of the real form of M and record (left shape,
+    right shape, right is M) for each RealMatrix product taken inside it."""
     seen, inside = [], []
 
-    def form(m, *args):
+    def recorded_form(m, *args):
         inside.append(m)
         try:
-            return support.core_nilpotent_production(m, *args)
+            return form(m, *args)
         finally:
             inside.pop()
 
-    monkeypatch.setattr(real_inverses, "_core_nilpotent_at", form)
+    monkeypatch.setattr(real_inverses, "_core_nilpotent_at", recorded_form)
     original = RealMatrix.__matmul__
 
     def recording(left, right):
@@ -507,6 +505,20 @@ def form_products(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def form_products(monkeypatch):
+    """The products of the production form of M, which runs in place of the
+    test oracle, so none of the oracle's products is recorded."""
+    return _record_products(monkeypatch, support.core_nilpotent_production)
+
+
+@pytest.fixture
+def oracle_products(monkeypatch):
+    """The products of the test oracle's form of M: the production form's
+    and those of the oracle's guards."""
+    return _record_products(monkeypatch, support.core_nilpotent_oracle)
+
+
 def _form_inputs():
     """Inputs whose standard part has index 1 to 4 below r = n, at r = 0
     and 0 < r < n."""
@@ -516,46 +528,80 @@ def _form_inputs():
         yield support.rand_high_index(rng, n, aind, dind=aind)
 
 
-def test_the_form_takes_no_similarity_product(form_products):
-    # the form reads C and N off the factors, so it takes no n x n by n x n
-    # product but N = M Z at r = 0 above index 1, where Z = I, and its only
-    # r x r products are the k - 1 of C^(-k)
+def _each_form(products):
+    """Run wddi and the real Drazin inverse on each of _form_inputs, with
+    products cleared before each call, and yield (n, k, r) after it; once
+    all have run, check that they reach k = 1 to 4 at r = 0 and 0 < r < n."""
     seen = set()
     for a in _form_inputs():
-        n = a.rows
         for call in (wddi, lambda a: real_inverses.drazin(a.std)):
-            form_products.clear()
+            products.clear()
             call(a)
             cn = block_decomposition._analysis(a).cn
-            k, r = cn.k, cn.r
-            assert r < n
-            square = [p for p in form_products if p[:2] == ((n, n), (n, n))]
-            expected = [((n, n), (n, n), False)] if r == 0 and k > 1 else []
-            assert square == expected, form_products
-            if 2 * r != n:
-                core = [p for p in form_products if p[:2] == ((r, r), (r, r))]
-                assert len(core) == k - 1, form_products
-        seen.add((k, "r = 0" if r == 0 else "0 < r < n"))
+            assert cn.r < a.rows
+            yield a.rows, cn.k, cn.r
+            seen.add((cn.k, "r = 0" if cn.r == 0 else "0 < r < n"))
     assert {k for k, _ in seen} == {1, 2, 3, 4}
     assert {(1, "r = 0"), (1, "0 < r < n"), (2, "0 < r < n")} <= seen
     assert any(k > 1 and kind == "r = 0" for k, kind in seen), seen
 
 
-def test_above_index_1_the_form_takes_no_power_of_the_nilpotent_block(form_products):
-    # N^k = 0, which only the oracle checks, would take k - 1 products of
-    # the (n - r) x (n - r) block N; the form takes none
+def test_the_form_takes_no_similarity_product(form_products):
+    # the form reads C and N off the factors, so it takes no n x n by n x n
+    # product but N = M Z at r = 0 above index 1, where Z = I, and its only
+    # r x r products are the k - 1 of C^(-k)
+    for n, k, r in _each_form(form_products):
+        square = [p for p in form_products if p[:2] == ((n, n), (n, n))]
+        expected = [((n, n), (n, n), False)] if r == 0 and k > 1 else []
+        assert square == expected, form_products
+        if 2 * r != n:
+            core = [p for p in form_products if p[:2] == ((r, r), (r, r))]
+            assert len(core) == k - 1, form_products
+
+
+def test_only_the_oracle_forms_the_similarity(oracle_products):
+    # on top of the production products the oracle forms P^(-1) M P once to
+    # check it, and at r = 0 its k - 1 products for N^k are n x n too; its
+    # k - 1 r x r products of C^k join the k - 1 of C^(-k)
+    for n, k, r in _each_form(oracle_products):
+        square = [p for p in oracle_products if p[:2] == ((n, n), (n, n))]
+        expected = [((n, n), (n, n), True), ((n, n), (n, n), False)]
+        expected += [((n, n), (n, n), False)] * (k - 1) * (r == 0)
+        if r == 0 and k > 1:
+            expected.insert(0, ((n, n), (n, n), False))
+        assert square == expected, oracle_products
+        if 2 * r != n:
+            core = [p for p in oracle_products if p[:2] == ((r, r), (r, r))]
+            assert len(core) == 2 * (k - 1), oracle_products
+
+
+def _high_index_forms(products):
+    """The real form of inputs at index 2 to 4 below r = n with 2 r != n,
+    with products cleared before each; yield (form, n - r) after it."""
     rng = random.Random(179)
     seen_k = set()
     for n, aind in ((5, 2), (6, 3), (7, 4), (7, 2)):
         m = support.rand_high_index(rng, n, aind, dind=aind).std
-        form_products.clear()
+        products.clear()
         form = real_inverses.core_nilpotent(m)
-        size = n - form.r
         assert form.k == aind and 2 * form.r != n
-        powers = [p for p in form_products if p[:2] == ((size, size), (size, size))]
-        assert powers == [], form_products
+        yield form, n - form.r
         seen_k.add(form.k)
     assert seen_k == {2, 3, 4}
+
+
+def test_above_index_1_the_form_takes_no_power_of_the_nilpotent_block(form_products):
+    # N^k = 0, which only the oracle checks, would take k - 1 products of
+    # the (n - r) x (n - r) block N; the form takes none
+    for form, size in _high_index_forms(form_products):
+        powers = [p for p in form_products if p[:2] == ((size, size), (size, size))]
+        assert powers == [], form_products
+
+
+def test_above_index_1_only_the_oracle_powers_the_nilpotent_block(oracle_products):
+    for form, size in _high_index_forms(oracle_products):
+        powers = [p for p in oracle_products if p[:2] == ((size, size), (size, size))]
+        assert len(powers) == form.k - 1, oracle_products
 
 
 def _index_profile_inputs():

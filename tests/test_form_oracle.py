@@ -7,10 +7,14 @@ which production does not run, and ``conftest`` installs it in place of the
 production function before any test module is collected.  So on every
 fixture file, every square dual matrix of ``cases`` and ``rand_high_index``
 inputs at index 3 and 4 its form equals the production function's, and
-those inputs reach r = n and every index from 1 to 4.
+those inputs reach r = n and every index from 1 to 4.  A plain
+``import dualinv`` installs no oracle: it runs the production function.
 """
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +25,7 @@ import cases
 import support
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 # the form this module's collection ran, and its inputs built at import
 INSTALLED_AT_COLLECTION = real_inverses._core_nilpotent_at
 
@@ -64,3 +69,20 @@ def test_the_inputs_reach_every_kind_of_form():
 def test_the_suite_runs_with_the_oracle_installed():
     assert INSTALLED_AT_COLLECTION is support.core_nilpotent_oracle
     assert real_inverses._core_nilpotent_at is support.core_nilpotent_oracle
+
+
+def test_a_fresh_import_runs_the_production_form():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = (
+        "import dualinv.real_inverses as r; f = r._core_nilpotent_at; "
+        "print(f.__module__, f.__qualname__, hasattr(r, '_checked'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "dualinv.real_inverses _core_nilpotent_at False\n"
+    production = support.core_nilpotent_production
+    assert (production.__module__, production.__qualname__) == (
+        "dualinv.real_inverses",
+        "_core_nilpotent_at",
+    )
