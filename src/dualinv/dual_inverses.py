@@ -20,6 +20,22 @@ exists exactly when dind = 1 (E22 = 0).  The form, K22 and dind come from
 the analysis block_decomposition keeps of the last dual matrix asked about,
 so several calls on the same object build them once.
 
+When the DGI does not exist, its witness (I - M M+) M0 (I - M+ M) is read
+off the same form, with no M+.  At aind 1, M = P diag(C, 0) P^(-1), so
+U = P^(-1)[r:, :]^T has U^T M = [0 I] diag(C, 0) P^(-1) = 0 and Z = P[:, r:]
+has M Z = 0.  Both have full column rank n - r, the nullity of M, so U
+spans null(M^T) and Z null(M), and the orthogonal projectors onto them are
+
+    I - M M+ = U (U^T U)^(-1) U^T,   I - M+ M = Z (Z^T Z)^(-1) Z^T.
+
+U^T M0 Z is the bottom right block of P^(-1) M0 P, which is E22, the dual
+part of N^, so
+
+    (I - M M+) M0 (I - M+ M) = U (U^T U)^(-1) E22 (Z^T Z)^(-1) Z^T:
+
+two (n - r) x (n - r) Gram inverses and thin products.  At r = 0,
+P = P^(-1) = I, so U = Z = I and the witness is M0.
+
 existence_profile reads all three characterizations off the same form.
 P^ keeps both ranks, C^^k is dual-invertible and N^^k = eps*K22, so
 arank(A^^k) = r and drank(A^^k) = r + rank(K22): the two ranks agree exactly
@@ -33,7 +49,7 @@ from __future__ import annotations
 from .exceptions import DoesNotExist, IndexTooLarge
 from .exceptions import DimensionError, InternalInvariantViolation
 from .matrices import VERIFY_KINDS, DualMatrix, RealMatrix, _Value, dual_power
-from .real_inverses import _macduffee
+from .elimination import inverse
 from .block_decomposition import _analysis, _check_square
 
 
@@ -108,18 +124,21 @@ def dgi(a: DualMatrix) -> DualMatrix:
 
     Raises IndexTooLarge when aind > 1 and DoesNotExist (with the witness
     (I - M M+) M0 (I - M+ M)) when dind > 1, i.e. E22 != 0 in the block
-    form; the witness is formed only then.  When it exists it coincides
-    with the WDGI.
+    form; the witness is formed only then, as U (U^T U)^(-1) E22
+    (Z^T Z)^(-1) Z^T with U^T = P^(-1)[r:, :] and Z = P[:, r:] (see the
+    module docstring).  When it exists it coincides with the WDGI.
     """
     analysis = _analysis(a)
     if analysis.aind != 1:
         raise IndexTooLarge(f"dual group inverse needs aind 1, got {analysis.aind}")
     if analysis.bottom[1] != 1:
-        # at aind 1, N = 0, so M = P[:, :r] C P^(-1)[:r, :] off the form
         cn, n = analysis.cn, a.rows
-        mp = _macduffee(a.std, cn.p.submatrix(0, n, 0, cn.r), cn.p_inv.submatrix(0, cn.r, 0, n))
-        eye = RealMatrix.identity(n)
-        witness = (eye - a.std @ mp) @ a.dual @ (eye - mp @ a.std)
+        u_t, z = cn.p_inv.submatrix(cn.r, n, 0, n), cn.p.submatrix(0, n, cn.r, n)
+        u, z_t = u_t.T, z.T
+        e22 = analysis.e_nhat[1].dual
+        # the (n - r) x (n - r) middle first, the order with the fewest
+        # multiply-adds
+        witness = u @ (inverse(u_t @ u) @ e22 @ inverse(z_t @ z)) @ z_t
         if witness.is_zero:
             raise InternalInvariantViolation("dind > 1 but the DGI witness vanishes")
         raise DoesNotExist("dual group inverse does not exist", witness)

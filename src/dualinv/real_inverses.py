@@ -26,8 +26,10 @@ r x r blocks.  M maps the null space of M^k, spanned by Z, into itself,
 and G Z = 0, so the off-diagonal blocks of P^(-1) M P vanish and
 N = S M Z, the free rows of M Z; at k = 1, M Z = F G Z = 0 and N = 0.  The
 form keeps C^(-1), so its Drazin inverse P diag(C^(-1), 0) P^(-1) and the
-dual forms built on it invert nothing.  The Moore-Penrose inverse comes
-from a full-rank factorization M = F G by MacDuffee's formula.
+dual forms built on it invert nothing.  moore_penrose alone forms M+, from
+the full-rank factorization M = F G of rref(M) by MacDuffee's formula;
+the DGI's witness reads its projectors off P and P^(-1) instead (see
+``dual_inverses``).
 """
 
 from __future__ import annotations
@@ -180,15 +182,10 @@ def moore_penrose(m: RealMatrix) -> RealMatrix:
     """Moore-Penrose inverse via a full-rank factorization M = F G.
 
     F collects the pivot columns of M, G the nonzero rows of its reduced
-    echelon form.
+    echelon form, and M+ = G^T (F^T M G^T)^(-1) F^T by MacDuffee's formula,
+    since F^T M G^T = (F^T F) (G G^T) is a product of invertible r x r
+    blocks.
     """
     reduced, pivots = rref(m)
-    return _macduffee(m, m.columns_at(pivots), reduced.submatrix(0, len(pivots), 0, m.cols))
-
-
-def _macduffee(m: RealMatrix, f: RealMatrix, g: RealMatrix) -> RealMatrix:
-    """M+ = G^T (F^T M G^T)^(-1) F^T for M = F C G with F of full column
-    rank r, G of full row rank r and C invertible (MacDuffee's formula at
-    C = I), since F^T M G^T = (F^T F) C (G G^T) is a product of invertible
-    r x r blocks."""
+    f, g = m.columns_at(pivots), reduced.submatrix(0, len(pivots), 0, m.cols)
     return g.T @ inverse(f.T @ m @ g.T) @ f.T

@@ -33,7 +33,8 @@ the index runs exactly one back pass, on the r_k rows of a basis of the
 row space of M^k.  It forms no power of M: each product it takes is a row
 basis r_j x n times M, or M times an n x r block of columns.  The real form
 keeps C^(-1), so its Drazin inverse and the dual form's C^^(-1) invert
-nothing more, and dgi's witness takes M+ from the form's P and P^(-1).
+nothing more, and dgi's witness forms no M+: it reads its projectors off
+the last n - r rows of P^(-1) and columns of P, and E22 off N^.
 
 index_profile takes its two ranks from the bottom block N^ of the form, so
 the doubled matrix it reduces has n - r rows, not n, and none when N^ has
@@ -768,34 +769,44 @@ def test_verify_forms_e_plus_3_dual_products(monkeypatch, kind):
 
 
 def test_a_dgi_witness_on_a_kept_analysis_reduces_no_m(monkeypatch):
-    # at aind 1 the form holds M = F C G with F = P[:, :r], G = P^(-1)[:r, :],
-    # so M+ in the witness (I - M M+) M0 (I - M+ M) eliminates only the
-    # r x r F^T M G^T
+    # at aind 1 the witness (I - M M+) M0 (I - M+ M) is
+    # U (U^T U)^(-1) E22 (Z^T Z)^(-1) Z^T with U^T = P^(-1)[r:, :] and
+    # Z = P[:, r:], so it eliminates only the two (n - r) x (n - r) Gram
+    # matrices and, below r = n, multiplies no n x n by n x n; at r = 0,
+    # U = Z = I and the witness is M0
     rng = random.Random(163)
     inputs = [_fresh("dgi_absent_2x2")[0]]
     inputs += [_index1_with_bottom_block(rng, 5, 2, n_rank) for n_rank in (1, 2, 3)]
+    inputs += [_index1_with_bottom_block(rng, 7, 4, n_rank) for n_rank in (1, 2, 3)]
     inputs += [_index1_with_bottom_block(rng, 4, 1, 2), _index1_with_bottom_block(rng, 3, 0, 1)]
-    reduced, bordered, eliminated = [], [], []
+    inputs.append(DualMatrix(RealMatrix.zeros(4, 4), support.rand_int_matrix(rng, 4, 4)))
+    reduced, bordered, eliminated, products = [], [], [], []
     for original, seen in (
         (elimination.rref, reduced),
         (elimination._eliminate_bordered, bordered),
         (elimination._eliminate, eliminated),
     ):
         _patch_everywhere(monkeypatch, original, _recording(original, seen))
+    monkeypatch.setattr(RealMatrix, "__matmul__", _recording(RealMatrix.__matmul__, products))
+    shapes = set()
     for a in inputs:
         wdgi(a)
-        r = block_decomposition._analysis(a).cn.r
-        reduced.clear()
-        bordered.clear()
-        eliminated.clear()
+        n, r = a.rows, block_decomposition._analysis(a).cn.r
+        shapes.add((n, r))
+        for seen in (reduced, bordered, eliminated, products):
+            seen.clear()
         with pytest.raises(dualinv.DoesNotExist) as info:
             dgi(a)
         assert reduced == [] and eliminated == []
-        # inverse returns a 0 x 0 matrix with no elimination
-        assert [args[0].shape for args in bordered] == [(r, r)] * (r > 0)
+        assert [args[0].shape for args in bordered] == [(n - r, n - r)] * 2
+        if r == 0:
+            assert info.value.witness == a.dual
+        else:
+            assert all((x.shape, y.shape) != ((n, n), (n, n)) for x, y in products)
         with pytest.raises(dualinv.DoesNotExist) as witness_first:
             support.dgi_witness_first(a)
         assert info.value.witness == witness_first.value.witness
+    assert {(2, 1), (7, 4), (3, 0), (4, 0)} <= shapes
 
 
 def test_ddi_forms_the_obstruction_only_as_its_witness(monkeypatch):

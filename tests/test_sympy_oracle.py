@@ -1,6 +1,6 @@
-"""The WDDI, the dual index and the DDI's existence against sympy, through
-no code of the library's form; and the form's P^(-1) against the inverse of
-P taken by eliminating [P | I].
+"""The WDDI, the dual index, the DDI's existence and the DGI's existence and
+witness against sympy, through no code of the library's form; and the
+form's P^(-1) against the inverse of P taken by eliminating [P | I].
 
 Doubling A^ = M + eps*M0 to D = [[M, 0], [M0, M]] is an injective algebra
 homomorphism that maps the dual core-nilpotent form of A^ to a real one, so
@@ -17,9 +17,14 @@ is the route it replaced, the right block of rref([P | I]).  The form takes
 C = G M[:, pivots] and N without forming P^(-1) M P; sympy forms that
 similarity from the library's P, and G M[:, pivots] from its own reduced
 echelon form of M^k.
+
+At aind 1 the DGI exists exactly when the index of D is 1, and dgi's
+witness is read off the form with no M+; sympy takes it as
+(I - M M+) M0 (I - M+ M) with its own pinv.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -28,8 +33,10 @@ from dualinv import (
     RealMatrix,
     core_nilpotent,
     ddi,
+    dgi,
     existence_profile,
     index_profile,
+    parse_matrix,
     rank,
     wddi,
 )
@@ -181,3 +188,47 @@ def test_the_form_is_read_off_the_factors_at_every_index():
     assert {(1, "r = 0"), (1, "r = n - 1"), (1, "0 < r < n - 1")} <= kinds
     assert {(k, "r = 0") for k in (2, 3, 4)} <= kinds
     assert {(k, "0 < r < n - 1") for k in (2, 3)} <= kinds
+
+
+def _dgi_inputs():
+    """The dgi_* fixtures; rand_aind1 and rand_aind1_with_dgi at r = 0,
+    0 < r < n and r = n, and at n = 7, r = 4, the shape of index1_solve;
+    each random input is drawn until its r is the one sought."""
+    fixtures = Path(__file__).parent / "fixtures"
+    for name in ("dgi_absent_2x2", "dgi_absent_aind1_5x5", "dgi_present_2x2"):
+        yield parse_matrix((fixtures / f"{name}.json").read_bytes())
+    rng = random.Random(2415)
+    for draw in (support.rand_aind1, support.rand_aind1_with_dgi):
+        for n, r in ((3, 0), (4, 0), (4, 2), (5, 3), (3, 3), (7, 4)):
+            a = draw(rng, n)
+            while rank(a.std) != r:
+                a = draw(rng, n)
+            yield a
+
+
+def test_dgi_and_its_witness_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    outcomes = set()
+    for a in _dgi_inputs():
+        n, m, m0 = a.rows, _sympy(sympy, a.std), _sympy(sympy, a.dual)
+        assert _index(m) == 1, a
+        m_plus, eye = m.pinv(), sympy.eye(n)
+        witness = (eye - m * m_plus) * m0 * (eye - m_plus * m)
+        d = _doubled(sympy, a)
+        exists = _index(d) == 1
+        assert exists == witness.is_zero_matrix, a
+        try:
+            x = dgi(a)
+        except DoesNotExist as info:
+            assert _sympy(sympy, info.witness) == witness, a
+            assert not exists, a
+        else:
+            # the DGI doubles to the group inverse D (D^3)^+ D of D
+            assert _doubled(sympy, x) == d * (d**3).pinv() * d, a
+            assert exists, a
+        r = m.rank()
+        outcomes.add((exists, "r = 0" if r == 0 else "r = n" if r == n else "0 < r < n"))
+    assert outcomes == {
+        (False, "r = 0"), (False, "0 < r < n"),
+        (True, "r = 0"), (True, "0 < r < n"), (True, "r = n"),
+    }
