@@ -124,9 +124,8 @@ def dgi(a: DualMatrix) -> DualMatrix:
 
     Raises IndexTooLarge when aind > 1 and DoesNotExist (with the witness
     (I - M M+) M0 (I - M+ M)) when dind > 1, i.e. E22 != 0 in the block
-    form; the witness is formed only then, as U (U^T U)^(-1) E22
-    (Z^T Z)^(-1) Z^T with U^T = P^(-1)[r:, :] and Z = P[:, r:] (see the
-    module docstring).  When it exists it coincides with the WDGI.
+    form; the witness is formed only then, off the form (see the module
+    docstring).  When it exists it coincides with the WDGI.
     """
     analysis = _analysis(a)
     if analysis.aind != 1:

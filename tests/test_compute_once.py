@@ -33,8 +33,7 @@ the index runs exactly one back pass, on the r_k rows of a basis of the
 row space of M^k.  It forms no power of M: each product it takes is a row
 basis r_j x n times M, or M times an n x r block of columns.  The real form
 keeps C^(-1), so its Drazin inverse and the dual form's C^^(-1) invert
-nothing more, and dgi's witness forms no M+: it reads its projectors off
-the last n - r rows of P^(-1) and columns of P, and E22 off N^.
+nothing more, and dgi's witness forms no M+ (see ``dualinv.dual_inverses``).
 
 index_profile takes its two ranks from the bottom block N^ of the form, so
 the doubled matrix it reduces has n - r rows, not n, and none when N^ has
@@ -769,11 +768,8 @@ def test_verify_forms_e_plus_3_dual_products(monkeypatch, kind):
 
 
 def test_a_dgi_witness_on_a_kept_analysis_reduces_no_m(monkeypatch):
-    # at aind 1 the witness (I - M M+) M0 (I - M+ M) is
-    # U (U^T U)^(-1) E22 (Z^T Z)^(-1) Z^T with U^T = P^(-1)[r:, :] and
-    # Z = P[:, r:], so it eliminates only the two (n - r) x (n - r) Gram
-    # matrices and, below r = n, multiplies no n x n by n x n; at r = 0,
-    # U = Z = I and the witness is M0
+    # the witness inverts only the two (n - r) x (n - r) Gram matrices of
+    # the form (see dualinv.dual_inverses)
     rng = random.Random(163)
     inputs = [_fresh("dgi_absent_2x2")[0]]
     inputs += [_index1_with_bottom_block(rng, 5, 2, n_rank) for n_rank in (1, 2, 3)]

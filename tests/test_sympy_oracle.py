@@ -18,9 +18,9 @@ C = G M[:, pivots] and N without forming P^(-1) M P; sympy forms that
 similarity from the library's P, and G M[:, pivots] from its own reduced
 echelon form of M^k.
 
-At aind 1 the DGI exists exactly when the index of D is 1, and dgi's
-witness is read off the form with no M+; sympy takes it as
-(I - M M+) M0 (I - M+ M) with its own pinv.
+At aind 1 the DGI exists exactly when the index of D is 1, and the
+witness dgi raises otherwise is sympy's (I - M M+) M0 (I - M+ M), with
+sympy's pinv.
 """
 
 import random
@@ -210,23 +210,20 @@ def test_dgi_and_its_witness_match_sympy():
     sympy = pytest.importorskip("sympy")
     outcomes = set()
     for a in _dgi_inputs():
-        n, m, m0 = a.rows, _sympy(sympy, a.std), _sympy(sympy, a.dual)
-        assert _index(m) == 1, a
-        m_plus, eye = m.pinv(), sympy.eye(n)
+        aind, dind = _check_against_sympy(sympy, a)
+        assert aind == 1, a
+        exists = dind == 1
+        m, m0 = _sympy(sympy, a.std), _sympy(sympy, a.dual)
+        m_plus, eye = m.pinv(), sympy.eye(a.rows)
         witness = (eye - m * m_plus) * m0 * (eye - m_plus * m)
-        d = _doubled(sympy, a)
-        exists = _index(d) == 1
-        assert exists == witness.is_zero_matrix, a
-        try:
-            x = dgi(a)
-        except DoesNotExist as info:
-            assert _sympy(sympy, info.witness) == witness, a
-            assert not exists, a
+        assert witness.is_zero_matrix == exists, a
+        if exists:
+            assert dgi(a) == wddi(a), a
         else:
-            # the DGI doubles to the group inverse D (D^3)^+ D of D
-            assert _doubled(sympy, x) == d * (d**3).pinv() * d, a
-            assert exists, a
-        r = m.rank()
+            with pytest.raises(DoesNotExist) as info:
+                dgi(a)
+            assert _sympy(sympy, info.value.witness) == witness, a
+        r, n = m.rank(), a.rows
         outcomes.add((exists, "r = 0" if r == 0 else "r = n" if r == n else "0 < r < n"))
     assert outcomes == {
         (False, "r = 0"), (False, "0 < r < n"),
