@@ -24,15 +24,18 @@ C^^(-1) = C^(-1) - eps*C^(-1) E11 C^(-1) and the Horner sums of T with no
 inverse of its own.
 
 Each public function reads these objects off one _Analysis of its input,
-whose parts (the real core-nilpotent form, with aind as its k, E and N^,
-the dual block form, (K22, dind), the obstruction, the WDDI) are built on
-first use and then kept.  E and N^ are a part of their own, so the ranks,
-dind and the obstruction form no C^^(-1).  The module holds the analysis of
-the last dual matrix asked about and hands it out again only for that very
-object, never for an equal copy; analysing another object drops it, so at
-most one input is kept alive.  When M is invertible the rank of M gives
-aind = 1 with no power of M, and the form takes P^ = I and C^ = A^ (N^ is
-0 x 0), with C^(-1) = M^(-1) read off the index's forward pass of [M | I].
+whose parts (the index record of M, whose k is aind; the real
+core-nilpotent form, which consumes that record; E and N^; the dual block
+form; (K22, dind); the obstruction; the WDDI) are built on first use and
+then kept.  aind needs no form, so verify's drazin-k exponent and the
+aind > 1 refusals of the index-1 entry points build none.  E and N^ are a
+part of their own, so the ranks, dind and the obstruction form no C^^(-1).
+The module holds the analysis of the last dual matrix asked about and
+hands it out again only for that very object, never for an equal copy;
+analysing another object drops it, so at most one input is kept alive.
+When M is invertible the rank of M gives aind = 1 with no power of M, and
+the form takes P^ = I and C^ = A^ (N^ is 0 x 0), with C^(-1) = M^(-1) read
+off the index's forward pass of [M | I].
 Nothing is multiplied by that I: E, the form's products and its change of basis
 (_to_blocks, _from_blocks, which the solvers call) all skip it at r = n.
 """
@@ -44,7 +47,8 @@ from functools import cached_property
 from .exceptions import DimensionError, IndexTooLarge
 from .matrices import DualMatrix, RealMatrix
 from .matrices import _Value, hstack, vstack
-from .real_inverses import CoreNilpotentDecomposition, _conjugate, core_nilpotent
+from . import real_inverses
+from .real_inverses import CoreNilpotentDecomposition, _conjugate
 from .dual_linear import _dual_inverse_from
 
 
@@ -141,13 +145,20 @@ class _Analysis:
         self.a = a
 
     @cached_property
-    def cn(self) -> CoreNilpotentDecomposition:
-        """The real core-nilpotent form of M, which carries aind as k."""
-        return core_nilpotent(self.a.std)
+    def index(self) -> tuple:
+        """The index record of M, as ``real_inverses._index_power`` returns
+        it; aind is its k."""
+        return real_inverses._index_power(self.a.std)
 
     @property
     def aind(self) -> int:
-        return self.cn.k
+        return self.index[0]
+
+    @cached_property
+    def cn(self) -> CoreNilpotentDecomposition:
+        """The real core-nilpotent form of M, built off the index record by
+        the form that real_inverses holds when it is asked for."""
+        return real_inverses._core_nilpotent_at(self.a.std, *self.index)
 
     @cached_property
     def e_nhat(self) -> tuple[RealMatrix, DualMatrix]:
@@ -158,7 +169,7 @@ class _Analysis:
     @cached_property
     def bottom(self) -> tuple[RealMatrix, int]:
         """(K22, dind)."""
-        return _bottom_block_powers(self.e_nhat[1], self.cn.k)
+        return _bottom_block_powers(self.e_nhat[1], self.aind)
 
     @cached_property
     def obstruction(self) -> RealMatrix:

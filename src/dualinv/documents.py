@@ -163,20 +163,9 @@ class ResultDocument(_Value):
     internal-error; inputs records each input file with its content digest;
     payload carries the matrices and diagnostics, rationals always as
     strings, and for internal-error the message and the exception type.
-    A document given no payload gets an empty dict of its own.
     """
 
     __slots__ = ("status", "operation", "inputs", "payload")
-
-    def __init__(
-        self,
-        status: str,
-        operation: str,
-        inputs: tuple[dict, ...] = (),
-        payload: dict | None = None,
-    ):
-        self.status, self.operation, self.inputs = status, operation, inputs
-        self.payload = {} if payload is None else payload
 
     def to_json(self) -> str:
         body = {

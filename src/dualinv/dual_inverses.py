@@ -162,7 +162,9 @@ def verify(a: DualMatrix, x: DualMatrix, kind: str) -> VerificationReport:
 
     All equations are tested exactly; nothing is assumed about where X came
     from.  Only the kinds whose exponent is an index take the analysis of
-    A, so a group or wdgi check leaves the kept analysis in place.
+    A: drazin-k reads aind off its index record and builds no form, and
+    wddi-t reads dind off N^.  A group or wdgi check leaves the kept
+    analysis in place.
     """
     _check_square(a)
     if x.shape != a.shape:

@@ -20,7 +20,10 @@ pass, so an invertible M is eliminated once.  Below n the pass's right
 block is dropped, and the form reads C and N off the factors, with no
 similarity product, on one route for every k.  M^(k+1) is both F G M and
 M F G, and the pivot columns of G are I, so M F = F (G M[:, pivots]) and
-C = G M[:, pivots].  Then F C^k = M^k F = F G F gives C^k = G F, so the
+C = G M[:, pivots].  The index takes M[:, pivots] as the first factor of F
+and hands it on in its record (k, F, M[:, pivots], (G, pivots), bordered),
+which the form consumes, so no column of M is copied twice; the index
+alone needs no form.  Then F C^k = M^k F = F G F gives C^k = G F, so the
 form inverts C alone and takes (G F)^(-1) = C^(-k) by k - 1 products of
 r x r blocks.  M maps the null space of M^k, spanned by Z, into itself,
 and G Z = 0, so the off-diagonal blocks of P^(-1) M P vanish and
@@ -52,11 +55,13 @@ def index(m: RealMatrix) -> int:
     return _index_power(m)[0]
 
 
-def _index_power(m: RealMatrix) -> tuple[int, RealMatrix, tuple, tuple | None]:
-    """(k, F, (G, pivots), bordered) for the index k of square M, with
-    M^k = F G: F = M^k[:, pivots] and G the nonzero rows of rref(M^k).
-    bordered is the forward pass of [M | I] when M is invertible, from which
-    the form reads M^(-1), and None otherwise.
+def _index_power(m: RealMatrix) -> tuple[int, RealMatrix, RealMatrix, tuple, tuple | None]:
+    """The index record (k, F, M[:, pivots], (G, pivots), bordered) of
+    square M, k its index and M^k = F G: F = M^k[:, pivots] and G the
+    nonzero rows of rref(M^k).  M[:, pivots] is F itself at k = 1 and M at
+    r = n, and the form reads C = G M[:, pivots] off it.  bordered is the
+    forward pass of [M | I] when M is invertible, from which the form reads
+    M^(-1), and None otherwise.
 
     R_1 is the nonzero rows of the forward pass of M, and R_(j+1) those of
     the forward pass of R_j M, whose row space is that of M^(j+1); each
@@ -73,7 +78,7 @@ def _index_power(m: RealMatrix) -> tuple[int, RealMatrix, tuple, tuple | None]:
     bordered = _eliminate_bordered(m)
     pivots = bordered[1]
     if len(pivots) == n:
-        return 1, m, (RealMatrix.identity(n), tuple(range(n))), bordered
+        return 1, m, m, (RealMatrix.identity(n), tuple(range(n))), bordered
     work = []
     for row in bordered[0][:len(pivots)]:
         row = row[:n]
@@ -85,10 +90,10 @@ def _index_power(m: RealMatrix) -> tuple[int, RealMatrix, tuple, tuple | None]:
         work_next, pivots_next = _eliminate(basis @ m)
         if len(pivots_next) == r:
             g, pivots = _reduce(basis, (work, pivots))
-            f = m.columns_at(pivots)
+            f = columns = m.columns_at(pivots)
             for _ in range(k - 1):
                 f = m @ f
-            return k, f, (g, pivots), None
+            return k, f, columns, (g, pivots), None
         work, pivots = work_next, pivots_next
     raise InternalInvariantViolation("rank sequence failed to stabilize by n")
 
@@ -120,12 +125,13 @@ def core_nilpotent(m: RealMatrix) -> CoreNilpotentDecomposition:
 
 
 def _core_nilpotent_at(
-    m: RealMatrix, k: int, f: RealMatrix, echelon, bordered
+    m: RealMatrix, k: int, f: RealMatrix, columns: RealMatrix, echelon, bordered
 ) -> CoreNilpotentDecomposition:
-    """The core-nilpotent form of M from its index k, the factors of
-    M^k = F G with echelon = (G, pivots), and bordered, all as
-    ``_index_power`` returns them.  At r = n the back pass reduces bordered
-    in place, so it is read once."""
+    """The core-nilpotent form of M from its index record: k, the factors
+    of M^k = F G with echelon = (G, pivots), columns = M[:, pivots] and
+    bordered, as ``_index_power`` returns them.  At r = n the back pass
+    reduces bordered in place; a second back pass of it finds nothing left
+    to clear, so a record gives the same form each time."""
     size = m.rows
     g, pivots = echelon
     r = len(pivots)
@@ -134,7 +140,7 @@ def _core_nilpotent_at(
         m_inv = _inverse_of_bordered(*bordered)
         return CoreNilpotentDecomposition(g, g, m, RealMatrix.zeros(0, 0), r, k, m_inv)
     # C, (G F)^(-1) = C^(-k) and N as the module docstring derives them
-    c = g @ m.columns_at(pivots)
+    c = g @ columns
     c_inv = gf_inv = inverse(c)
     for _ in range(k - 1):
         gf_inv = gf_inv @ c_inv

@@ -152,21 +152,23 @@ def index_power_reference(m: RealMatrix) -> tuple[int, RealMatrix, tuple]:
 core_nilpotent_production = real_inverses._core_nilpotent_at
 
 
-def core_nilpotent_oracle(m: RealMatrix, k: int, f: RealMatrix, echelon, bordered):
+def core_nilpotent_oracle(m: RealMatrix, k: int, f: RealMatrix, columns, echelon, bordered):
     """``real_inverses._core_nilpotent_at`` with the guards of the real form
     below r = n, which the library does not run.  Before the production
-    call it checks C^k = G F for C = G M[:, pivots], so factors that do not
-    belong to M raise InternalInvariantViolation here and not NotInvertible
-    at a singular C; on the form that call returns, it checks
+    call it checks C^k = G F for its own C = G M[:, pivots], taken off M
+    and not off the record's ``columns``, so factors that do not belong to
+    M raise InternalInvariantViolation here and not NotInvertible at a
+    singular C; on the form that call returns, it checks
     P^(-1) M P = diag(C, N), which covers the block-diagonal shape and both
     blocks, and N^k = 0.  It returns the production form unchanged."""
     g, pivots = echelon
     r, size = len(pivots), m.rows
+    record = (k, f, columns, echelon, bordered)
     if r == size:
-        return core_nilpotent_production(m, k, f, echelon, bordered)
+        return core_nilpotent_production(m, *record)
     if (g @ m.columns_at(pivots)) ** k != g @ f:
         raise InternalInvariantViolation("C^k is not G F")
-    form = core_nilpotent_production(m, k, f, echelon, bordered)
+    form = core_nilpotent_production(m, *record)
     similar = form.p_inv @ m @ form.p
     upper, lower = similar.nums[:r], similar.nums[r:]
     if any(any(row[r:]) for row in upper) or any(any(row[:r]) for row in lower):

@@ -13,6 +13,11 @@ dual matrix, once; existence_profile reads its rank equality off K22 and,
 like the inverses and solvers, forms no dual power.  ddi decides existence
 off K22 as well and forms the obstruction only as its witness.
 
+The index is a part of its own, the index record, which the real form
+consumes: verify's drazin-k exponent and the aind > 1 refusals of wdgi,
+dgi, block_diagonalize_ind1 and both solvers read aind off it and build no
+form, and a singular analysis takes M[:, pivots] once, in the index.
+
 A sequence of calls on one object builds each part once.  A value-equal but
 distinct object gets an analysis of its own (nothing is keyed on value),
 analysing another object releases the first (memory stays bounded), and a
@@ -231,12 +236,13 @@ def test_a_sequence_on_one_object_analyses_it_once(counts, sequence, fixture):
     a, b = _fresh(fixture)
     for call in SEQUENCES[sequence]:
         _call(call, a, b)
+    refused = sequence == "index1_task" and not fixture.startswith("dgi")
     assert counts["index"] == 1, dict(counts)
-    assert counts["core_nilpotent"] == 1, dict(counts)
+    # at aind > 1 the index-1 calls stop at the index record, before any form
+    assert counts["core_nilpotent"] == (0 if refused else 1), dict(counts)
     assert counts["decompose"] <= 1, dict(counts)
     assert counts["bottom_block_powers"] <= 1, dict(counts)
-    if sequence == "index1_task" and not fixture.startswith("dgi"):
-        # at aind > 1 the index-1 calls stop at the real form, before any dual part
+    if refused:
         assert counts["decompose"] == counts["bottom_block_powers"] == 0, dict(counts)
     wanted = {"every_call": 1, "square_task": 1}.get(sequence, 0)
     assert counts["rank_profile"] == wanted, dict(counts)
@@ -287,6 +293,72 @@ def test_verify_at_a_fixed_exponent_keeps_the_analysis(counts):
     assert counts["index"] == 1, dict(counts)
     with pytest.raises(dualinv.DimensionError, match="^operation needs a square dual matrix$"):
         verify(DualMatrix.zeros(2, 3), DualMatrix.zeros(2, 3), "group")
+
+
+def _one_of_each_rank_kind():
+    """Fresh inputs at r = 0, 0 < r < n and r = n, at aind 1 and above."""
+    rng = random.Random(191)
+    yield DualMatrix(RealMatrix.zeros(3, 3), support.rand_int_matrix(rng, 3, 3))
+    yield DualMatrix(support.rand_nilpotent(rng, 4), support.rand_int_matrix(rng, 4, 4))
+    yield support.rand_aind1(rng, 5)
+    yield support.rand_high_index(rng, 6, 3, True)
+    yield support.rand_dual_invertible_std(rng, 4)
+
+
+def test_verify_drazin_k_reads_only_the_index_record(counts):
+    # the exponent aind is the record's k, so verify builds no real form;
+    # a later wddi builds the form off that same record
+    kinds = set()
+    for a in _one_of_each_rank_kind():
+        counts.clear()
+        verify(a, a, "drazin-k")
+        assert counts["index"] == 1 and counts["core_nilpotent"] == 0, dict(counts)
+        wddi(a)
+        assert counts["index"] == 1 and counts["core_nilpotent"] == 1, dict(counts)
+        r, n = block_decomposition._analysis(a).cn.r, a.rows
+        kinds.add("r = 0" if r == 0 else "r = n" if r == n else "0 < r < n")
+    assert kinds == {"r = 0", "0 < r < n", "r = n"}
+
+
+INDEX1_CALLS = {
+    "wdgi": wdgi,
+    "dgi": dgi,
+    "block_diagonalize_ind1": block_decomposition.block_diagonalize_ind1,
+    "solve_general": lambda a: solve_general(a, DualMatrix.zeros(a.rows, 1)),
+    "solve_restricted": lambda a: solve_restricted(a, DualMatrix.zeros(a.rows, 1)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(INDEX1_CALLS))
+def test_an_index_above_1_is_refused_with_no_form(counts, call):
+    rng = random.Random(193)
+    inputs = [_fresh(f)[0] for f in ("ddi_absent_4x4", "ddi_present_4x4")]
+    inputs += [support.rand_high_index(rng, n, aind, True) for n, aind in ((4, 2), (6, 4))]
+    inputs.append(DualMatrix(support.rand_nilpotent(rng, 5), RealMatrix.zeros(5, 5)))
+    for a in inputs:
+        counts.clear()
+        with pytest.raises(dualinv.IndexTooLarge):
+            INDEX1_CALLS[call](a)
+        assert counts["index"] == 1 and counts["core_nilpotent"] == 0, dict(counts)
+
+
+def test_a_singular_analysis_takes_the_pivot_columns_of_m_once(monkeypatch):
+    # the index hands M[:, pivots] on in its record and the production form
+    # reads C off it; an invertible M takes none: its record hands on M
+    monkeypatch.setattr(real_inverses, "_core_nilpotent_at", support.core_nilpotent_production)
+    taken = []
+    original = RealMatrix.columns_at
+    monkeypatch.setattr(RealMatrix, "columns_at", _recording(original, taken))
+    kinds = set()
+    for a in _one_of_each_rank_kind():
+        taken.clear()
+        for call in SEQUENCES["every_call"]:
+            _call(call, a, DualMatrix.zeros(a.rows, 1))
+        analysis = block_decomposition._analysis(a)
+        singular = analysis.cn.r < a.rows
+        assert [args[0] is a.std for args in taken].count(True) == singular, analysis.cn.r
+        kinds.add((singular, analysis.aind > 1))
+    assert kinds == {(True, False), (True, True), (False, False)}
 
 
 def test_index_too_large_does_not_spoil_a_later_wddi(counts):
@@ -408,7 +480,8 @@ def test_the_index_of_a_singular_matrix_runs_one_back_pass_on_a_row_basis(monkey
     rng = random.Random(133)
     singular = [support.rand_aind1(rng, 4).std, support.rand_nilpotent(rng, 4)]
     singular += [support.rand_high_index(rng, 6, aind, dind=aind).std for aind in (2, 3, 4)]
-    singular += [RealMatrix.zeros(3, 3)]
+    # a pivot row of even ints, which R_1 divides by its gcd 2
+    singular += [RealMatrix.zeros(3, 3), RealMatrix.from_rows([[2, 4, 0], [1, 2, 0], [0, 0, 0]])]
     rank_sequences = []
     for m in singular:
         k = support.index_power_reference(m)[0]
@@ -424,7 +497,7 @@ def test_the_index_of_a_singular_matrix_runs_one_back_pass_on_a_row_basis(monkey
         back_passes.clear()
         reduced.clear()
         products.clear()
-        k, _, (g, pivots), bordered = real_inverses._index_power(m)
+        k, _, _, (g, pivots), bordered = real_inverses._index_power(m)
         assert bordered is None
         n, r = m.rows, len(pivots)
         assert k == len(ranks) and r == ranks[-1] < n

@@ -51,8 +51,8 @@ SQUARE = sorted(name for name, a in MATRICES.items() if a.rows == a.cols)
 
 @pytest.mark.parametrize("name", SQUARE)
 def test_the_oracle_returns_the_production_form(name):
-    # each call takes factors of its own: at r = n the form reduces the
-    # forward pass it is handed in place
+    # each call takes an index record of its own: at r = n the form reduces
+    # the record's forward pass in place
     m = MATRICES[name].std
     oracle = support.core_nilpotent_oracle(m, *real_inverses._index_power(m))
     assert oracle == support.core_nilpotent_production(m, *real_inverses._index_power(m))

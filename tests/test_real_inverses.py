@@ -137,26 +137,32 @@ def _index_power_inputs():
         yield q @ m @ inverse(q)
 
 
-def _factors(mk, echelon):
-    """(F, (G, pivots)) of M^k = F G, read off M^k and echelon = rref(M^k):
-    F = M^k[:, pivots] and G the nonzero rows of the reduced form."""
+def _factors(m, mk, echelon):
+    """(F, M[:, pivots], (G, pivots)) of M^k = F G, read off M, M^k and
+    echelon = rref(M^k): F = M^k[:, pivots] and G the nonzero rows of the
+    reduced form."""
     reduced, pivots = echelon
-    return mk.columns_at(pivots), (reduced.submatrix(0, len(pivots), 0, mk.cols), pivots)
+    g = reduced.submatrix(0, len(pivots), 0, mk.cols)
+    return mk.columns_at(pivots), m.columns_at(pivots), (g, pivots)
 
 
 def test_index_power_matches_the_rref_of_every_power():
     # the index and the factors F, G of that power read off the reduced
-    # form of every power, against row bases and one back pass; an
+    # form of every power, against row bases and one back pass, and the
+    # block M[:, pivots], which is F itself at k = 1 and M at r = n; an
     # invertible M also hands on the forward pass of [M | I], whose back
     # pass is M^(-1)
     seen = set()
     for m in _index_power_inputs():
         *result, bordered = real_inverses._index_power(m)
         k, mk, echelon = support.index_power_reference(m)
-        assert tuple(result) == (k, *_factors(mk, echelon)), m
+        assert tuple(result) == (k, *_factors(m, mk, echelon)), m
+        _, f, columns, _ = result
+        assert (columns is f) == (k == 1)
         if len(echelon[1]) < m.rows:
             assert bordered is None
         else:
+            assert columns is m
             assert _inverse_of_bordered(*bordered) == support.inverse_reference(m)
         seen.add(result[0])
     assert seen == {1, 2, 3, 4, 5, 6, 7}
@@ -226,6 +232,24 @@ class TestCoreNilpotent:
         m = cases.DDI_ABSENT.std
         assert core_nilpotent(m) == core_nilpotent(m)
 
+    def test_one_index_record_gives_the_same_form_twice(self):
+        # at r = n the back pass reduces the record's pass of [M | I] in
+        # place, and a second back pass of it finds nothing above a pivot
+        # to clear, so building the form again from the record changes nothing
+        rng = random.Random(59)
+        inputs = [support.rand_invertible(rng, n) for n in (1, 3, 5)]
+        inputs += [support.rand_matrix(rng, 6, 6), support.rand_aind1(rng, 4).std]
+        inputs.append(support.rand_high_index(rng, 6, 3, dind=3).std)
+        reduced_in_place = 0
+        for m in inputs:
+            record = real_inverses._index_power(m)
+            bordered = record[-1]
+            before = None if bordered is None else [list(row) for row in bordered[0]]
+            first = real_inverses._core_nilpotent_at(m, *record)
+            reduced_in_place += bordered is not None and bordered[0] != before
+            assert real_inverses._core_nilpotent_at(m, *record) == first == core_nilpotent(m)
+        assert reduced_in_place >= 3
+
     CORE_GUARD = re.escape("C^k is not G F")
     BLOCK_DIAGONAL_GUARD = "similarity transform is not block diagonal"
     # (m, M^k, message) at k = 1 for pairs that do not belong together, each
@@ -272,7 +296,7 @@ class TestCoreNilpotent:
     def _guard_case(self, k, case):
         rows, power_rows, message = (self.GUARD_CASES if k == 1 else self.GUARD_CASES_K2)[case]
         m, mk = RealMatrix.from_rows(rows), RealMatrix.from_rows(power_rows)
-        return m, _factors(mk, rref(mk)), message
+        return m, _factors(m, mk, rref(mk)), message
 
     @pytest.mark.parametrize("k, case", ALL_GUARD_CASES)
     def test_each_invariant_guard_fires_on_a_mismatched_power(self, k, case):
@@ -285,13 +309,13 @@ class TestCoreNilpotent:
         # the production function runs no guard, so none sees the mismatch:
         # C is G M[:, pivots], N is 0 at k = 1 and the free rows of M Z above
         # it, whatever M is, and only a singular C raises, as NotInvertible
-        m, (f, (g, pivots)), _ = self._guard_case(k, case)
+        m, (f, columns, (g, pivots)), _ = self._guard_case(k, case)
         c = g @ m.columns_at(pivots)
         if rank(c) < c.rows:
             with pytest.raises(NotInvertible):
-                support.core_nilpotent_production(m, k, f, (g, pivots), None)
+                support.core_nilpotent_production(m, k, f, columns, (g, pivots), None)
             return
-        form = support.core_nilpotent_production(m, k, f, (g, pivots), None)
+        form = support.core_nilpotent_production(m, k, f, columns, (g, pivots), None)
         size, r = m.rows, len(pivots)
         free = [j for j in range(size) if j not in pivots]
         m_z = (m @ form.p.submatrix(0, size, r, size)).entries
@@ -305,7 +329,7 @@ class TestCoreNilpotent:
         # passes the oracle's C^k = G F = [0]
         m = RealMatrix.from_rows([[0, 1], [0, 0]])
         with pytest.raises(NotInvertible, match="^matrix of rank 0 is singular$"):
-            real_inverses._core_nilpotent_at(m, 1, *_factors(m, rref(m)), None)
+            real_inverses._core_nilpotent_at(m, 1, *_factors(m, m, rref(m)), None)
 
 
 class TestDrazin:

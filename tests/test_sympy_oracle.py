@@ -1,6 +1,7 @@
-"""The WDDI, the dual index, the DDI's existence and the DGI's existence and
-witness against sympy, through no code of the library's form; and the
-form's P^(-1) against the inverse of P taken by eliminating [P | I].
+"""The WDDI, the dual index, the DDI's existence, the DGI's existence and
+witness, verify's report and rank_profile against sympy, through no code
+of the library's form; and the form's P^(-1) against the inverse of P
+taken by eliminating [P | I].
 
 Doubling A^ = M + eps*M0 to D = [[M, 0], [M0, M]] is an injective algebra
 homomorphism that maps the dual core-nilpotent form of A^ to a real one, so
@@ -21,15 +22,23 @@ echelon form of M^k.
 At aind 1 the DGI exists exactly when the index of D is 1, and the
 witness dgi raises otherwise is sympy's (I - M M+) M0 (I - M+ M), with
 sympy's pinv.
+
+verify is checked on every input of that route, for every kind: its
+exponent and its three booleans are those sympy finds for the same
+equations on D(A^) and D(X^), since D is multiplicative and injective.  And
+rank_profile, of any shape, is (rank(M), rank(D) - rank(M)), both ranks
+taken in sympy.
 """
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from dualinv import (
     DoesNotExist,
+    DualMatrix,
     RealMatrix,
     core_nilpotent,
     ddi,
@@ -38,8 +47,11 @@ from dualinv import (
     index_profile,
     parse_matrix,
     rank,
+    rank_profile,
+    verify,
     wddi,
 )
+from dualinv.matrices import VERIFY_KINDS
 
 import support
 
@@ -83,12 +95,55 @@ def _index(s) -> int:
         k, rank = k + 1, rank_next
 
 
+def _real(s) -> RealMatrix:
+    """The RealMatrix of a sympy matrix of rationals."""
+    rows = [[Fraction(int(x.p), int(x.q)) for x in s.row(i)] for i in range(s.rows)]
+    return RealMatrix.from_rows(rows, cols=s.cols)
+
+
+def _undoubled(d) -> DualMatrix:
+    """The dual matrix whose doubled form is the sympy matrix d."""
+    n = d.rows // 2
+    assert d[:n, n:].is_zero_matrix and d[n:, n:] == d[:n, :n]
+    return DualMatrix(_real(d[:n, :n]), _real(d[n:, :n]))
+
+
+def _check_verify(sympy, a, d, d_drazin, aind, dind) -> None:
+    """verify's exponent and its three equations against sympy's, on the
+    doubled matrices, for every kind.  The candidates are sympy's D^D as a
+    dual X, and X + E and X + eps*E for the unit entry E at (0, 0).  The
+    Drazin equations of D at its index have one solution, D^D, so wddi-t
+    holds for X and for neither perturbed candidate."""
+    x = _undoubled(d_drazin)
+    unit = RealMatrix.from_rows([[int(i == j == 0) for j in range(a.cols)] for i in range(a.rows)])
+    candidates = {
+        "X": x, "X + E": x + DualMatrix.from_real(unit), "X + eps*E": x + DualMatrix.eps(unit)
+    }
+    exponents = {"group": 1, "wdgi": 2, "drazin-k": aind, "wddi-t": dind}
+    held = {}
+    for name, candidate in candidates.items():
+        dx = _doubled(sympy, candidate)
+        da_dx, dx_da = d * dx, dx * d
+        for kind in VERIFY_KINDS:
+            d_e = d ** exponents[kind]
+            expected = (da_dx * d_e == d_e, dx_da * dx == dx, da_dx == dx_da)
+            report = verify(a, candidate, kind)
+            assert report.exponent == exponents[kind], (name, kind)
+            assert tuple(ok for _, ok in report.equations) == expected, (name, kind)
+            assert report.all_hold == all(expected), (name, kind)
+            held[name, kind] = report.all_hold
+    assert held["X", "wddi-t"] and held["X", "drazin-k"] == (dind == aind)
+    assert not held["X + E", "wddi-t"] and not held["X + eps*E", "wddi-t"]
+
+
 def _check_against_sympy(sympy, a) -> tuple[int, int]:
-    """Check a against the sympy route; return (aind, dind) as sympy found them."""
+    """Check a against the sympy route, verify included; return
+    (aind, dind) as sympy found them."""
     d = _doubled(sympy, a)
     k = _index(d)
     d_k = d**k
-    assert _doubled(sympy, wddi(a)) == d_k * (d ** (2 * k + 1)).pinv() * d_k
+    d_drazin = d_k * (d ** (2 * k + 1)).pinv() * d_k
+    assert _doubled(sympy, wddi(a)) == d_drazin
     aind = _index(_sympy(sympy, a.std))
     profile = index_profile(a)
     assert (profile.aind, profile.dind) == (aind, k)
@@ -99,6 +154,7 @@ def _check_against_sympy(sympy, a) -> tuple[int, int]:
     else:
         with pytest.raises(DoesNotExist):
             ddi(a)
+    _check_verify(sympy, a, d, d_drazin, aind, k)
     return aind, k
 
 
@@ -229,3 +285,32 @@ def test_dgi_and_its_witness_match_sympy():
         (False, "r = 0"), (False, "0 < r < n"),
         (True, "r = 0"), (True, "0 < r < n"), (True, "r = n"),
     }
+
+
+def _rank_profile_inputs():
+    """Every fixture file (the square ones and the four rhs_* columns);
+    rank-1 and full-rank p/q standard parts with p/q dual parts at 2 x 5,
+    5 x 2 and 3 x 4; and a rank-1 standard part with a zero dual part."""
+    for path in sorted((Path(__file__).parent / "fixtures").glob("*.json")):
+        yield path.stem, parse_matrix(path.read_bytes())
+    rng = random.Random(2416)
+    for rows, cols in ((2, 5), (5, 2), (3, 4)):
+        rank_1 = support.rand_matrix(rng, rows, 1) @ support.rand_matrix(rng, 1, cols)
+        for name, std in (("rank_1", rank_1), ("dense", support.rand_matrix(rng, rows, cols))):
+            yield f"{name}_{rows}x{cols}", DualMatrix(std, support.rand_matrix(rng, rows, cols))
+    std = support.rand_matrix(rng, 4, 1) @ support.rand_matrix(rng, 1, 3)
+    yield "zero_dual_4x3", DualMatrix(std, RealMatrix.zeros(4, 3))
+
+
+def test_rank_profile_matches_sympy():
+    # arank = rank(M) and drank = rank(D) - rank(M), both ranks in sympy
+    sympy = pytest.importorskip("sympy")
+    names, excess = set(), set()
+    for name, a in _rank_profile_inputs():
+        arank = _sympy(sympy, a.std).rank()
+        drank = _doubled(sympy, a).rank() - arank
+        assert rank_profile(a) == (arank, drank), name
+        names.add(name.split("_")[0])
+        excess.add(drank > arank)
+    assert {"rhs", "rank", "dense", "zero"} <= names
+    assert excess == {True, False}

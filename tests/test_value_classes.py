@@ -1,5 +1,5 @@
-"""The package's value classes: structural equality, hash and repr, the
-ResultDocument defaults and the checks their constructors make.
+"""The package's value classes: structural equality, hash and repr, and
+the checks their constructors make.
 
 Each class is built from the same field values twice, by keyword and by
 position; the two are equal and hash-equal, and the repr names every field
@@ -106,7 +106,7 @@ CASES = {
 }
 
 UNHASHABLE = {"ResultDocument"}  # its inputs and payload hold dicts
-OWN_CONSTRUCTOR = {"DualMatrix", "ResultDocument"}  # the rest bind their fields in _Value
+OWN_CONSTRUCTOR = {"DualMatrix"}  # the rest bind their fields in _Value
 
 # a wrong set of fields -> the arguments that give it, from a CASES entry's fields
 BAD_FIELD_SETS = {
@@ -164,18 +164,6 @@ def test_a_bad_field_set_raises_a_type_error_naming_the_fields(name, problem):
     with pytest.raises(TypeError) as raised:
         cls(*values, **named)
     assert str(raised.value) == f"{name} takes the fields ({', '.join(fields)})"
-
-
-def test_result_document_defaults():
-    first, second = ResultDocument("ok", "info"), ResultDocument("ok", "info")
-    assert first.inputs == () and first.payload == {}
-    assert first == second
-    # each document gets a payload dict of its own
-    assert first.payload is not second.payload
-    first.payload["rows"] = 1
-    assert second.payload == {}
-    assert repr(second) == "ResultDocument(status='ok', operation='info', inputs=(), payload={})"
-    assert ResultDocument("ok", "info", payload={"x": 1}).inputs == ()
 
 
 def test_dual_matrix_parts_must_share_a_shape():
